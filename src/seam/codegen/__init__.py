@@ -2,7 +2,6 @@ from .compile import (
     ObjectArtifact,
     compile_module,
     compile_wasm_file,
-    emit_fixture_suite,
     host_target,
     supported_targets,
     write_artifact,
@@ -22,7 +21,6 @@ __all__ = [
     "SymbolManifest",
     "compile_module",
     "compile_wasm_file",
-    "emit_fixture_suite",
     "write_artifact",
     "host_target",
     "supported_targets",

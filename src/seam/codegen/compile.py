@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .. import elf
-from ..errors import CodegenError, SeamError, UnsupportedTarget
+from ..errors import CodegenError, UnsupportedTarget
 from ..wasm import ValidatedModule, decode_module, validate_module
 from .ctext import CGen
 from .symbols import SymbolManifest
@@ -19,10 +19,12 @@ _ARCH_ALIASES = {"x86_64": "x86_64", "amd64": "x86_64", "aarch64": "aarch64", "a
 
 # closed-world compile flags: the object may reference nothing but the
 # declared externs, so builtins/libcalls/stack protector must stay off and
-# float rounding ops must lower to instructions
+# float rounding ops must lower to instructions. Stack-clash protection
+# probes every page of a large frame, so no frame can step over the guard
+# region under the guest stack (it only adds inline probes, no symbols).
 _BASE_CFLAGS = [
     "-c", "-O2", "-g0",
-    "-ffreestanding", "-fno-builtin", "-fno-stack-protector",
+    "-ffreestanding", "-fno-builtin", "-fno-stack-protector", "-fstack-clash-protection",
     "-fno-asynchronous-unwind-tables", "-fno-math-errno", "-ffp-contract=off",
     "-fno-strict-aliasing",
 ]
@@ -104,27 +106,3 @@ def write_artifact(art: ObjectArtifact, out_obj: str | Path) -> Path:
     manifest_path.write_text(json.dumps(art.symbols.to_dict(), indent=2) + "\n")
     return manifest_path
 
-
-def emit_fixture_suite(fixture_dir: str | Path, out_dir: str | Path,
-                       target: str | None = None, cc: str = "cc") -> dict:
-    """Compile every .wasm under fixture_dir; errors are recorded, not fatal.
-
-    Returns the batch manifest (also written as manifest.json in out_dir).
-    """
-    fixture_dir = Path(fixture_dir)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results: dict = {"objects": {}, "errors": {}}
-    for wasm in sorted(fixture_dir.glob("*.wasm")):
-        try:
-            art = compile_wasm_file(wasm, target=target, cc=cc)
-            obj_path = out_dir / (wasm.stem + ".o")
-            write_artifact(art, obj_path)
-            results["objects"][wasm.name] = {
-                "object": obj_path.name,
-                "unresolved": sorted(art.symbols.unresolved),
-            }
-        except SeamError as e:
-            results["errors"][wasm.name] = str(e)
-    (out_dir / "manifest.json").write_text(json.dumps(results, indent=2) + "\n")
-    return results

@@ -9,6 +9,24 @@ Lowering model: every value pushed on the Wasm operand stack becomes a
 fresh single-assignment C temporary, so Wasm evaluation order is the
 statement order and the optimizer sees plain scalar code. Blocks become
 labels, branches become gotos that first store the block result.
+
+Safety model: the generated C carries no bounds check and no global depth
+counter.
+- Memory. A Wasm effective address is a u32 base plus a u32 offset, so
+  every access lies in [0, 2^33 + 6). The runtime reserves 2^33 + 64 KiB
+  PROT_NONE behind the memory base and commits pages only as the module's
+  memory grows, so an out-of-bounds access faults inside that reservation
+  and the runtime's SIGSEGV handler turns the fault into trap 1. Each load
+  is followed by an empty asm that consumes its value (SR_KEEP_I/F), so a
+  load whose result is dropped still executes and still faults.
+- Call depth. Every internal function takes a uint32_t budget `sr_d` as
+  its first argument, traps 7 when it is 0, and passes sr_d - 1 to its
+  callees, direct or indirect. Entry points (export aliases, the start
+  function, the wasm_exports table) pass CALL_DEPTH_LIMIT, so the depth
+  at which a module traps does not depend on frame sizes. Imports take no
+  budget; a table slot that holds one goes through a thunk that drops it.
+  A guard region under the guest stack (runtime main.c) turns an overflow
+  by very large frames into trap 7 too.
 """
 
 from __future__ import annotations
@@ -49,8 +67,16 @@ typedef struct { uint16_t v; } __attribute__((packed)) sr_u16u;
 typedef struct { uint32_t v; } __attribute__((packed)) sr_u32u;
 typedef struct { uint64_t v; } __attribute__((packed)) sr_u64u;
 
-static uint64_t sr_mem_bytes;
-static uint32_t sr_depth;
+/* a load whose result is dead must still run (and fault out of bounds):
+   an asm that consumes the value keeps it, as wasm2c's FORCE_READ does */
+#define SR_KEEP_I(v) __asm__("" :: "r"(v))
+#if defined(__x86_64__)
+#define SR_KEEP_F(v) __asm__("" :: "x"(v))
+#elif defined(__aarch64__)
+#define SR_KEEP_F(v) __asm__("" :: "w"(v))
+#else
+#define SR_KEEP_F(v) __asm__("" :: "m"(v))
+#endif
 
 static inline float sr_f32_frombits(uint32_t b) { union { uint32_t i; float f; } u; u.i = b; return u.f; }
 static inline uint32_t sr_f32_tobits(float f) { union { uint32_t i; float f; } u; u.f = f; return u.i; }
@@ -337,7 +363,6 @@ class _FuncEmitter:
         self.push(self.tmp(vt, expr), vt)
 
     def emit_return(self):
-        self.line("sr_depth--;")
         if self.ftype.results:
             v, _ = self.pop()
             self.line(f"return {v};")
@@ -351,8 +376,8 @@ class _FuncEmitter:
         if target.kind == "func":
             if target.rt:
                 v, _ = self.stack[-1]
-                return f"sr_depth--; return {v};"
-            return "sr_depth--; return;"
+                return f"return {v};"
+            return "return;"
         if target.kind == "loop":
             return f"goto L{target.bid}_c;"
         if target.rt:
@@ -459,8 +484,7 @@ class _FuncEmitter:
             callee = ins[1]
             sig = self.m.func_type(callee)
             args = [self.pop()[0] for _ in sig.params][::-1]
-            cname = gen.func_cname(callee)
-            callexpr = f"{cname}({', '.join(args)})"
+            callexpr = gen.call_expr(callee, "sr_d - 1u", args)
             if sig.results:
                 self.push_expr(sig.results[0], callexpr)
             else:
@@ -474,8 +498,8 @@ class _FuncEmitter:
             self.line(f"if ({iv} >= {gen.table_size}u) runtime_trap({TRAP_TABLE_OOB}u);")
             self.line(f"if (sr_table[{iv}].tid != {tid}u) runtime_trap({TRAP_CALL_TYPE}u);")
             rett = CTYPE[sig.results[0]] if sig.results else "void"
-            argts = ", ".join(CTYPE[p] for p in sig.params) or "void"
-            callexpr = f"(({rett} (*)({argts}))sr_table[{iv}].fn)({', '.join(args)})"
+            argts = ", ".join(["uint32_t", *(CTYPE[p] for p in sig.params)])
+            callexpr = f"(({rett} (*)({argts}))sr_table[{iv}].fn)({', '.join(['sr_d - 1u', *args])})"
             if sig.results:
                 self.push_expr(sig.results[0], callexpr)
             else:
@@ -520,9 +544,7 @@ class _FuncEmitter:
             return
         if name == "memory.grow":
             dv, _ = self.pop()
-            res = self.tmp("i32", f"memory_grow({dv})")
-            self.line(f"if ({res} != 0xffffffffu) sr_mem_bytes = ((uint64_t){res} + (uint64_t){dv}) << 16;")
-            self.push(res, "i32")
+            self.push_expr("i32", f"memory_grow({dv})")
             return
 
         if name == "i32.const":
@@ -555,7 +577,6 @@ class _FuncEmitter:
         ea = f"a{self.ntmp}"
         self.ntmp += 1
         self.line(f"uint64_t {ea} = (uint64_t){addr} + {offset}ull;")
-        self.line(f"if ({ea} + {width}ull > sr_mem_bytes) runtime_trap({TRAP_OOB}u);")
         ptr = f"(mb + {ea})"
         if is_store:
             if name == "f32.store":
@@ -592,6 +613,7 @@ class _FuncEmitter:
             }
             signed = name.endswith("_s")
             self.push_expr(vt, loads[(vt, width, signed)].format(p=ptr))
+        self.line(f"SR_KEEP_{'F' if vt in ('f32', 'f64') else 'I'}({self.stack[-1][0]});")
 
     def emit_numeric(self, name: str):
         params, results = op.TYPE_RULES[name]
@@ -602,10 +624,14 @@ class _FuncEmitter:
     # -- whole function -----------------------------------------------------
 
     def emit_func(self) -> str:
-        params = ", ".join(f"{CTYPE[t]} l{i}" for i, t in enumerate(self.ftype.params)) or "void"
+        params = ", ".join(["uint32_t sr_d", *(f"{CTYPE[t]} l{i}" for i, t in enumerate(self.ftype.params))])
         rett = CTYPE[self.ftype.results[0]] if self.ftype.results else "void"
-        head = f"static {rett} {self.gen.func_cname(self.func_index)}({params}) {{"
-        self.line(f"if (sr_depth++ >= {CALL_DEPTH_LIMIT}u) runtime_trap({TRAP_STACK}u);")
+        # each call_indirect target starts its own 32-byte fetch window:
+        # small table functions packed at 16-byte offsets ran an indirect-call
+        # loop ~10% slower on x86_64
+        align = "__attribute__((aligned(32))) " if self.func_index in self.gen.table_funcs else ""
+        head = f"{align}static {rett} wf{self.func_index}({params}) {{"
+        self.line(f"if (sr_d == 0u) runtime_trap({TRAP_STACK}u);")
         if self.uses_mem:
             self.line("uint8_t *const mb = memory_base();")
         nparams = len(self.ftype.params)
@@ -775,6 +801,7 @@ class CGen:
         self.m: Module = vm.module
         self.table_size = self.m.table.initial if self.m.table else 0
         self._check_imports()
+        self.table_funcs = {fi for seg in self.m.elements for fi in seg.func_indices}
 
     def _check_imports(self):
         seen: dict[str, FuncType] = {}
@@ -788,9 +815,17 @@ class CGen:
                 raise CodegenError(f"import {imp.name!r} declared twice with different signatures")
             seen[imp.name] = sig
 
-    def func_cname(self, func_index: int) -> str:
+    def call_expr(self, func_index: int, budget: str, args: list[str]) -> str:
+        """A call to any function: internal ones take the depth budget
+        first, imports are called by their WASI name without it."""
         if func_index < self.m.num_imported_funcs:
-            return self.m.imports[func_index].name
+            return f"{self.m.imports[func_index].name}({', '.join(args)})"
+        return f"wf{func_index}({', '.join([budget, *args])})"
+
+    def table_fn(self, func_index: int) -> str:
+        """What a table slot points at: every entry takes the budget."""
+        if func_index < self.m.num_imported_funcs:
+            return f"sr_thunk_{self.m.imports[func_index].name}"
         return f"wf{func_index}"
 
     def exported_funcs(self) -> list[tuple[str, int]]:
@@ -818,6 +853,17 @@ class CGen:
                 f"__attribute__((used)) static void *const sr_keep_imports[] = {{{refs}}};"
             )
 
+        # imports reachable through the table get a thunk with the table's
+        # calling convention, which drops the budget
+        thunks = {self.table_fn(fi): fi for fi in sorted(self.table_funcs) if fi < m.num_imported_funcs}
+        for thunk, fi in thunks.items():
+            sig = m.func_type(fi)
+            rett = CTYPE[sig.results[0]] if sig.results else "void"
+            params = ", ".join(["uint32_t sr_d", *(f"{CTYPE[p]} a{j}" for j, p in enumerate(sig.params))])
+            call = self.call_expr(fi, "", [f"a{j}" for j in range(len(sig.params))])
+            parts.append(f"static {rett} {thunk}({params}) "
+                         f"{{ (void)sr_d; {'return ' if sig.results else ''}{call}; }}")
+
         if self.table_size or m.table is not None:
             parts.append(
                 f"static struct {{ uint32_t tid; void (*fn)(void); }} sr_table[{max(self.table_size, 1)}];"
@@ -828,7 +874,7 @@ class CGen:
             fi = m.num_imported_funcs + i
             ftype = m.func_type(fi)
             rett = CTYPE[ftype.results[0]] if ftype.results else "void"
-            args = ", ".join(CTYPE[p] for p in ftype.params) or "void"
+            args = ", ".join(["uint32_t", *(CTYPE[p] for p in ftype.params)])
             parts.append(f"static {rett} wf{fi}({args});")
         for i, seg in enumerate(m.data_segments):
             if seg.data:
@@ -846,10 +892,9 @@ class CGen:
     def _emit_init(self) -> str:
         m = self.m
         lines = ["void wasm_init(void) {"]
-        if m.memory is not None:
-            lines.append("    sr_mem_bytes = (uint64_t)memory_grow(0u) << 16;")
         if m.data_segments:
             lines.append("    uint8_t *const mb = memory_base();")
+            lines.append("    const uint64_t mem_bytes = (uint64_t)memory_grow(0u) << 16;")
         if m.table is not None:
             lines.append(f"    for (uint32_t i = 0; i < {max(self.table_size, 1)}u; i++) sr_table[i].tid = 0xffffffffu;")
         for seg in m.elements:
@@ -860,7 +905,7 @@ class CGen:
             for k, fi in enumerate(seg.func_indices):
                 tid = self.vm.type_ids[m.func_type(fi)]
                 lines.append(f"    sr_table[{off + k}u].tid = {tid}u;")
-                lines.append(f"    sr_table[{off + k}u].fn = (void (*)(void)){self.func_cname(fi)};")
+                lines.append(f"    sr_table[{off + k}u].fn = (void (*)(void)){self.table_fn(fi)};")
         for i, g in enumerate(m.globals):
             name, val = g.init[0], g.init[1]
             if name == "i32.const":
@@ -874,7 +919,7 @@ class CGen:
         for i, seg in enumerate(m.data_segments):
             off = seg.offset[1] & 0xFFFFFFFF
             lines.append(
-                f"    if ((uint64_t){off}u + {len(seg.data)}ull > sr_mem_bytes) runtime_trap({TRAP_OOB}u);"
+                f"    if ((uint64_t){off}u + {len(seg.data)}ull > mem_bytes) runtime_trap({TRAP_OOB}u);"
             )
             if seg.data:
                 # volatile keeps the compiler from recognizing the loop as
@@ -882,7 +927,7 @@ class CGen:
                 lines.append(f"    {{ volatile uint8_t *d = mb + {off}u;")
                 lines.append(f"      for (uint32_t k = 0; k < {len(seg.data)}u; k++) d[k] = sr_data{i}[k]; }}")
         if m.start is not None:
-            lines.append(f"    {self.func_cname(m.start)}();")
+            lines.append(f"    {self.call_expr(m.start, f'{CALL_DEPTH_LIMIT}u', [])};")
         lines.append("}")
         return "\n".join(lines)
 
@@ -897,16 +942,13 @@ class CGen:
             sig = m.func_type(idx)
             rett = CTYPE[sig.results[0]] if sig.results else "void"
             argdecl = ", ".join(f"{CTYPE[p]} a{j}" for j, p in enumerate(sig.params)) or "void"
-            argpass = ", ".join(f"a{j}" for j in range(len(sig.params)))
+            call = self.call_expr(idx, f"{CALL_DEPTH_LIMIT}u", [f"a{j}" for j in range(len(sig.params))])
             alias = f"sr_exp_{_mangle(name)}"
             # exotic export names need GAS quoted-symbol syntax in the label
             label = sym if _is_c_ident(sym) else f'\\"{_c_string(sym)[1:-1]}\\"'
             parts.append(f'{rett} {alias}({argdecl}) __asm__("{label}");')
-            body = f"return {self.func_cname(idx)}({argpass});" if sig.results else f"{self.func_cname(idx)}({argpass});"
-            parts.append(f"{rett} {alias}({argdecl}) {{ {body} }}")
-            entries.append(
-                f"{{{_c_string(name)}, {_c_string(_sig_string(sig))}, (void (*)(void)){self.func_cname(idx)}}}"
-            )
+            parts.append(f"{rett} {alias}({argdecl}) {{ {'return ' if sig.results else ''}{call}; }}")
+            entries.append(f"{{{_c_string(name)}, {_c_string(_sig_string(sig))}, (void (*)(void)){alias}}}")
         if entries:
             parts.append("const struct sr_export wasm_exports[] = {\n    " + ",\n    ".join(entries) + ",\n};")
         else:

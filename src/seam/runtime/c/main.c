@@ -5,7 +5,16 @@
  * override or the embedded fs_image_* symbols), fd table with stdio and the
  * "/" preopen, guest args/env, then wasm_init and wasm__start on a dedicated
  * big-stack thread. SEAM_INVOKE=<export> calls a nullary export instead of
- * _start and prints its result bits. */
+ * _start and prints its result bits.
+ *
+ * The guest thread's stack is mapped here, with a PROT_NONE guard region
+ * under it. Generated code bounds call depth with a budget argument, not
+ * with the stack, but frames can be large enough (thousands of spilled
+ * locals) to use up GUEST_STACK_SIZE before the budget runs out; such a
+ * frame then faults in the guard, which trap.c maps to trap 7 rather than
+ * a crash. The guest object is compiled with -fstack-clash-protection, so
+ * no frame can step over the guard. The guest thread installs the fault
+ * handler and its alternate signal stack before it runs any guest code. */
 #include "rt.h"
 
 #include <pthread.h>
@@ -13,6 +22,7 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 
 extern void wasm_init(void);
 extern void wasm__start(void) __attribute__((weak));
@@ -26,6 +36,7 @@ extern const uint8_t fs_image_start[] __attribute__((weak));
 extern const uint64_t fs_image_size __attribute__((weak));
 
 #define GUEST_STACK_SIZE (256ull * 1024 * 1024)
+#define GUEST_STACK_GUARD (1ull * 1024 * 1024)
 
 static void die(const char *msg)
 {
@@ -111,6 +122,8 @@ static void *guest_main(void *arg)
 {
     (void)arg;
     const char *invoke = getenv("SEAM_INVOKE");
+    if (rt_fault_install() != 0)
+        die("cannot install the trap handler");
     prof_push(P_GUEST);
     wasm_init();
     if (invoke && *invoke) {
@@ -145,10 +158,17 @@ int main(void)
     rt_fd_init();
     rt_args_init();
 
+    uint8_t *guard = mmap(NULL, GUEST_STACK_GUARD + GUEST_STACK_SIZE, PROT_NONE,
+                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (guard == MAP_FAILED ||
+        mprotect(guard + GUEST_STACK_GUARD, GUEST_STACK_SIZE, PROT_READ | PROT_WRITE) != 0)
+        die("cannot map the guest stack");
+    rt_fault_region(TRAP_STACK_EXHAUSTED, guard, GUEST_STACK_GUARD);
+
     pthread_t guest;
     pthread_attr_t attr;
     pthread_attr_init(&attr);
-    pthread_attr_setstacksize(&attr, GUEST_STACK_SIZE);
+    pthread_attr_setstack(&attr, guard + GUEST_STACK_GUARD, GUEST_STACK_SIZE);
     if (pthread_create(&guest, &attr, guest_main, NULL) != 0)
         die("cannot start guest thread");
     pthread_join(guest, NULL);

@@ -1,10 +1,18 @@
-/* Linear memory manager.
+/* Linear memory manager, and the bounds check of generated code.
  *
- * One reservation of max_pages is made up front with PROT_NONE, aligned to
- * the 65536-byte page size, and the base never changes afterwards; growth
- * only flips reserved pages to read-write. That keeps the compiler's
- * cached-base optimization sound and the region disjoint from the runtime
- * heap and stacks. */
+ * One reservation of 2^33 + 64 KiB is made up front with PROT_NONE and
+ * MAP_NORESERVE, the base is aligned to the 65536-byte page size inside it,
+ * and the base never changes afterwards; growth only flips reserved pages
+ * to read-write. A Wasm effective address is a u32 base plus a u32 offset,
+ * at most 2^33 - 2, and an access is at most 8 bytes wide, so every access
+ * generated code can make lands below base + 2^33 + 6, inside the
+ * reservation (the alignment slack leaves at least 2^33 + 4 KiB after the
+ * base). Anything past the committed pages faults, and trap.c's handler
+ * maps a fault in this range to trap 1: generated code needs no bounds
+ * check. The cost is 8 GiB of address space per process, never backed by
+ * memory, so the process must not run under a low RLIMIT_AS. Host code
+ * (the WASI functions) must never fault and goes through lm_ptr, which
+ * keeps an explicit check. */
 #include "rt.h"
 
 #include <stdio.h>
@@ -12,12 +20,12 @@
 #include <sys/mman.h>
 
 #define WASM_PAGE 65536ull
+#define RESERVE ((1ull << 33) + WASM_PAGE)
 
 static uint8_t *lm_base;
 static uint64_t lm_committed; /* pages */
 static uint64_t lm_max;       /* pages */
-static void *lm_raw;          /* original mapping, for the test-only reset */
-static uint64_t lm_raw_len;
+static void *lm_raw;          /* the whole reservation */
 
 int rt_mem_init(uint32_t initial_pages, uint32_t max_pages)
 {
@@ -26,13 +34,7 @@ int rt_mem_init(uint32_t initial_pages, uint32_t max_pages)
     if (initial_pages > max_pages)
         return -1;
     lm_max = max_pages;
-    uint64_t reserve = (uint64_t)max_pages * WASM_PAGE;
-    if (reserve == 0)
-        reserve = WASM_PAGE; /* no-memory module: keep a stable, inaccessible base */
-    /* over-reserve to align the base to a full Wasm page */
-    lm_raw_len = reserve + WASM_PAGE;
-    lm_raw = mmap(NULL, lm_raw_len, PROT_NONE,
-                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    lm_raw = mmap(NULL, RESERVE, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
     if (lm_raw == MAP_FAILED) {
         lm_raw = NULL;
         return -1;
@@ -40,6 +42,7 @@ int rt_mem_init(uint32_t initial_pages, uint32_t max_pages)
     uintptr_t aligned = ((uintptr_t)lm_raw + WASM_PAGE - 1) & ~(uintptr_t)(WASM_PAGE - 1);
     lm_base = (uint8_t *)aligned;
     lm_committed = 0;
+    rt_fault_region(TRAP_OUT_OF_BOUNDS, lm_raw, RESERVE);
     if (initial_pages) {
         if (mprotect(lm_base, (size_t)initial_pages * WASM_PAGE, PROT_READ | PROT_WRITE) != 0)
             return -1;
@@ -111,7 +114,7 @@ void lm_set_u64(uint32_t addr, uint64_t v)
 int rt_mem_reset(uint32_t initial_pages, uint32_t max_pages)
 {
     if (lm_base) {
-        munmap(lm_raw, lm_raw_len);
+        munmap(lm_raw, RESERVE);
         lm_base = NULL;
         lm_raw = NULL;
         lm_committed = 0;

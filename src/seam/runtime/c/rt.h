@@ -85,6 +85,12 @@ enum {
 
 void runtime_trap(uint32_t code) __attribute__((noreturn));
 
+/* a fault at an address in [lo, lo + len) is trap `code` (one region per
+ * code); rt_fault_install sets the calling thread's alternate signal stack
+ * and the process's SIGSEGV/SIGBUS handler */
+void rt_fault_region(uint32_t code, const void *lo, size_t len);
+int rt_fault_install(void);
+
 /* ---- linear memory ---- */
 int rt_mem_init(uint32_t initial_pages, uint32_t max_pages);
 uint8_t *memory_base(void);

@@ -1,10 +1,12 @@
 """Object-level contracts of the compiler plus executed spec examples.
 
 Executed cases use the full pipeline (compile + link + SEAM_INVOKE) so the
-bounds checks, grow semantics, and trap classes are observed end to end.
+guard-region bounds checks, the call-depth budget, grow semantics, and trap
+classes are observed end to end.
 """
 
 import json
+import re
 
 import pytest
 
@@ -12,12 +14,13 @@ from seam import elf
 from seam.codegen import (
     ALLOWED_UNRESOLVED,
     compile_module,
-    emit_fixture_suite,
     host_target,
     write_artifact,
 )
+from seam.codegen.ctext import CALL_DEPTH_LIMIT
 from seam.errors import CodegenError, UnsupportedImportModule, UnsupportedTarget
 from seam.wasm import decode_module, validate_module
+from seam.wasm import opcodes as op
 
 from diffharness import build_module_exe, run_exe_export
 from wasmgen import ModuleBuilder, empty_module
@@ -296,24 +299,121 @@ def test_stack_exhaustion_traps(tmp_path):
     assert run_exe_export(exe, "run") == ("trap", 7)
 
 
-def test_emit_fixture_suite(tmp_path):
-    fixtures = tmp_path / "fx"
-    fixtures.mkdir()
-    for i in range(3):
-        b = ModuleBuilder()
-        b.add_func([], ["i32"], [], [("i32.const", i)], export="run")
-        (fixtures / f"good{i}.wasm").write_bytes(b.build())
-    out = tmp_path / "objs"
-    res = emit_fixture_suite(fixtures, out)
-    assert len(res["objects"]) == 3 and not res["errors"]
-    assert (out / "manifest.json").is_file()
-    assert sorted(p.name for p in out.glob("*.o")) == ["good0.o", "good1.o", "good2.o"]
 
-    (fixtures / "bad.wasm").write_bytes(b"\x00asm\x02\x00\x00\x00")
-    res = emit_fixture_suite(fixtures, out)
-    assert len(res["objects"]) == 3 and set(res["errors"]) == {"bad.wasm"}
+# -- guard region and call-depth budget ---------------------------------------
 
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    res = emit_fixture_suite(empty, tmp_path / "objs2")
-    assert res == {"objects": {}, "errors": {}}
+_ALIGN = {1: 0, 2: 1, 4: 2, 8: 3}
+_CONST = {"i32": ("i32.const", 7), "i64": ("i64.const", 7),
+          "f32": ("f32.const", 7.0), "f64": ("f64.const", 7.0)}
+_LOADS = [n for n in op.MEM_ACCESS_WIDTH if ".load" in n]
+
+
+def _access(name: str, addr: int, offset: int = 0) -> list:
+    """One memory access at addr+offset; a load leaves its value."""
+    width = op.MEM_ACCESS_WIDTH[name]
+    body = [("i32.const", addr)]
+    if ".store" in name:
+        body.append(_CONST[op.MEM_ACCESS_TYPE[name]])
+    return body + [(name, _ALIGN[width], offset)]
+
+
+def _access_sig(name: str) -> list:
+    return [] if ".store" in name else [op.MEM_ACCESS_TYPE[name]]
+
+
+def _guard_module():
+    """Every access width at the edge of committed memory (1 page of max 2),
+    before and after memory.grow, plus dead loads and the largest address."""
+    b = ModuleBuilder()
+    b.set_memory(1, 2)
+    grow = [("i32.const", 1), ("memory.grow",), ("drop",)]
+    for name, width in op.MEM_ACCESS_WIDTH.items():
+        res = _access_sig(name)
+        b.add_func([], res, [], _access(name, 65536 - width), export=f"{name}/last")
+        # the access straddles the end: its first byte is in bounds
+        b.add_func([], res, [], _access(name, 65536 - width, 1), export=f"{name}/edge")
+        b.add_func([], res, [], grow + _access(name, 2 * 65536 - width, 1), export=f"{name}/grown_edge")
+        b.add_func([], res, [], grow + _access(name, 2 * 65536 - width), export=f"{name}/grown_last")
+    for name in _LOADS:
+        b.add_func([], [], [], _access(name, 70000) + [("drop",)], export=f"{name}/dead")
+    b.add_func([], ["i64"], [], [("i32.const", -1), ("i64.load", 3, 0xFFFFFFFF)], export="max_ea")
+    b.add_func([], ["i64"], [], grow + [
+        ("i32.const", 65536), ("i64.const", 0x0123456789ABCDEF), ("i64.store", 3, 100),
+        ("i32.const", 65536), ("i64.load", 3, 100),
+    ], export="grown_rw")
+    return b.build()
+
+
+@pytest.fixture(scope="module")
+def guard_exe(tmp_path_factory):
+    td = tmp_path_factory.mktemp("guard")
+    return build_module_exe(_guard_module(), td, "guard")
+
+
+def test_edge_accesses_of_every_width_trap(guard_exe):
+    for name in op.MEM_ACCESS_WIDTH:
+        assert run_exe_export(guard_exe, f"{name}/last")[0] == "value", name
+        assert run_exe_export(guard_exe, f"{name}/edge") == ("trap", 1), name
+
+
+def test_edge_accesses_after_grow_trap(guard_exe):
+    for name in op.MEM_ACCESS_WIDTH:
+        assert run_exe_export(guard_exe, f"{name}/grown_last")[0] == "value", name
+        assert run_exe_export(guard_exe, f"{name}/grown_edge") == ("trap", 1), name
+
+
+def test_grown_page_is_readable_and_writable(guard_exe):
+    assert run_exe_export(guard_exe, "grown_rw") == ("value", "i64", 0x0123456789ABCDEF)
+
+
+def test_largest_effective_address_traps(guard_exe):
+    assert run_exe_export(guard_exe, "max_ea") == ("trap", 1)
+
+
+def test_dead_out_of_bounds_loads_trap(guard_exe):
+    for name in _LOADS:
+        assert run_exe_export(guard_exe, f"{name}/dead") == ("trap", 1), name
+
+
+def test_emitted_c_has_no_inline_checks_and_keeps_every_load():
+    art = compile_module(validate_module(decode_module(_guard_module())))
+    src = art.c_source
+    assert "sr_mem_bytes" not in src and "sr_depth" not in src
+    lines = src.splitlines()
+    loads = [i for i, l in enumerate(lines) if re.match(r"\s+\w+ t\d+ = .*\(mb \+ a\d+\)", l)]
+    n_loads = sum(".load" in name for name in op.MEM_ACCESS_WIDTH) * 4 + len(_LOADS) + 2
+    assert len(loads) == n_loads
+    for i in loads:
+        var = re.match(r"\s+\w+ (t\d+) =", lines[i]).group(1)
+        assert re.fullmatch(rf"\s+SR_KEEP_[IF]\({var}\);", lines[i + 1]), lines[i:i + 2]
+    assert '#define SR_KEEP_I(v) __asm__("" :: "r"(v))' in src
+
+
+def _depth_module():
+    """Export <kind><n> nests exactly n Wasm frames: itself, then chain(n - 1),
+    which returns at 1 and otherwise calls itself with n - 1, directly or
+    through the table."""
+    b = ModuleBuilder()
+    t = b.type_index(["i32"], ["i32"])
+    chains = {}
+    for kind, call in (("direct", ("call", 0)), ("indirect", ("call_indirect", t))):
+        idx = len(chains)
+        recurse = [("local.get", 0), ("i32.const", 1), ("i32.sub",)]
+        recurse += [("i32.const", 1), call] if kind == "indirect" else [("call", idx)]
+        chains[kind] = b.add_func(["i32"], ["i32"], [], [
+            ("local.get", 0), ("i32.const", 1), ("i32.le_u",),
+            ("if", "i32", [("local.get", 0)], recurse + [("i32.const", 1), ("i32.add",)]),
+        ])
+    b.set_table(2, 2)
+    b.add_elem(0, [chains["direct"], chains["indirect"]])
+    for kind, fi in chains.items():
+        for n in (CALL_DEPTH_LIMIT, CALL_DEPTH_LIMIT + 1):
+            b.add_func([], ["i32"], [], [("i32.const", n - 1), ("call", fi)], export=f"{kind}{n}")
+    return b.build()
+
+
+def test_call_depth_limit_is_exact(tmp_path):
+    exe = build_module_exe(_depth_module(), tmp_path, "depth")
+    for kind in ("direct", "indirect"):
+        assert run_exe_export(exe, f"{kind}{CALL_DEPTH_LIMIT}") == ("value", "i32", CALL_DEPTH_LIMIT - 1)
+        assert run_exe_export(exe, f"{kind}{CALL_DEPTH_LIMIT + 1}") == ("trap", 7)

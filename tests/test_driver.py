@@ -1,6 +1,7 @@
 """Toolchain driver and CLI flows: compile, pack, build, run, exit codes."""
 
 import json
+import signal
 import subprocess
 import sys
 
@@ -218,6 +219,94 @@ def test_trap_messages_and_exit_codes(tmp_path):
         proc = subprocess.run([str(exe)], capture_output=True, text=True)
         assert proc.returncode == status
         assert needle in proc.stderr
+
+
+def test_large_frames_exhaust_the_stack_as_a_trap(tmp_path):
+    # 800 i64 locals live across the recursive call make ~6.4 KiB frames, so
+    # the guest stack runs out at depth ~40000, under the call-depth budget;
+    # the stack guard must turn that into trap 7, not a SIGSEGV
+    n = 800
+    b = ModuleBuilder()
+    b.set_memory(1, 1)
+    rec = 0
+    body = [("local.get", 0), ("i32.eqz",), ("if", None, [("return",)], [])]
+    for i in range(n):
+        body += [("i32.const", 0), ("i64.load", 3, 8 * i), ("local.set", 1 + i)]
+    body += [("local.get", 0), ("i32.const", 1), ("i32.sub",), ("call", rec)]
+    body += [("i32.const", 0), ("local.get", 1)]
+    for i in range(1, n):
+        body += [("local.get", 1 + i), ("i64.add",)]
+    body += [("i64.store", 3, 0)]
+    assert b.add_func(["i32"], [], ["i64"] * n, body) == rec
+    b.add_func([], [], [], [("i32.const", 45000), ("call", rec)], export="_start")
+    wasm = tmp_path / "frames.wasm"
+    wasm.write_bytes(b.build())
+    exe = tmp_path / "frames"
+    cmd_build(BuildPlan(wasm=wasm, output=exe))
+    proc = subprocess.run([str(exe)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 135
+    assert "call stack exhausted" in proc.stderr
+
+
+def test_call_indirect_to_imported_wasi_function(tmp_path):
+    b = ModuleBuilder()
+    fd_write = b.add_import("wasi_snapshot_preview1", "fd_write",
+                            ["i32", "i32", "i32", "i32"], ["i32"])
+    proc_exit = b.add_import("wasi_snapshot_preview1", "proc_exit", ["i32"], [])
+    b.set_memory(1, 1)
+    b.set_table(2, 2)
+    b.add_elem(1, [fd_write])
+    import struct as _s
+
+    b.add_data(0, _s.pack("<II", 16, 3) + b"\0" * 8 + b"hi\n")  # iovec {buf=16, len=3}
+    t = b.type_index(["i32", "i32", "i32", "i32"], ["i32"])
+    b.add_func([], [], [], [
+        ("i32.const", 1), ("i32.const", 0), ("i32.const", 1), ("i32.const", 8),
+        ("i32.const", 1), ("call_indirect", t),
+        ("i32.const", 8), ("i32.load", 2, 0), ("i32.const", 100), ("i32.mul",), ("i32.add",),
+        ("call", proc_exit),
+    ], export="_start")
+    wasm = tmp_path / "indwasi.wasm"
+    wasm.write_bytes(b.build())
+    exe = tmp_path / "indwasi"
+    cmd_build(BuildPlan(wasm=wasm, output=exe))
+    proc = subprocess.run([str(exe)], capture_output=True, text=True)
+    assert proc.stdout == "hi\n"
+    assert proc.returncode == 3 * 100 % 256  # errno 0 + nwritten 3 * 100
+
+
+def test_fault_outside_guard_regions_still_kills(tmp_path):
+    # the guest announces itself, then blocks reading stdin; a SIGSEGV that
+    # is no Wasm fault must kill it by that signal, not exit as a trap
+    b = ModuleBuilder()
+    fd_write = b.add_import("wasi_snapshot_preview1", "fd_write",
+                            ["i32", "i32", "i32", "i32"], ["i32"])
+    fd_read = b.add_import("wasi_snapshot_preview1", "fd_read",
+                           ["i32", "i32", "i32", "i32"], ["i32"])
+    b.set_memory(1, 1)
+    import struct as _s
+
+    b.add_data(0, _s.pack("<II", 16, 6) + b"\0" * 8 + b"ready\n")
+    b.add_func([], [], [], [
+        ("i32.const", 1), ("i32.const", 0), ("i32.const", 1), ("i32.const", 8),
+        ("call", fd_write), ("drop",),
+        ("i32.const", 0), ("i32.const", 0), ("i32.const", 1), ("i32.const", 8),
+        ("call", fd_read), ("drop",),
+    ], export="_start")
+    wasm = tmp_path / "blocked.wasm"
+    wasm.write_bytes(b.build())
+    exe = tmp_path / "blocked"
+    cmd_build(BuildPlan(wasm=wasm, output=exe))
+    proc = subprocess.Popen([str(exe)], stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"ready\n"
+        proc.send_signal(signal.SIGSEGV)
+        assert proc.wait(timeout=10) == -signal.SIGSEGV
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
 
 
 def test_fd_read_on_closed_stdin_reports_eof(tmp_path):
