@@ -1,7 +1,8 @@
 """seam: compile Wasm to native objects, link them with the WASI runtime,
 run the result, and benchmark/profile it.
 
-Exit codes: 0 success, 1 input error, 2 usage, 3 link error; `seam run`
+Exit codes: 0 success, 1 input error (including an import outside the
+WASI ABI or with another type), 2 usage, 3 link error; `seam run`
 forwards the guest's exit status (128+code for traps).
 """
 
@@ -12,9 +13,8 @@ import sys
 from pathlib import Path
 
 from .bench import LoadConfig, run_load
-from .codegen import supported_targets
 from .driver import BuildPlan, cmd_build, cmd_compile, cmd_pack, cmd_run
-from .errors import LinkError, SeamError, TargetUnreachable, UnsupportedTarget
+from .errors import LinkError, SeamError, TargetUnreachable
 from .profiler import profile_run
 
 EXIT_OK = 0
@@ -37,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", help="compile a .wasm to a relocatable object")
     c.add_argument("wasm", type=Path)
     c.add_argument("-o", "--output", type=Path, required=True)
-    c.add_argument("--target", default=None)
 
     k = sub.add_parser("pack", help="pack a directory into a deterministic ustar image")
     k.add_argument("dir", type=Path)
@@ -47,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("wasm", type=Path)
     b.add_argument("-o", "--output", type=Path, required=True)
     b.add_argument("--fs", type=Path, default=None, help="directory to embed as the tar filesystem")
-    b.add_argument("--target", default=None)
     b.add_argument("--keep", action="store_true", help="keep intermediates under <out>.build/")
     b.add_argument("--linker", default=None, help="static link driver (default: $SEAM_LINKER or cc)")
 
@@ -83,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "compile":
-            cmd_compile(args.wasm, args.output, target=args.target)
+            cmd_compile(args.wasm, args.output)
             return EXIT_OK
         if args.command == "pack":
             n = cmd_pack(args.dir, args.output)
@@ -91,8 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.command == "build":
             plan = BuildPlan(wasm=args.wasm, output=args.output, fs_dir=args.fs,
-                             target=args.target, keep_intermediates=args.keep,
-                             linker=args.linker)
+                             keep_intermediates=args.keep, linker=args.linker)
             audit = cmd_build(plan)
             print(f"built {args.output}")
             print("symbol audit:")
@@ -127,10 +124,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.json.write_text(report.to_json() + "\n")
             return EXIT_OK
         parser.error(f"unknown command {args.command}")
-    except UnsupportedTarget as e:
-        print(f"seam: {e}", file=sys.stderr)
-        print(f"supported targets: {', '.join(supported_targets())}", file=sys.stderr)
-        return EXIT_USAGE
     except LinkError as e:
         print(f"seam: link error: {e}", file=sys.stderr)
         return EXIT_LINK

@@ -2,18 +2,15 @@ from .compile import (
     ObjectArtifact,
     compile_module,
     compile_wasm_file,
-    host_target,
-    supported_targets,
     write_artifact,
 )
 from .symbols import (
+    ABI,
     ALLOWED_UNRESOLVED,
-    IMPLEMENTED_WASI,
+    NOSYS,
     RUNTIME_HOOKS,
-    SOCK_EXTENSION,
     SymbolManifest,
     WASI_MODULE,
-    WASI_PREVIEW1,
 )
 
 __all__ = [
@@ -22,12 +19,9 @@ __all__ = [
     "compile_module",
     "compile_wasm_file",
     "write_artifact",
-    "host_target",
-    "supported_targets",
+    "ABI",
     "ALLOWED_UNRESOLVED",
-    "IMPLEMENTED_WASI",
+    "NOSYS",
     "RUNTIME_HOOKS",
-    "SOCK_EXTENSION",
     "WASI_MODULE",
-    "WASI_PREVIEW1",
 ]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .. import elf
-from ..errors import CodegenError, UnsupportedTarget
+from ..errors import CodegenError
 from ..wasm import ValidatedModule, decode_module, validate_module
 from .ctext import CGen
 from .symbols import SymbolManifest
@@ -38,15 +38,10 @@ def host_target() -> str:
     return _ARCH_ALIASES.get(platform.machine().lower(), platform.machine().lower())
 
 
-def supported_targets() -> list[str]:
-    return [host_target()]
-
-
 @dataclass
 class ObjectArtifact:
     object_bytes: bytes
     symbols: SymbolManifest
-    target: str
     c_source: str  # kept for --keep debugging
 
 
@@ -56,23 +51,19 @@ def _cc(cc: str, args: list[str], cwd: Path):
         raise CodegenError(f"{cc} failed:\n{proc.stderr.strip()}")
 
 
-def compile_module(vm: ValidatedModule, target: str | None = None, cc: str = "cc") -> ObjectArtifact:
+def compile_module(vm: ValidatedModule, cc: str = "cc") -> ObjectArtifact:
     """Compile a validated module to a relocatable object.
 
     WASI imports and the linear-memory/trap hooks stay unresolved; exports
     are defined as wasm_<name>, plus wasm_init / wasm_memory_spec /
     wasm_exports for the runtime's boot sequence.
     """
-    target = target or host_target()
-    if target not in supported_targets():
-        raise UnsupportedTarget(target, supported_targets())
-
     gen = CGen(vm)
     source = gen.emit()
     with tempfile.TemporaryDirectory(prefix="seamcc-") as td:
         tdp = Path(td)
         (tdp / "mod.c").write_text(source)
-        flags = _BASE_CFLAGS + _ARCH_CFLAGS.get(target, [])
+        flags = _BASE_CFLAGS + _ARCH_CFLAGS.get(host_target(), [])
         _cc(cc, [*flags, "-o", "mod.o", "mod.c"], tdp)
         obj = (tdp / "mod.o").read_bytes()
         defined, unresolved = gen.manifest_symbols()
@@ -89,12 +80,12 @@ def compile_module(vm: ValidatedModule, target: str | None = None, cc: str = "cc
         raise CodegenError(f"object is missing expected symbols: {sorted(missing)}")
 
     manifest = SymbolManifest(defined=defined, unresolved=unresolved)
-    return ObjectArtifact(object_bytes=obj, symbols=manifest, target=target, c_source=source)
+    return ObjectArtifact(object_bytes=obj, symbols=manifest, c_source=source)
 
 
-def compile_wasm_file(path: str | Path, target: str | None = None, cc: str = "cc") -> ObjectArtifact:
+def compile_wasm_file(path: str | Path, cc: str = "cc") -> ObjectArtifact:
     data = Path(path).read_bytes()
-    return compile_module(validate_module(decode_module(data)), target=target, cc=cc)
+    return compile_module(validate_module(decode_module(data)), cc=cc)
 
 
 def write_artifact(art: ObjectArtifact, out_obj: str | Path) -> Path:

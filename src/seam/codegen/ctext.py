@@ -31,10 +31,10 @@ counter.
 
 from __future__ import annotations
 
-from ..errors import CodegenError, UnsupportedImportModule
+from ..errors import AbiViolation, CodegenError, UnsupportedImportModule
 from ..wasm import opcodes as op
-from ..wasm.model import FuncType, Module, ValidatedModule
-from .symbols import RESERVED_DEFINED, WASI_MODULE
+from ..wasm.model import Module, ValidatedModule
+from .symbols import ABI, RESERVED_DEFINED, RUNTIME_HOOKS, WASI_MODULE
 
 CTYPE = {"i32": "uint32_t", "i64": "uint64_t", "f32": "float", "f64": "double"}
 SIGCHAR = {"i32": "i", "i64": "I", "f32": "f", "f64": "F"}
@@ -804,16 +804,15 @@ class CGen:
         self.table_funcs = {fi for seg in self.m.elements for fi in seg.func_indices}
 
     def _check_imports(self):
-        seen: dict[str, FuncType] = {}
+        """Only ABI functions, each with its ABI type, may stay unresolved."""
         for imp in self.m.imports:
             if imp.module != WASI_MODULE:
                 raise UnsupportedImportModule(imp.module)
-            if not _is_c_ident(imp.name):
-                raise CodegenError(f"import name {imp.name!r} is not a linkable symbol")
+            if imp.name not in ABI:
+                raise AbiViolation(imp.name, "is not in the WASI ABI")
             sig = self.m.types[imp.type_index]
-            if imp.name in seen and seen[imp.name] != sig:
-                raise CodegenError(f"import {imp.name!r} declared twice with different signatures")
-            seen[imp.name] = sig
+            if sig != ABI[imp.name]:
+                raise AbiViolation(imp.name, f"has type {sig}; the WASI ABI says {ABI[imp.name]}")
 
     def call_expr(self, func_index: int, budget: str, args: list[str]) -> str:
         """A call to any function: internal ones take the depth budget
@@ -964,7 +963,7 @@ class CGen:
 
     def manifest_symbols(self) -> tuple[list[str], list[str]]:
         defined = sorted(set(RESERVED_DEFINED) | {f"wasm_{n}" for n, _ in self.exported_funcs()})
-        unresolved = sorted({imp.name for imp in self.m.imports} | set(("memory_base", "memory_grow", "runtime_trap")))
+        unresolved = sorted({imp.name for imp in self.m.imports} | set(RUNTIME_HOOKS))
         return defined, unresolved
 
 

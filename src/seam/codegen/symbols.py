@@ -1,14 +1,17 @@
 """Symbol ABI shared by the compiler and the runtime.
 
-The object a compile produces leaves exactly these names unresolved:
-the WASI preview1 field names it imports, the WasmEdge-style socket
-extension names, and the three runtime hooks. Everything it defines is
-prefixed wasm_.
+The object a compile produces leaves exactly these names unresolved: the
+`ABI` functions it imports and the three runtime hooks. Everything it
+defines is prefixed wasm_. `ABI` is the one statement of the WASI
+interface: the compiler, the build audit, the runtime's generated C
+prototypes and NOSYS stubs, and the tests' ctypes facade derive from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from ..wasm.model import FuncType
 
 # the three hooks the compiled object expects from the runtime
 RUNTIME_HOOKS = ("memory_base", "memory_grow", "runtime_trap")
@@ -18,45 +21,83 @@ RESERVED_DEFINED = ("wasm_init", "wasm_memory_spec", "wasm_exports", "wasm_expor
 
 WASI_MODULE = "wasi_snapshot_preview1"
 
-# the full preview1 snapshot name space (every one of these resolves when
-# linking against the runtime; unimplemented ones are NOSYS stubs)
-WASI_PREVIEW1 = frozenset(
-    """
-    args_get args_sizes_get clock_res_get clock_time_get environ_get
-    environ_sizes_get fd_advise fd_allocate fd_close fd_datasync
-    fd_fdstat_get fd_fdstat_set_flags fd_fdstat_set_rights fd_filestat_get
-    fd_filestat_set_size fd_filestat_set_times fd_pread fd_prestat_get
-    fd_prestat_dir_name fd_pwrite fd_read fd_readdir fd_renumber fd_seek
-    fd_sync fd_tell fd_write path_create_directory path_filestat_get
-    path_filestat_set_times path_link path_open path_readlink
-    path_remove_directory path_rename path_symlink path_unlink_file
-    poll_oneoff proc_exit proc_raise random_get sched_yield sock_accept
-    sock_recv sock_send sock_shutdown
-    """.split()
-)
+# One row per function: name, Wasm params -> results, and NOSYS when the
+# runtime links a stub that returns errno 52. Types follow the preview1
+# witx (filesize, offset, timestamp and rights are i64; pointers, lengths,
+# fds and flags are i32). sock_open and the rows after it are the
+# WasmEdge-style socket extension of docs/sock-abi.md.
+_TABLE = """
+args_get                i32 i32                                 -> i32
+args_sizes_get          i32 i32                                 -> i32
+clock_res_get           i32 i32                                 -> i32
+clock_time_get          i32 i64 i32                             -> i32
+environ_get             i32 i32                                 -> i32
+environ_sizes_get       i32 i32                                 -> i32
+fd_advise               i32 i64 i64 i32                         -> i32 NOSYS
+fd_allocate             i32 i64 i64                             -> i32 NOSYS
+fd_close                i32                                     -> i32
+fd_datasync             i32                                     -> i32 NOSYS
+fd_fdstat_get           i32 i32                                 -> i32
+fd_fdstat_set_flags     i32 i32                                 -> i32
+fd_fdstat_set_rights    i32 i64 i64                             -> i32 NOSYS
+fd_filestat_get         i32 i32                                 -> i32
+fd_filestat_set_size    i32 i64                                 -> i32 NOSYS
+fd_filestat_set_times   i32 i64 i64 i32                         -> i32 NOSYS
+fd_pread                i32 i32 i32 i64 i32                     -> i32 NOSYS
+fd_prestat_dir_name     i32 i32 i32                             -> i32
+fd_prestat_get          i32 i32                                 -> i32
+fd_pwrite               i32 i32 i32 i64 i32                     -> i32 NOSYS
+fd_read                 i32 i32 i32 i32                         -> i32
+fd_readdir              i32 i32 i32 i64 i32                     -> i32
+fd_renumber             i32 i32                                 -> i32 NOSYS
+fd_seek                 i32 i64 i32 i32                         -> i32
+fd_sync                 i32                                     -> i32 NOSYS
+fd_tell                 i32 i32                                 -> i32 NOSYS
+fd_write                i32 i32 i32 i32                         -> i32
+path_create_directory   i32 i32 i32                             -> i32 NOSYS
+path_filestat_get       i32 i32 i32 i32 i32                     -> i32
+path_filestat_set_times i32 i32 i32 i32 i64 i64 i32             -> i32 NOSYS
+path_link               i32 i32 i32 i32 i32 i32 i32             -> i32 NOSYS
+path_open               i32 i32 i32 i32 i32 i64 i64 i32 i32     -> i32
+path_readlink           i32 i32 i32 i32 i32 i32                 -> i32 NOSYS
+path_remove_directory   i32 i32 i32                             -> i32 NOSYS
+path_rename             i32 i32 i32 i32 i32 i32                 -> i32 NOSYS
+path_symlink            i32 i32 i32 i32 i32                     -> i32 NOSYS
+path_unlink_file        i32 i32 i32                             -> i32 NOSYS
+poll_oneoff             i32 i32 i32 i32                         -> i32
+proc_exit               i32                                     ->
+proc_raise              i32                                     -> i32 NOSYS
+random_get              i32 i32                                 -> i32
+sched_yield                                                     -> i32
+sock_accept             i32 i32 i32                             -> i32
+sock_recv               i32 i32 i32 i32 i32 i32                 -> i32
+sock_send               i32 i32 i32 i32 i32                     -> i32
+sock_shutdown           i32 i32                                 -> i32
+sock_open               i32 i32 i32                             -> i32
+sock_bind               i32 i32 i32                             -> i32
+sock_listen             i32 i32                                 -> i32
+sock_connect            i32 i32 i32                             -> i32
+sock_getlocaladdr       i32 i32 i32 i32                         -> i32
+sock_getpeeraddr        i32 i32 i32 i32                         -> i32
+sock_getaddrinfo        i32 i32 i32 i32 i32 i32 i32 i32         -> i32 NOSYS
+sock_getsockopt         i32 i32 i32 i32 i32                     -> i32 NOSYS
+sock_setsockopt         i32 i32 i32 i32 i32                     -> i32 NOSYS
+"""
 
-# WasmEdge-compatible socket extension (see docs/sock-abi.md)
-SOCK_EXTENSION = frozenset(
-    """
-    sock_open sock_bind sock_listen sock_connect sock_getsockopt
-    sock_setsockopt sock_getlocaladdr sock_getpeeraddr sock_getaddrinfo
-    """.split()
-)
 
-# functions with a real implementation (everything else is a NOSYS stub)
-IMPLEMENTED_WASI = frozenset(
-    """
-    args_get args_sizes_get environ_get environ_sizes_get clock_res_get
-    clock_time_get random_get proc_exit sched_yield fd_close fd_seek
-    fd_read fd_write fd_fdstat_get fd_fdstat_set_flags fd_prestat_get
-    fd_prestat_dir_name fd_filestat_get path_filestat_get fd_readdir
-    path_open poll_oneoff sock_open sock_bind sock_listen sock_accept
-    sock_connect sock_recv sock_send sock_shutdown sock_getlocaladdr
-    sock_getpeeraddr
-    """.split()
-)
+def _parse(table: str) -> tuple[dict[str, FuncType], frozenset[str]]:
+    abi, nosys = {}, set()
+    for line in table.strip().splitlines():
+        (name, *params), results = (side.split() for side in line.split("->"))
+        if results[-1:] == ["NOSYS"]:
+            nosys.add(name)
+            results.pop()
+        abi[name] = FuncType(params=tuple(params), results=tuple(results))
+    return abi, frozenset(nosys)
 
-ALLOWED_UNRESOLVED = WASI_PREVIEW1 | SOCK_EXTENSION | set(RUNTIME_HOOKS)
+
+ABI, NOSYS = _parse(_TABLE)
+ALLOWED_UNRESOLVED = frozenset(ABI) | frozenset(RUNTIME_HOOKS)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import elf
-from .codegen import compile_wasm_file, write_artifact
+from .codegen import ALLOWED_UNRESOLVED, compile_wasm_file, write_artifact
 from .errors import LinkError, SeamError
 from .runtime import runtime_objects
 from .tarfs import pack_dir
@@ -28,7 +28,6 @@ class BuildPlan:
     wasm: Path
     output: Path
     fs_dir: Path | None = None
-    target: str | None = None
     guest_args: list[str] = field(default_factory=list)
     guest_env: list[str] = field(default_factory=list)
     keep_intermediates: bool = False
@@ -48,13 +47,12 @@ def default_linker() -> str:
     return os.environ.get("SEAM_LINKER", "cc")
 
 
-def cmd_compile(wasm: str | Path, out_obj: str | Path, target: str | None = None,
-                cc: str = "cc", quiet: bool = False) -> Path:
+def cmd_compile(wasm: str | Path, out_obj: str | Path, cc: str = "cc", quiet: bool = False) -> Path:
     """Compile one .wasm to an object + symbol manifest; returns manifest path."""
-    art = compile_wasm_file(wasm, target=target, cc=cc)
+    art = compile_wasm_file(wasm, cc=cc)
     manifest_path = write_artifact(art, out_obj)
     if not quiet:
-        print(f"compiled {wasm} -> {out_obj} [{art.target}]")
+        print(f"compiled {wasm} -> {out_obj}")
         print("unresolved symbols:")
         for name in sorted(art.symbols.unresolved):
             print(f"  U {name}")
@@ -72,7 +70,8 @@ def cmd_pack(dir_path: str | Path, out_tar: str | Path) -> int:
 
 
 def _fs_image_asm(tar_path: Path) -> str:
-    # .incbin keeps the embedding exact and fast for any image size
+    # .incbin keeps the embedding exact and fast for any image size; the
+    # GNU-stack note keeps the linked executable's stack non-executable
     return (
         '  .section .rodata\n'
         '  .global fs_image_start\n'
@@ -83,6 +82,7 @@ def _fs_image_asm(tar_path: Path) -> str:
         '  .align 8\n'
         'fs_image_size:\n'
         f'  .quad {tar_path.stat().st_size}\n'
+        '  .section .note.GNU-stack,"",@progbits\n'
     )
 
 
@@ -97,7 +97,7 @@ def cmd_build(plan: BuildPlan) -> dict:
         build_dir = Path(tmp_ctx.name)
     try:
         guest_obj = build_dir / "guest.o"
-        art = compile_wasm_file(plan.wasm, target=plan.target, cc=plan.cc)
+        art = compile_wasm_file(plan.wasm, cc=plan.cc)
         write_artifact(art, guest_obj)
 
         link_inputs = [guest_obj]
@@ -115,23 +115,17 @@ def cmd_build(plan: BuildPlan) -> dict:
 
         rt_objs = runtime_objects(cc=plan.cc)
 
-        # audit before linking: every guest-unresolved symbol must be
-        # provided by the runtime (or the fs image)
-        providers: dict[str, str] = {}
-        for obj, who in [*[(o, "runtime") for o in rt_objs],
-                         *([(link_inputs[1], "fs-image")] if len(link_inputs) > 1 else [])]:
-            defined, _ = elf.symbols(obj)
-            for sym in defined:
-                providers.setdefault(sym, who)
+        # audit before linking: the guest may leave only ABI functions and
+        # runtime hooks unresolved, and the runtime defines every one
         audit = {"resolved": {}, "unresolved": []}
         for sym in sorted(art.symbols.unresolved):
-            if sym in providers:
-                audit["resolved"][sym] = providers[sym]
+            if sym in ALLOWED_UNRESOLVED:
+                audit["resolved"][sym] = "runtime"
             else:
                 audit["unresolved"].append(sym)
         if audit["unresolved"]:
             raise LinkError(
-                f"unresolved symbols after runtime resolution: {', '.join(audit['unresolved'])}",
+                f"symbols outside the ABI left unresolved: {', '.join(audit['unresolved'])}",
                 unresolved=audit["unresolved"],
             )
 

@@ -49,11 +49,12 @@ class UnsupportedImportModule(CodegenError):
         )
 
 
-class UnsupportedTarget(CodegenError):
-    def __init__(self, target: str, supported: list[str]):
-        self.target = target
-        self.supported = supported
-        super().__init__(f"unsupported target {target!r}; supported: {', '.join(supported)}")
+class AbiViolation(CodegenError):
+    """An import is not an ABI function, or is imported with another type."""
+
+    def __init__(self, name: str, reason: str):
+        self.name = name
+        super().__init__(f"import {name!r} {reason}")
 
 
 class PathTooLong(SeamError):

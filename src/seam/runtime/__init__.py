@@ -4,7 +4,8 @@ The runtime sources ship as package data. `runtime_objects` compiles them
 once per (source-hash, cc) into a cache directory and returns the object
 list for the static link. `test_shared_lib` builds the same sources minus
 the executable entry as a shared library, which the test suite loads with
-ctypes to drive WASI functions directly.
+ctypes to drive WASI functions directly. Both write `abi.h`, generated
+from the ABI table, next to their outputs for the wasi_*.c units.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+from ..codegen.ctext import CTYPE
+from ..codegen.symbols import ABI, NOSYS
 from ..errors import SeamError
 
 C_DIR = Path(__file__).parent / "c"
@@ -48,11 +51,29 @@ def cache_dir() -> Path:
     return p
 
 
+def abi_header() -> str:
+    """One C prototype per ABI row, and SEAM_ABI_NOSYS(X), which expands
+    X(name, (params)) for each NOSYS row. Only the wasi_*.c units include
+    it: libc declares `int sched_yield(void)`, which clashes with the row."""
+    def params(sig) -> str:
+        return "(" + (", ".join(f"{CTYPE[t]} a{i}" for i, t in enumerate(sig.params)) or "void") + ")"
+
+    protos = [f"{CTYPE[sig.results[0]] if sig.results else 'void'} {name}{params(sig)};"
+              for name, sig in ABI.items()]
+    stubs = [f"    X({name}, {params(sig)})" for name, sig in ABI.items() if name in NOSYS]
+    return "\n".join([
+        "/* generated from seam.codegen.symbols.ABI */",
+        "#ifndef SEAM_ABI_H", "#define SEAM_ABI_H", "#include <stdint.h>", *protos,
+        "#define SEAM_ABI_NOSYS(X) \\", " \\\n".join(stubs), "#endif", "",
+    ])
+
+
 def _source_key(cc: str, extra: tuple[str, ...] = ()) -> str:
     h = hashlib.sha256()
     for name in [ENTRY_SOURCE, "rt.h", *LIB_SOURCES]:
         h.update(name.encode())
         h.update((C_DIR / name).read_bytes())
+    h.update(abi_header().encode())
     h.update(" ".join(CFLAGS).encode())
     h.update(" ".join(extra).encode())
     h.update(cc.encode())
@@ -90,8 +111,9 @@ def runtime_objects(cc: str = "cc") -> list[Path]:
     names = [ENTRY_SOURCE, *LIB_SOURCES]
     if not out_dir.exists():
         tmp = Path(tempfile.mkdtemp(prefix=f"rt-{key}.", dir=cache_dir()))
+        (tmp / "abi.h").write_text(abi_header())
         for src_name in names:
-            _compile(cc, C_DIR / src_name, tmp / (Path(src_name).stem + ".o"), [])
+            _compile(cc, C_DIR / src_name, tmp / (Path(src_name).stem + ".o"), [f"-I{tmp}"])
         _publish(tmp, out_dir)
     return [out_dir / (Path(s).stem + ".o") for s in names]
 
@@ -103,9 +125,10 @@ def test_shared_lib(cc: str = "cc") -> Path:
     lib = out_dir / "libseamrt.so"
     if not lib.exists():
         tmp = Path(tempfile.mkdtemp(prefix=f"rtso-{key}.", dir=cache_dir()))
+        (tmp / "abi.h").write_text(abi_header())
         srcs = [str(C_DIR / s) for s in LIB_SOURCES]
         proc = subprocess.run(
-            [cc, *CFLAGS, "-fPIC", "-shared", "-o", str(tmp / "libseamrt.so"), *srcs],
+            [cc, *CFLAGS, f"-I{tmp}", "-fPIC", "-shared", "-o", str(tmp / "libseamrt.so"), *srcs],
             capture_output=True, text=True,
         )
         if proc.returncode != 0:

@@ -159,13 +159,6 @@ extern int prof_on;
 uint32_t rt_errno_to_wasi(int err);
 uint64_t rt_now_ns(int clock_id); /* 0 = realtime, 1 = monotonic */
 
-/* WASI functions implemented across wasi_core/wasi_poll/wasi_sock; the
- * compiled object calls them by these exact names. */
-uint32_t fd_write(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nwritten);
-uint32_t fd_read(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nread);
-uint32_t path_open(uint32_t dirfd, uint32_t dirflags, uint32_t path, uint32_t path_len,
-                   uint32_t oflags, uint64_t rights_base, uint64_t rights_inheriting,
-                   uint32_t fdflags, uint32_t fd_out);
-uint32_t poll_oneoff(uint32_t subs, uint32_t events, uint32_t nsubscriptions, uint32_t nevents);
+/* the WASI functions are declared in the generated abi.h (wasi_*.c only) */
 
 #endif /* SEAM_RT_H */

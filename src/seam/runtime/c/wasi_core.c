@@ -4,6 +4,7 @@
  * filestat 64 bytes, prestat 8 bytes, dirent 24 bytes + name). All guest
  * pointers go through lm_ptr, which traps rather than faulting. */
 #include "rt.h"
+#include "abi.h"
 
 #include <errno.h>
 #include <stdio.h>
@@ -194,11 +195,6 @@ static uint32_t stdio_write(fd_entry *e, uint32_t iovs, uint32_t iovs_len, uint3
     lm_set_u32(nwritten, (uint32_t)total);
     return W_SUCCESS;
 }
-
-uint32_t sock_send(uint32_t fd, uint32_t si_data, uint32_t si_data_len,
-                   uint32_t si_flags, uint32_t so_datalen); /* wasi_sock.c */
-uint32_t sock_recv(uint32_t fd, uint32_t ri_data, uint32_t ri_data_len,
-                   uint32_t ri_flags, uint32_t ro_datalen, uint32_t ro_flags);
 
 uint32_t fd_write(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nwritten)
 {

@@ -5,6 +5,7 @@
  * that errno rather than failing the call, per the preview1 ABI. Regular
  * tar files are always ready, like POSIX poll on regular files. */
 #include "rt.h"
+#include "abi.h"
 
 #include <errno.h>
 #include <poll.h>

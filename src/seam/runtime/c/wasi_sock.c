@@ -9,6 +9,7 @@
  * created/bound -> connected) is stricter than POSIX: operations from a
  * wrong state return a defined errno instead of relying on host behavior. */
 #include "rt.h"
+#include "abi.h"
 
 #include <arpa/inet.h>
 #include <errno.h>

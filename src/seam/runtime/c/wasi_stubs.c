@@ -1,15 +1,15 @@
-/* NOSYS stubs for the rest of the preview1 name space, so any guest built
- * against a standard toolchain links; each logs once on first use.
- *
- * The stubs take no declared parameters: the native calling convention is
- * caller-cleanup, so a mismatched arity is harmless for a function that
- * ignores its arguments and returns an errno. */
+/* NOSYS stubs for the ABI rows the runtime does not implement, so any
+ * guest built against a standard toolchain links; each logs once on first
+ * use. The list and the parameter types come from the generated abi.h. */
 #include "rt.h"
+#include "abi.h"
 
 #include <stdio.h>
 
-#define NOSYS_STUB(name)                                                    \
-    uint32_t name(void)                                                     \
+#pragma GCC diagnostic ignored "-Wunused-parameter"
+
+#define NOSYS_STUB(name, params)                                            \
+    uint32_t name params                                                    \
     {                                                                       \
         static int warned;                                                  \
         if (!warned) {                                                      \
@@ -20,26 +20,4 @@
         return W_NOSYS;                                                     \
     }
 
-NOSYS_STUB(fd_advise)
-NOSYS_STUB(fd_allocate)
-NOSYS_STUB(fd_datasync)
-NOSYS_STUB(fd_fdstat_set_rights)
-NOSYS_STUB(fd_filestat_set_size)
-NOSYS_STUB(fd_filestat_set_times)
-NOSYS_STUB(fd_pread)
-NOSYS_STUB(fd_pwrite)
-NOSYS_STUB(fd_renumber)
-NOSYS_STUB(fd_sync)
-NOSYS_STUB(fd_tell)
-NOSYS_STUB(path_create_directory)
-NOSYS_STUB(path_filestat_set_times)
-NOSYS_STUB(path_link)
-NOSYS_STUB(path_readlink)
-NOSYS_STUB(path_remove_directory)
-NOSYS_STUB(path_rename)
-NOSYS_STUB(path_symlink)
-NOSYS_STUB(path_unlink_file)
-NOSYS_STUB(proc_raise)
-NOSYS_STUB(sock_getaddrinfo)
-NOSYS_STUB(sock_getsockopt)
-NOSYS_STUB(sock_setsockopt)
+SEAM_ABI_NOSYS(NOSYS_STUB)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from seam.codegen import ABI
 from seam.driver import BuildPlan, cmd_build
 from seam.runtime import test_shared_lib
 
@@ -101,7 +102,7 @@ class RuntimeLib:
     def __init__(self, path: Path):
         lib = ctypes.CDLL(str(path), mode=os.RTLD_LOCAL)
         self.lib = lib
-        u32, u64, i64 = ctypes.c_uint32, ctypes.c_uint64, ctypes.c_int64
+        u32, u64 = ctypes.c_uint32, ctypes.c_uint64
         lib.rt_mem_reset.restype = ctypes.c_int
         lib.rt_mem_reset.argtypes = [u32, u32]
         lib.memory_base.restype = ctypes.c_void_p
@@ -113,44 +114,10 @@ class RuntimeLib:
         lib.rt_fs_lookup_at.restype = ctypes.POINTER(TarNode)
         lib.rt_fs_lookup_at.argtypes = [ctypes.c_void_p, ctypes.c_char_p,
                                         ctypes.c_size_t, ctypes.POINTER(ctypes.c_int)]
-        for name, argtypes in [
-            ("args_sizes_get", [u32, u32]),
-            ("args_get", [u32, u32]),
-            ("environ_sizes_get", [u32, u32]),
-            ("environ_get", [u32, u32]),
-            ("clock_res_get", [u32, u32]),
-            ("clock_time_get", [u32, u64, u32]),
-            ("random_get", [u32, u32]),
-            ("sched_yield", []),
-            ("fd_write", [u32, u32, u32, u32]),
-            ("fd_read", [u32, u32, u32, u32]),
-            ("fd_close", [u32]),
-            ("fd_seek", [u32, i64, u32, u32]),
-            ("fd_fdstat_get", [u32, u32]),
-            ("fd_fdstat_set_flags", [u32, u32]),
-            ("fd_filestat_get", [u32, u32]),
-            ("path_filestat_get", [u32, u32, u32, u32, u32]),
-            ("fd_prestat_get", [u32, u32]),
-            ("fd_prestat_dir_name", [u32, u32, u32]),
-            ("path_open", [u32, u32, u32, u32, u32, u64, u64, u32, u32]),
-            ("fd_readdir", [u32, u32, u32, u64, u32]),
-            ("poll_oneoff", [u32, u32, u32, u32]),
-            ("sock_open", [u32, u32, u32]),
-            ("sock_bind", [u32, u32, u32]),
-            ("sock_listen", [u32, u32]),
-            ("sock_accept", [u32, u32, u32]),
-            ("sock_connect", [u32, u32, u32]),
-            ("sock_recv", [u32, u32, u32, u32, u32, u32]),
-            ("sock_send", [u32, u32, u32, u32, u32]),
-            ("sock_shutdown", [u32, u32]),
-            ("sock_getlocaladdr", [u32, u32, u32, u32]),
-            ("sock_getpeeraddr", [u32, u32, u32, u32]),
-            ("fd_tell", []),
-            ("path_unlink_file", []),
-        ]:
+        for name, sig in ABI.items():
             fn = getattr(lib, name)
-            fn.restype = u32
-            fn.argtypes = argtypes
+            fn.restype = u32 if sig.results else None
+            fn.argtypes = [{"i32": u32, "i64": u64}[t] for t in sig.params]
         self._tar_keepalive = None
 
     def boot(self, initial_pages=4, max_pages=16, tar: bytes | None = None,

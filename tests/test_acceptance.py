@@ -12,7 +12,7 @@ import time
 import pytest
 
 from seam.bench import LoadConfig, run_load
-from seam.codegen import IMPLEMENTED_WASI, RUNTIME_HOOKS, SOCK_EXTENSION
+from seam.codegen import ABI, NOSYS, RUNTIME_HOOKS
 from seam.driver import BuildPlan, check_no_wasm_engine_dependency, cmd_build, cmd_compile
 from seam.profiler import profile_run
 from seam.tarfs import lookup, mount, pack_dir
@@ -54,12 +54,13 @@ def test_criterion_differential_semantics(tmp_path):
 
 
 def test_criterion_abi_seam_audit(guest_wasm, www_dir, tmp_path):
-    """HTTP fixture: unresolved symbols exactly within the WASI/sock/hook
-    ABI at compile; zero unresolved after the static link."""
+    """HTTP fixture: unresolved symbols exactly within the implemented ABI
+    rows plus the runtime hooks at compile; zero unresolved after the
+    static link."""
     obj = tmp_path / "httpd.o"
     manifest_path = cmd_compile(guest_wasm["httpd"], obj, quiet=True)
     manifest = json.loads(manifest_path.read_text())
-    allowed = IMPLEMENTED_WASI | SOCK_EXTENSION | set(RUNTIME_HOOKS)
+    allowed = (set(ABI) - NOSYS) | set(RUNTIME_HOOKS)
     extra = set(manifest["unresolved"]) - allowed
     assert not extra, f"symbols outside the ABI seam: {sorted(extra)}"
 

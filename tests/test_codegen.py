@@ -11,14 +11,9 @@ import re
 import pytest
 
 from seam import elf
-from seam.codegen import (
-    ALLOWED_UNRESOLVED,
-    compile_module,
-    host_target,
-    write_artifact,
-)
+from seam.codegen import ALLOWED_UNRESOLVED, compile_module, write_artifact
 from seam.codegen.ctext import CALL_DEPTH_LIMIT
-from seam.errors import CodegenError, UnsupportedImportModule, UnsupportedTarget
+from seam.errors import CodegenError, UnsupportedImportModule
 from seam.wasm import decode_module, validate_module
 from seam.wasm import opcodes as op
 
@@ -55,14 +50,6 @@ def test_non_wasi_import_module_rejected():
     with pytest.raises(UnsupportedImportModule) as ei:
         compile_module(vm_of(b))
     assert ei.value.module == "env"
-
-
-def test_unsupported_target():
-    b = ModuleBuilder()
-    b.add_func([], [], [], [("nop",)], export="_start")
-    with pytest.raises(UnsupportedTarget):
-        compile_module(vm_of(b), target="riscv64")
-    assert host_target() in str(UnsupportedTarget("x", [host_target()]).supported)
 
 
 def test_manifest_deterministic():

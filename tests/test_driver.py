@@ -2,23 +2,26 @@
 
 import json
 import signal
+import struct
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from seam import elf
 from seam.cli import main as cli_main
-from seam.codegen import ALLOWED_UNRESOLVED
+from seam.codegen import ABI, ALLOWED_UNRESOLVED, NOSYS, compile_wasm_file
 from seam.driver import (
     BuildPlan,
     check_no_wasm_engine_dependency,
     cmd_build,
     cmd_run,
 )
-from seam.errors import LinkError
+from seam.errors import AbiViolation, LinkError
+from seam.runtime import runtime_objects
 
-from wasmgen import ModuleBuilder
+from wasmgen import ModuleBuilder, empty_module
 
 
 def run_cli(args) -> int:
@@ -44,13 +47,6 @@ def test_cli_compile_malformed_input(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "version" in err and "0x4" in err  # diagnostic names the byte offset
-
-
-def test_cli_compile_unsupported_target(guest_wasm, tmp_path, capsys):
-    rc = run_cli(["compile", guest_wasm["hello"], "-o", tmp_path / "x.o",
-                  "--target", "sparc"])
-    assert rc == 2
-    assert "supported targets" in capsys.readouterr().err
 
 
 def test_cli_pack_deterministic(www_dir, tmp_path):
@@ -135,15 +131,54 @@ def test_guest_env_plumbing(rt):
     assert rt.u32(0) == 2
 
 
-def test_unknown_wasi_import_fails_link(tmp_path):
+def test_unknown_wasi_import_fails_link(tmp_path, capsys):
     b = ModuleBuilder()
     b.add_import("wasi_snapshot_preview1", "totally_not_wasi", [], [])
     b.add_func([], [], [], [("call", 0)], export="_start")
     wasm = tmp_path / "unknown.wasm"
     wasm.write_bytes(b.build())
-    with pytest.raises(LinkError) as ei:
-        cmd_build(BuildPlan(wasm=wasm, output=tmp_path / "x"))
-    assert "totally_not_wasi" in ei.value.unresolved
+    assert run_cli(["build", wasm, "-o", tmp_path / "x"]) == 1
+    assert "totally_not_wasi" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("imports", [
+    [("rt_fd_get", ["i32"], ["i64"])],
+    [("runtime_trap", ["i32"], [])],
+    [("getpid", [], ["i32"])],
+    [("fd_write", ["i32"], ["i32"])],
+    [("proc_exit", ["i32"], ["i32"])],
+    [("fd_write", ["i32"] * 4, ["i32"]), ("fd_write", ["i32"], ["i32"])],
+], ids=["runtime-internal", "runtime-hook", "libc", "fd_write-type", "proc_exit-type",
+        "fd_write-twice"])
+def test_import_outside_the_abi_fails_at_compile(imports, tmp_path):
+    b = ModuleBuilder()
+    for name, params, results in imports:
+        b.add_import("wasi_snapshot_preview1", name, params, results)
+    wasm = tmp_path / "bad.wasm"
+    wasm.write_bytes(b.build())
+    with pytest.raises(AbiViolation):
+        compile_wasm_file(wasm)
+    assert run_cli(["build", wasm, "-o", tmp_path / "x"]) == 1
+
+
+def test_runtime_defines_every_abi_row_once():
+    assert len(ABI) == 55 and len(NOSYS) == 23 and NOSYS <= set(ABI)
+    defined = Counter(sym for obj in runtime_objects() for sym in elf.symbols(obj)[0])
+    assert {name: defined[name] for name in ABI} == dict.fromkeys(ABI, 1)
+
+
+def test_stack_is_not_executable_with_or_without_fs(www_dir, tmp_path):
+    wasm = tmp_path / "empty.wasm"
+    wasm.write_bytes(empty_module())
+    for exe, fs in [(tmp_path / "plain", None), (tmp_path / "withfs", www_dir)]:
+        cmd_build(BuildPlan(wasm=wasm, output=exe, fs_dir=fs))
+        data = exe.read_bytes()
+        phoff, = struct.unpack_from("<Q", data, 0x20)
+        phentsize, phnum = struct.unpack_from("<HH", data, 0x36)
+        headers = [struct.unpack_from("<II", data, phoff + i * phentsize) for i in range(phnum)]
+        # exactly one PT_GNU_STACK, without PF_X
+        assert [flags & 1 for kind, flags in headers if kind == 0x6474E551] == [0], exe.name
 
 
 def test_unimplemented_but_preview1_name_builds_and_nosys(tmp_path, capfd):
