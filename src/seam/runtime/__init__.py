@@ -10,6 +10,7 @@ from the ABI table, next to their outputs for the wasi_*.c units.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import shutil
@@ -68,6 +69,15 @@ def abi_header() -> str:
     ])
 
 
+@functools.lru_cache(maxsize=None)
+def _cc_version(cc: str) -> bytes:
+    """The compiler's identity, asked once per process and compiler name."""
+    try:
+        return subprocess.run([cc, "--version"], capture_output=True).stdout[:200]
+    except OSError as e:
+        raise SeamError(f"C compiler {cc!r} not runnable: {e}") from e
+
+
 def _source_key(cc: str, extra: tuple[str, ...] = ()) -> str:
     h = hashlib.sha256()
     for name in [ENTRY_SOURCE, "rt.h", *LIB_SOURCES]:
@@ -77,10 +87,7 @@ def _source_key(cc: str, extra: tuple[str, ...] = ()) -> str:
     h.update(" ".join(CFLAGS).encode())
     h.update(" ".join(extra).encode())
     h.update(cc.encode())
-    try:
-        h.update(subprocess.run([cc, "--version"], capture_output=True).stdout[:200])
-    except OSError as e:
-        raise SeamError(f"C compiler {cc!r} not runnable: {e}") from e
+    h.update(_cc_version(cc))
     return h.hexdigest()[:16]
 
 

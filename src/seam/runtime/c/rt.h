@@ -141,6 +141,18 @@ void rt_fd_init(void);
 int rt_fd_alloc(void); /* lowest free index >= 4, or -1 */
 fd_entry *rt_fd_get(uint32_t fd);
 
+/* Moves bytes between e's host fd and the guest iovec array at iovs (out:
+ * guest to host) with one sendmsg/recvmsg (sockets) or writev/readv (other
+ * fds) per IOV_MAX iovecs, after every (buf, len) has passed lm_ptr. A
+ * blocking write continues after short writes until all is sent; reads and
+ * non-blocking writes stop at the first short transfer; EINTR is retried
+ * only on blocking fds. *moved gets the byte count, and once a byte has
+ * moved the result is W_SUCCESS, never an errno. */
+uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int flags,
+                     uint32_t *moved);
+uint32_t rt_sock_recv(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t ri_flags,
+                      uint32_t *nread); /* sock_recv without its out-cells */
+
 /* ---- guest args/env ---- */
 void rt_args_init(void);
 extern int rt_argc;

@@ -171,29 +171,17 @@ uint32_t sched_yield(void)
 
 /* ---- fd operations ---- */
 
-static uint32_t stdio_write(fd_entry *e, uint32_t iovs, uint32_t iovs_len, uint32_t nwritten)
+/* fd_read/fd_write on a stdio fd; out: guest to host */
+static uint32_t stdio_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len,
+                           uint32_t count_out)
 {
-    uint64_t total = 0;
-    for (uint32_t i = 0; i < iovs_len; i++) {
-        uint32_t buf = lm_get_u32(iovs + 8 * i);
-        uint32_t len = lm_get_u32(iovs + 8 * i + 4);
-        const uint8_t *p = lm_ptr(buf, len);
-        uint32_t off = 0;
-        while (off < len) {
-            prof_push(P_HOSTIO);
-            ssize_t n = write(e->host_fd, p + off, len - off);
-            prof_pop();
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                return rt_errno_to_wasi(errno);
-            }
-            off += (uint32_t)n;
-            total += (uint64_t)n;
-        }
-    }
-    lm_set_u32(nwritten, (uint32_t)total);
-    return W_SUCCESS;
+    uint32_t n;
+    prof_push(P_HOSTIO);
+    uint32_t r = rt_iov_xfer(e, out, iovs, iovs_len, 0, &n);
+    prof_pop();
+    if (r == W_SUCCESS)
+        lm_set_u32(count_out, n);
+    return r;
 }
 
 uint32_t fd_write(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nwritten)
@@ -206,7 +194,7 @@ uint32_t fd_write(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nwritt
     prof_push(P_WASI);
     uint32_t r;
     if (e->kind == FK_STDIO)
-        r = stdio_write(e, iovs, iovs_len, nwritten);
+        r = stdio_xfer(e, 1, iovs, iovs_len, nwritten);
     else if (e->kind == FK_TARFILE)
         r = W_ROFS;
     else
@@ -220,8 +208,13 @@ uint32_t fd_read(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nread)
     fd_entry *e = rt_fd_get(fd);
     if (!e)
         return W_BADF;
-    if (e->kind == FK_SOCKET)
-        return sock_recv(fd, iovs, iovs_len, 0, nread, 0);
+    if (e->kind == FK_SOCKET) {
+        uint32_t n;
+        uint32_t r = rt_sock_recv(fd, iovs, iovs_len, 0, &n);
+        if (r == W_SUCCESS)
+            lm_set_u32(nread, n);
+        return r;
+    }
     prof_push(P_WASI);
     uint32_t r = W_SUCCESS;
     if (e->kind == FK_TARDIR) {
@@ -242,24 +235,7 @@ uint32_t fd_read(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nread)
         }
         lm_set_u32(nread, (uint32_t)total);
     } else { /* stdio */
-        uint64_t total = 0;
-        for (uint32_t i = 0; i < iovs_len && r == W_SUCCESS; i++) {
-            uint32_t buf = lm_get_u32(iovs + 8 * i);
-            uint32_t len = lm_get_u32(iovs + 8 * i + 4);
-            uint8_t *p = lm_ptr(buf, len);
-            prof_push(P_HOSTIO);
-            ssize_t n = read(e->host_fd, p, len);
-            prof_pop();
-            if (n < 0) {
-                r = rt_errno_to_wasi(errno);
-                break;
-            }
-            total += (uint64_t)n;
-            if ((uint32_t)n < len)
-                break;
-        }
-        if (r == W_SUCCESS)
-            lm_set_u32(nread, (uint32_t)total);
+        r = stdio_xfer(e, 0, iovs, iovs_len, nread);
     }
     prof_pop();
     return r;

@@ -242,8 +242,8 @@ uint32_t sock_connect(uint32_t fd, uint32_t addr_rec, uint32_t port)
     return W_SUCCESS;
 }
 
-uint32_t sock_recv(uint32_t fd, uint32_t ri_data, uint32_t ri_data_len, uint32_t ri_flags,
-                   uint32_t ro_datalen, uint32_t ro_flags)
+uint32_t rt_sock_recv(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t ri_flags,
+                      uint32_t *nread)
 {
     prof_push(P_SOCK);
     uint32_t err;
@@ -261,32 +261,21 @@ uint32_t sock_recv(uint32_t fd, uint32_t ri_data, uint32_t ri_data_len, uint32_t
         flags |= MSG_PEEK;
     if (ri_flags & RIFLAG_RECV_WAITALL)
         flags |= MSG_WAITALL;
-    uint64_t total = 0;
-    for (uint32_t i = 0; i < ri_data_len; i++) {
-        uint32_t buf = lm_get_u32(ri_data + 8 * i);
-        uint32_t len = lm_get_u32(ri_data + 8 * i + 4);
-        uint8_t *p = lm_ptr(buf, len);
-        ssize_t n;
-        do {
-            n = recv(e->host_fd, p, len, flags);
-        } while (n < 0 && errno == EINTR && !(e->fdflags & FDFLAG_NONBLOCK));
-        if (n < 0) {
-            if (total)
-                break;
-            err = rt_errno_to_wasi(errno);
-            prof_pop();
-            return err;
-        }
-        total += (uint64_t)n;
-        if ((uint32_t)n < len)
-            break;
-    }
-    if (ro_datalen)
-        lm_set_u32(ro_datalen, (uint32_t)total);
-    if (ro_flags)
-        lm_set_u32(ro_flags, 0); /* stream sockets never truncate */
+    err = rt_iov_xfer(e, 0, iovs, iovs_len, flags, nread);
     prof_pop();
-    return W_SUCCESS;
+    return err;
+}
+
+uint32_t sock_recv(uint32_t fd, uint32_t ri_data, uint32_t ri_data_len, uint32_t ri_flags,
+                   uint32_t ro_datalen, uint32_t ro_flags)
+{
+    uint32_t n;
+    uint32_t err = rt_sock_recv(fd, ri_data, ri_data_len, ri_flags, &n);
+    if (err == W_SUCCESS) {
+        lm_set_u32(ro_datalen, n);
+        memset(lm_ptr(ro_flags, 2), 0, 2); /* u16 roflags: stream sockets never truncate */
+    }
+    return err;
 }
 
 uint32_t sock_send(uint32_t fd, uint32_t si_data, uint32_t si_data_len, uint32_t si_flags,
@@ -304,37 +293,12 @@ uint32_t sock_send(uint32_t fd, uint32_t si_data, uint32_t si_data_len, uint32_t
         prof_pop();
         return W_NOTCONN;
     }
-    uint64_t total = 0;
-    for (uint32_t i = 0; i < si_data_len; i++) {
-        uint32_t buf = lm_get_u32(si_data + 8 * i);
-        uint32_t len = lm_get_u32(si_data + 8 * i + 4);
-        const uint8_t *p = lm_ptr(buf, len);
-        uint32_t off = 0;
-        while (off < len) {
-            ssize_t n = send(e->host_fd, p + off, len - off, MSG_NOSIGNAL);
-            if (n < 0) {
-                if (errno == EINTR && !(e->fdflags & FDFLAG_NONBLOCK))
-                    continue;
-                if (total || off) {
-                    lm_set_u32(so_datalen, (uint32_t)(total + off));
-                    prof_pop();
-                    return W_SUCCESS;
-                }
-                err = rt_errno_to_wasi(errno);
-                prof_pop();
-                return err;
-            }
-            off += (uint32_t)n;
-            if (e->fdflags & FDFLAG_NONBLOCK)
-                break; /* report the partial write */
-        }
-        total += off;
-        if (off < len)
-            break;
-    }
-    lm_set_u32(so_datalen, (uint32_t)total);
+    uint32_t n;
+    err = rt_iov_xfer(e, 1, si_data, si_data_len, 0, &n);
+    if (err == W_SUCCESS)
+        lm_set_u32(so_datalen, n);
     prof_pop();
-    return W_SUCCESS;
+    return err;
 }
 
 uint32_t sock_shutdown(uint32_t fd, uint32_t how)

@@ -96,6 +96,18 @@ class TarNode(ctypes.Structure):
     ]
 
 
+class FdEntry(ctypes.Structure):
+    """rt.h `fd_entry`, so a test can point a guest fd at a host fd it owns."""
+    _fields_ = [
+        ("kind", ctypes.c_uint8),
+        ("sstate", ctypes.c_uint8),
+        ("host_fd", ctypes.c_int),
+        ("fdflags", ctypes.c_uint16),
+        ("node", ctypes.c_void_p),
+        ("cursor", ctypes.c_uint64),
+    ]
+
+
 class RuntimeLib:
     """ctypes facade over the runtime shared build for direct WASI testing."""
 
@@ -118,6 +130,7 @@ class RuntimeLib:
             fn = getattr(lib, name)
             fn.restype = u32 if sig.results else None
             fn.argtypes = [{"i32": u32, "i64": u64}[t] for t in sig.params]
+        self.fdt = (FdEntry * 1024).in_dll(lib, "rt_fdt")
         self._tar_keepalive = None
 
     def boot(self, initial_pages=4, max_pages=16, tar: bytes | None = None,

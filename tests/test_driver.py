@@ -168,6 +168,17 @@ def test_runtime_defines_every_abi_row_once():
     assert {name: defined[name] for name in ABI} == dict.fromkeys(ABI, 1)
 
 
+def test_warm_runtime_objects_start_no_subprocess(monkeypatch):
+    """The compiler's identity is asked once per process, not per build."""
+    runtime_objects()
+
+    def no_process(*args, **kwargs):
+        raise AssertionError(f"started a process: {args}")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    assert all(obj.exists() for obj in runtime_objects())
+
+
 def test_stack_is_not_executable_with_or_without_fs(www_dir, tmp_path):
     wasm = tmp_path / "empty.wasm"
     wasm.write_bytes(empty_module())

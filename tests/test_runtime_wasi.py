@@ -4,7 +4,9 @@ Layout notes: iovec {buf u32, len u32}; fdstat 24 B; filestat 64 B;
 prestat 8 B; dirent 24 B + name. Addresses below are linear-memory offsets.
 """
 
+import fcntl
 import io
+import os
 import struct
 import tarfile
 
@@ -59,6 +61,51 @@ def test_fd_write_gathers_iovecs(rtfs, capfd):
     assert rtfs.lib.fd_write(1, 0, 2, 32) == W_SUCCESS
     assert rtfs.u32(32) == 12
     assert capfd.readouterr().out == "hello world\n"
+
+
+def test_stdio_read_keeps_count_after_error(rtb):
+    """1100 one-byte iovecs over a non-blocking pipe holding 1024 bytes: the
+    first readv fills 1024 iovecs, the second meets EAGAIN, and the guest
+    gets the 1024 bytes, not the errno."""
+    r, w = os.pipe()
+    os.set_blocking(r, False)
+    data = bytes(range(256)) * 4
+    try:
+        os.write(w, data)
+        rtb.fdt[0].host_fd = r
+        for i in range(1100):
+            rtb.iovec(8 * i, 16384 + i, 1)
+        assert rtb.lib.fd_read(0, 0, 1100, 12000) == W_SUCCESS
+        assert rtb.u32(12000) == len(data)
+        assert rtb.read(16384, len(data)) == data
+    finally:
+        rtb.fdt[0].host_fd = 0
+        os.close(r)
+        os.close(w)
+
+
+def test_stdio_write_keeps_count_after_error(rt):
+    """Two iovecs of 3/4 of a non-blocking pipe's capacity each: writev
+    fills the pipe, the retry meets EAGAIN, and the guest gets the count
+    the pipe took, not the errno."""
+    rt.boot(initial_pages=16, max_pages=16)
+    r, w = os.pipe()
+    os.set_blocking(w, False)
+    half = fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) * 3 // 4
+    data = bytes(i * 7 % 251 for i in range(2 * half))
+    try:
+        rt.write(65536, data)
+        rt.iovec(0, 65536, half)
+        rt.iovec(8, 65536 + half, half)
+        rt.fdt[1].host_fd = w
+        assert rt.lib.fd_write(1, 0, 2, 32) == W_SUCCESS
+        n = rt.u32(32)
+        assert half < n < len(data)
+        assert os.read(r, len(data)) == data[:n]
+    finally:
+        rt.fdt[1].host_fd = 1
+        os.close(r)
+        os.close(w)
 
 
 def test_fd_write_bad_fd(rtfs):

@@ -1,9 +1,15 @@
 """WasmEdge-compatible socket layer: loopback behavior plus the exhaustive
 (state, operation) table. Python sockets play the remote peer."""
 
+import json
 import socket
 import struct
+import subprocess
+import sys
+import threading
 import time
+
+import pytest
 
 W_SUCCESS, W_ADDRINUSE, W_AFNOSUPPORT, W_AGAIN, W_BADF, W_INVAL, W_ISCONN, W_NOTCONN = \
     0, 3, 5, 6, 8, 28, 30, 53
@@ -224,6 +230,197 @@ def test_fd_read_write_delegate_to_socket(rtb):
         assert py.recv(32) == b"via-fd-write"
     finally:
         py.close()
+
+
+def accept_peer(rt, lfd, port, flags=0, rcvbuf=None):
+    """A Python peer connected to the runtime listener; returns (peer, fd)."""
+    py = socket.socket()
+    py.settimeout(5)
+    if rcvbuf is not None:
+        py.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    py.connect(("127.0.0.1", port))
+    assert rt.lib.sock_accept(lfd, flags, OUT + 16) == W_SUCCESS
+    return py, rt.u32(OUT + 16)
+
+
+def recv_exactly(py, n: int) -> bytes:
+    got = bytearray()
+    while len(got) < n:
+        chunk = py.recv(n - len(got))
+        assert chunk, f"peer closed after {len(got)} of {n} bytes"
+        got += chunk
+    return bytes(got)
+
+
+SENTINEL = b"\xaa" * 32
+
+
+@pytest.mark.parametrize("datalen_at, flags_at", [(16, 20), (0, 8), (8, 0)])
+def test_recv_out_cells(rtb, datalen_at, flags_at):
+    """ro_datalen is a u32 and ro_flags a u16 (preview1 roflags); both are
+    written wherever they sit, address 0 included, and nothing around them."""
+    lfd, port = rt_listener(rtb)
+    py, cfd = accept_peer(rtb, lfd, port)
+    try:
+        py.sendall(b"abc")
+        rtb.write(0, SENTINEL)
+        rtb.iovec(IOV, DATA, 64)
+        assert rtb.lib.sock_recv(cfd, IOV, 1, 0, datalen_at, flags_at) == W_SUCCESS
+        want = bytearray(SENTINEL)
+        want[datalen_at:datalen_at + 4] = struct.pack("<I", 3)
+        want[flags_at:flags_at + 2] = b"\0\0"
+        assert rtb.read(0, 32) == bytes(want)
+    finally:
+        py.close()
+
+
+def test_fd_read_on_socket_writes_only_nread(rtb):
+    lfd, port = rt_listener(rtb)
+    py, cfd = accept_peer(rtb, lfd, port)
+    try:
+        py.sendall(b"abc")
+        rtb.write(0, SENTINEL)
+        rtb.iovec(IOV, DATA, 64)
+        assert rtb.lib.fd_read(cfd, IOV, 1, 0) == W_SUCCESS
+        assert rtb.read(0, 32) == struct.pack("<I", 3) + SENTINEL[4:]
+    finally:
+        py.close()
+
+
+def test_recv_peek_spans_iovecs(rtb):
+    """A peek fills the iovecs in order, like a read, and consumes nothing."""
+    lfd, port = rt_listener(rtb)
+    py, cfd = accept_peer(rtb, lfd, port)
+    try:
+        py.sendall(b"abcdefgh")
+        rtb.iovec(IOV, DATA, 4)
+        rtb.iovec(IOV + 8, DATA + 100, 4)
+        for ri_flags in (0x1 | 0x2, 0x2):  # RECV_PEEK | RECV_WAITALL, then RECV_WAITALL
+            rtb.write(DATA, b"\0" * 128)
+            assert rtb.lib.sock_recv(cfd, IOV, 2, ri_flags, OUT, OUT + 4) == W_SUCCESS
+            assert rtb.u32(OUT) == 8
+            assert rtb.read(DATA, 4) + rtb.read(DATA + 100, 4) == b"abcdefgh"
+    finally:
+        py.close()
+
+
+TCPI_DATA_SEGS_IN = 152  # offset of tcpi_data_segs_in in Linux struct tcp_info
+
+
+def data_segs_in(py) -> int:
+    info = py.getsockopt(socket.IPPROTO_TCP, socket.TCP_INFO, 256)
+    return struct.unpack_from("<I", info, TCPI_DATA_SEGS_IN)[0]
+
+
+def test_gathered_send_is_one_segment(rtb):
+    """Header and body in two iovecs leave as one TCP segment although the
+    runtime sets TCP_NODELAY: one sendmsg, not one send per iovec. The peer
+    counts data-carrying segments only, so ACKs cannot blur the count."""
+    lfd, port = rt_listener(rtb)
+    py, cfd = accept_peer(rtb, lfd, port)
+    try:
+        header, body = b"H" * 100, b"B" * 200
+        rtb.write(DATA, header)
+        rtb.write(DATA + 1000, body)
+        rtb.iovec(IOV, DATA, len(header))
+        rtb.iovec(IOV + 8, DATA + 1000, len(body))
+        before = data_segs_in(py)
+        assert rtb.lib.sock_send(cfd, IOV, 2, 0, OUT) == W_SUCCESS
+        assert rtb.u32(OUT) == 300
+        assert recv_exactly(py, 300) == header + body
+        assert data_segs_in(py) - before == 1
+    finally:
+        py.close()
+
+
+IOVS = 8192  # long iovec arrays, clear of the cells above
+
+
+def test_blocking_send_over_iov_max(rt):
+    """3000 iovecs (three syscalls' worth) of 200 bytes, gathered from
+    memory in reverse order, arrive complete and in iovec order while the
+    peer drains them concurrently."""
+    rt.boot(initial_pages=16, max_pages=16)
+    count, size, base = 3000, 200, 65536
+    data = bytes(i * 7 % 251 for i in range(count * size))
+    for i in range(count):
+        src = base + (count - 1 - i) * size
+        rt.write(src, data[i * size:(i + 1) * size])
+        rt.iovec(IOVS + 8 * i, src, size)
+    lfd, port = rt_listener(rt)
+    py, cfd = accept_peer(rt, lfd, port)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(recv_exactly(py, len(data))))
+    reader.start()
+    try:
+        assert rt.lib.sock_send(cfd, IOVS, count, 0, OUT) == W_SUCCESS
+        assert rt.u32(OUT) == len(data)
+        reader.join(10)
+        assert got == [data]
+    finally:
+        py.close()
+        reader.join(10)
+
+
+def test_nonblocking_partial_send_crosses_iovecs(rt):
+    """A non-blocking socket with small buffers takes part of a 1 MB,
+    1000-iovec send; so_datalen is exactly the prefix the peer reads."""
+    rt.boot(initial_pages=32, max_pages=32)
+    count, size, base = 1000, 1000, 65536
+    data = bytes(i * 13 % 251 for i in range(count * size))
+    rt.write(base, data)
+    for i in range(count):
+        rt.iovec(IOVS + 8 * i, base + i * size, size)
+    lfd, port = rt_listener(rt)
+    py, cfd = accept_peer(rt, lfd, port, flags=0x4, rcvbuf=4096)  # NONBLOCK
+    try:
+        with socket.fromfd(rt.fdt[cfd].host_fd, socket.AF_INET, socket.SOCK_STREAM) as host:
+            host.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        assert rt.lib.sock_send(cfd, IOVS, count, 0, OUT) == W_SUCCESS
+        sent = rt.u32(OUT)
+        assert size < sent < len(data)
+        assert recv_exactly(py, sent) == data[:sent]
+        py.settimeout(0.2)
+        with pytest.raises(socket.timeout):
+            py.recv(1)
+    finally:
+        py.close()
+
+
+OOB_SENDER = """
+import json, sys
+sys.path[:0] = json.loads(sys.argv[1])
+from conftest import RuntimeLib
+from seam.runtime import test_shared_lib
+import test_sock as t
+rt = RuntimeLib(test_shared_lib())
+rt.boot()
+fd = t.rt_connect_to(rt, int(sys.argv[2]))
+for i in range(1099):
+    rt.iovec(t.IOVS + 8 * i, t.DATA, 1)
+rt.iovec(t.IOVS + 8 * 1099, rt.lib.rt_mem_committed_bytes(), 1)
+rt.lib.sock_send(fd, t.IOVS, 1100, 0, t.OUT)
+"""
+
+
+def test_out_of_bounds_iovec_traps_before_any_byte_moves():
+    """Iovec 1099 of 1100 lies past linear memory, in the second IOV_MAX
+    chunk: the send traps (exit 129) and the peer receives nothing."""
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(30)
+        child = subprocess.Popen([sys.executable, "-c", OOB_SENDER, json.dumps(sys.path),
+                                  str(listener.getsockname()[1])], stderr=subprocess.PIPE)
+        try:
+            peer, _ = listener.accept()
+            with peer:
+                peer.settimeout(30)
+                assert peer.recv(4096) == b""
+        finally:
+            _, err = child.communicate(timeout=30)
+    assert child.returncode == 129, err.decode()
+    assert b"out of bounds" in err
 
 
 # ---- exhaustive state-machine table ----
