@@ -7,6 +7,7 @@ from .compile import (
 from .symbols import (
     ABI,
     ALLOWED_UNRESOLVED,
+    BUCKET,
     NOSYS,
     RUNTIME_HOOKS,
     SymbolManifest,
@@ -21,6 +22,7 @@ __all__ = [
     "write_artifact",
     "ABI",
     "ALLOWED_UNRESOLVED",
+    "BUCKET",
     "NOSYS",
     "RUNTIME_HOOKS",
     "WASI_MODULE",

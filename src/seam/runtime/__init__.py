@@ -5,7 +5,7 @@ once per (source-hash, cc) into a cache directory and returns the object
 list for the static link. `test_shared_lib` builds the same sources minus
 the executable entry as a shared library, which the test suite loads with
 ctypes to drive WASI functions directly. Both write `abi.h`, generated
-from the ABI table, next to their outputs for the wasi_*.c units.
+from the ABI table, next to their outputs for abi.c and the wasi_*.c units.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 from ..codegen.ctext import CTYPE
-from ..codegen.symbols import ABI, NOSYS
+from ..codegen.symbols import ABI, BUCKET, NOSYS
 from ..errors import SeamError
 
 C_DIR = Path(__file__).parent / "c"
@@ -36,7 +36,7 @@ LIB_SOURCES = [
     "wasi_core.c",
     "wasi_poll.c",
     "wasi_sock.c",
-    "wasi_stubs.c",
+    "abi.c",
 ]
 
 CFLAGS = ["-O2", "-g0", "-std=c11", "-D_GNU_SOURCE", "-Wall", "-Wextra", "-pthread",
@@ -53,19 +53,35 @@ def cache_dir() -> Path:
 
 
 def abi_header() -> str:
-    """One C prototype per ABI row, and SEAM_ABI_NOSYS(X), which expands
-    X(name, (params)) for each NOSYS row. Only the wasi_*.c units include
-    it: libc declares `int sched_yield(void)`, which clashes with the row."""
+    """The C side of the ABI table. It declares every row, and for each row
+    with a profile bucket the hand-written body wasi_<name>, so cc checks
+    every WASI definition against its row. SEAM_ABI_NOSYS(X) expands
+    X(name, (params)) per NOSYS row; SEAM_ABI_ENTRIES(X) expands
+    X(name, bucket, (params), (args)) per row with a bucket. Only abi.c and
+    the wasi_*.c units include it: libc declares `int sched_yield(void)`,
+    which clashes with the row."""
     def params(sig) -> str:
         return "(" + (", ".join(f"{CTYPE[t]} a{i}" for i, t in enumerate(sig.params)) or "void") + ")"
 
-    protos = [f"{CTYPE[sig.results[0]] if sig.results else 'void'} {name}{params(sig)};"
-              for name, sig in ABI.items()]
-    stubs = [f"    X({name}, {params(sig)})" for name, sig in ABI.items() if name in NOSYS]
+    def args(sig) -> str:
+        return "(" + ", ".join(f"a{i}" for i in range(len(sig.params))) + ")"
+
+    def proto(name, sig) -> str:
+        return f"{CTYPE[sig.results[0]] if sig.results else 'void'} {name}{params(sig)};"
+
+    def xmacro(name, rows) -> list[str]:
+        return [f"#define {name}(X) \\", " \\\n".join(f"    X({row})" for row in rows)]
+
+    stubs = [f"{name}, {params(sig)}" for name, sig in ABI.items() if name in NOSYS]
+    entries = [f"{name}, P_{bucket.upper()}, {params(ABI[name])}, {args(ABI[name])}"
+               for name, bucket in BUCKET.items()]
     return "\n".join([
         "/* generated from seam.codegen.symbols.ABI */",
-        "#ifndef SEAM_ABI_H", "#define SEAM_ABI_H", "#include <stdint.h>", *protos,
-        "#define SEAM_ABI_NOSYS(X) \\", " \\\n".join(stubs), "#endif", "",
+        "#ifndef SEAM_ABI_H", "#define SEAM_ABI_H", "#include <stdint.h>",
+        *(proto(name, sig) for name, sig in ABI.items()),
+        *(proto(f"wasi_{name}", ABI[name]) for name in BUCKET),
+        *xmacro("SEAM_ABI_NOSYS", stubs), *xmacro("SEAM_ABI_ENTRIES", entries),
+        "#endif", "",
     ])
 
 

@@ -3,6 +3,7 @@
 #include "rt.h"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <limits.h>
 #include <stdlib.h>
 #include <string.h>
@@ -40,6 +41,14 @@ fd_entry *rt_fd_get(uint32_t fd)
     if (fd >= FD_TABLE_SIZE || rt_fdt[fd].kind == FK_FREE)
         return NULL;
     return &rt_fdt[fd];
+}
+
+int rt_fd_set_nonblock(fd_entry *e, int nonblock)
+{
+    int fl = fcntl(e->host_fd, F_GETFL, 0);
+    if (fl < 0)
+        return -1;
+    return fcntl(e->host_fd, F_SETFL, nonblock ? (fl | O_NONBLOCK) : (fl & ~O_NONBLOCK));
 }
 
 /* the next n (<= IOV_MAX) guest iovecs {buf: u32, len: u32} at iovs as host

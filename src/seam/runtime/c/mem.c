@@ -58,23 +58,17 @@ uint8_t *memory_base(void)
 
 uint32_t memory_grow(uint32_t delta_pages)
 {
-    prof_push(P_MEM);
+    prof_push(P_MEMORY);
     uint32_t prev = (uint32_t)lm_committed;
-    if (delta_pages == 0) {
-        prof_pop();
-        return prev;
+    if (delta_pages != 0) {
+        /* fresh anonymous pages read as zero once committed */
+        if (lm_committed + delta_pages <= lm_max
+            && mprotect(lm_base + lm_committed * WASM_PAGE, (size_t)delta_pages * WASM_PAGE,
+                        PROT_READ | PROT_WRITE) == 0)
+            lm_committed += delta_pages;
+        else
+            prev = 0xffffffffu;
     }
-    if (lm_committed + delta_pages > lm_max) {
-        prof_pop();
-        return 0xffffffffu;
-    }
-    /* fresh anonymous pages read as zero once committed */
-    if (mprotect(lm_base + lm_committed * WASM_PAGE,
-                 (size_t)delta_pages * WASM_PAGE, PROT_READ | PROT_WRITE) != 0) {
-        prof_pop();
-        return 0xffffffffu;
-    }
-    lm_committed += delta_pages;
     prof_pop();
     return prev;
 }

@@ -5,12 +5,21 @@
  * double-count. Activated by SEAM_PROFILE=1; the report is flushed at exit
  * as JSON to SEAM_PROFILE_OUT (or stderr).
  *
- * Bucket mapping (the unikernel analogy): sock_* calls including their
- * host syscalls are "socket" (the host TCP stack stands in for lwIP packet
- * processing); poll(2) sleeping is "timer"; stdio/random host syscalls are
- * "hostio" (the driver analog); everything else inside WASI entry points is
- * "wasi"; memory_grow is "memory"; time between guest entry and exit not
- * spent in any runtime scope is "guest". */
+ * Where the scopes come from: main.c opens "guest" around the guest's
+ * entry point. A WASI call's scope is its ABI row's bucket column (wasi,
+ * timer or socket), opened by the row's generated entry in abi.c;
+ * memory_grow opens "memory". Inside a row scope a few inner scopes are
+ * hand-placed: "hostio" around random_get's getrandom, stdio fd_read and
+ * fd_write, and fd_close's close of a socket; "socket" around fd_read and
+ * fd_write on a socket; and around poll_oneoff's poll(2) wait "timer"
+ * (clocks only), "socket" (any socket) or "hostio" (other fds). Time in
+ * the guest scope outside every runtime scope is "guest". The unikernel
+ * analogy: "socket" stands in for lwIP packet processing, "hostio" for the
+ * driver.
+ *
+ * Every push checks the discipline and aborts on a breach: guest at the
+ * bottom, a row or memory scope directly on it, and only hostio, timer or
+ * socket inside that. */
 #include "rt.h"
 
 #include <stdio.h>
@@ -19,7 +28,6 @@
 #include <time.h>
 
 int prof_on;
-static int prof_debug;
 static uint64_t acc[P_NBUCKETS];
 static int stack[32];
 static int depth;
@@ -70,7 +78,6 @@ void prof_init(void)
 {
     const char *v = getenv("SEAM_PROFILE");
     prof_on = v && *v && strcmp(v, "0") != 0;
-    prof_debug = getenv("SEAM_PROFILE_DEBUG") != NULL;
     if (!prof_on)
         return;
     t_start = now_ns();
@@ -82,15 +89,11 @@ void prof_push(int bucket)
 {
     if (!prof_on)
         return;
-    if (prof_debug) {
-        /* nesting discipline: guest at the bottom; one runtime bucket above
-         * it; only timer/hostio may nest inside another runtime bucket */
-        if (depth >= (int)(sizeof stack / sizeof stack[0]))
-            abort();
-        if (depth >= 1 && stack[depth - 1] != P_GUEST
-            && bucket != P_TIMER && bucket != P_HOSTIO)
-            abort();
-    }
+    if (depth >= (int)(sizeof stack / sizeof stack[0])
+        || (depth == 0) != (bucket == P_GUEST)
+        || (depth >= 2 && (stack[depth - 2] != P_GUEST
+                           || (bucket != P_HOSTIO && bucket != P_TIMER && bucket != P_SOCKET))))
+        abort();
     uint64_t t = now_ns();
     if (depth > 0)
         acc[stack[depth - 1]] += t - mark;

@@ -140,6 +140,7 @@ extern fd_entry rt_fdt[FD_TABLE_SIZE];
 void rt_fd_init(void);
 int rt_fd_alloc(void); /* lowest free index >= 4, or -1 */
 fd_entry *rt_fd_get(uint32_t fd);
+int rt_fd_set_nonblock(fd_entry *e, int nonblock); /* on e's host fd; 0 or -1 with errno */
 
 /* Moves bytes between e's host fd and the guest iovec array at iovs (out:
  * guest to host) with one sendmsg/recvmsg (sockets) or writev/readv (other
@@ -152,6 +153,7 @@ uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int
                      uint32_t *moved);
 uint32_t rt_sock_recv(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t ri_flags,
                       uint32_t *nread); /* sock_recv without its out-cells */
+uint64_t rt_sock_readable_bytes(fd_entry *e); /* bytes buffered for reading */
 
 /* ---- guest args/env ---- */
 void rt_args_init(void);
@@ -161,7 +163,8 @@ extern int rt_envc;
 extern const char *rt_envv[64];
 
 /* ---- profiling ---- */
-enum { P_GUEST = 0, P_WASI, P_MEM, P_TIMER, P_SOCK, P_HOSTIO, P_NBUCKETS };
+/* in the order of seam.profiler.BUCKETS; a row's scope is P_<its bucket> */
+enum { P_GUEST = 0, P_WASI, P_MEMORY, P_TIMER, P_SOCKET, P_HOSTIO, P_NBUCKETS };
 void prof_init(void);
 void prof_push(int bucket);
 void prof_pop(void);
@@ -171,6 +174,7 @@ extern int prof_on;
 uint32_t rt_errno_to_wasi(int err);
 uint64_t rt_now_ns(int clock_id); /* 0 = realtime, 1 = monotonic */
 
-/* the WASI functions are declared in the generated abi.h (wasi_*.c only) */
+/* the WASI rows and their bodies wasi_<name> are declared in the generated
+ * abi.h (abi.c and wasi_*.c only) */
 
 #endif /* SEAM_RT_H */

@@ -55,21 +55,18 @@ uint64_t rt_now_ns(int clock_id)
 
 /* ---- args / environ ---- */
 
-uint32_t args_sizes_get(uint32_t argc_out, uint32_t bufsize_out)
+uint32_t wasi_args_sizes_get(uint32_t argc_out, uint32_t bufsize_out)
 {
-    prof_push(P_WASI);
     uint32_t total = 0;
     for (int i = 0; i < rt_argc; i++)
         total += (uint32_t)strlen(rt_argv[i]) + 1;
     lm_set_u32(argc_out, (uint32_t)rt_argc);
     lm_set_u32(bufsize_out, total);
-    prof_pop();
     return W_SUCCESS;
 }
 
-uint32_t args_get(uint32_t argv, uint32_t argv_buf)
+uint32_t wasi_args_get(uint32_t argv, uint32_t argv_buf)
 {
-    prof_push(P_WASI);
     uint32_t off = argv_buf;
     for (int i = 0; i < rt_argc; i++) {
         size_t n = strlen(rt_argv[i]) + 1;
@@ -77,25 +74,21 @@ uint32_t args_get(uint32_t argv, uint32_t argv_buf)
         lm_set_u32(argv + 4u * (uint32_t)i, off);
         off += (uint32_t)n;
     }
-    prof_pop();
     return W_SUCCESS;
 }
 
-uint32_t environ_sizes_get(uint32_t envc_out, uint32_t bufsize_out)
+uint32_t wasi_environ_sizes_get(uint32_t envc_out, uint32_t bufsize_out)
 {
-    prof_push(P_WASI);
     uint32_t total = 0;
     for (int i = 0; i < rt_envc; i++)
         total += (uint32_t)strlen(rt_envv[i]) + 1;
     lm_set_u32(envc_out, (uint32_t)rt_envc);
     lm_set_u32(bufsize_out, total);
-    prof_pop();
     return W_SUCCESS;
 }
 
-uint32_t environ_get(uint32_t environ_ptrs, uint32_t environ_buf)
+uint32_t wasi_environ_get(uint32_t environ_ptrs, uint32_t environ_buf)
 {
-    prof_push(P_WASI);
     uint32_t off = environ_buf;
     for (int i = 0; i < rt_envc; i++) {
         size_t n = strlen(rt_envv[i]) + 1;
@@ -103,59 +96,46 @@ uint32_t environ_get(uint32_t environ_ptrs, uint32_t environ_buf)
         lm_set_u32(environ_ptrs + 4u * (uint32_t)i, off);
         off += (uint32_t)n;
     }
-    prof_pop();
     return W_SUCCESS;
 }
 
 /* ---- clocks / random / proc ---- */
 
-uint32_t clock_res_get(uint32_t id, uint32_t res_out)
+uint32_t wasi_clock_res_get(uint32_t id, uint32_t res_out)
 {
-    prof_push(P_TIMER);
-    if (id > 1) {
-        prof_pop();
+    if (id > 1)
         return W_INVAL;
-    }
     struct timespec ts;
     clock_getres(id == 0 ? CLOCK_REALTIME : CLOCK_MONOTONIC, &ts);
     lm_set_u64(res_out, (uint64_t)ts.tv_sec * 1000000000ull + (uint64_t)ts.tv_nsec);
-    prof_pop();
     return W_SUCCESS;
 }
 
-uint32_t clock_time_get(uint32_t id, uint64_t precision, uint32_t time_out)
+uint32_t wasi_clock_time_get(uint32_t id, uint64_t precision, uint32_t time_out)
 {
     (void)precision;
-    prof_push(P_TIMER);
-    if (id > 1) {
-        prof_pop();
+    if (id > 1)
         return W_INVAL;
-    }
     lm_set_u64(time_out, rt_now_ns((int)id));
-    prof_pop();
     return W_SUCCESS;
 }
 
-uint32_t random_get(uint32_t buf, uint32_t len)
+uint32_t wasi_random_get(uint32_t buf, uint32_t len)
 {
-    prof_push(P_WASI);
     uint8_t *p = lm_ptr(buf, len);
-    uint32_t done = 0;
+    uint32_t r = W_SUCCESS;
     prof_push(P_HOSTIO);
-    while (done < len) {
+    for (uint32_t done = 0; done < len;) {
         ssize_t n = getrandom(p + done, len - done, 0);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            prof_pop();
-            prof_pop();
-            return rt_errno_to_wasi(errno);
+        if (n >= 0)
+            done += (uint32_t)n;
+        else if (errno != EINTR) {
+            r = rt_errno_to_wasi(errno);
+            break;
         }
-        done += (uint32_t)n;
     }
     prof_pop();
-    prof_pop();
-    return W_SUCCESS;
+    return r;
 }
 
 void proc_exit(uint32_t code)
@@ -164,7 +144,7 @@ void proc_exit(uint32_t code)
     exit((int)code);
 }
 
-uint32_t sched_yield(void)
+uint32_t wasi_sched_yield(void)
 {
     return W_SUCCESS;
 }
@@ -184,126 +164,102 @@ static uint32_t stdio_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_le
     return r;
 }
 
-uint32_t fd_write(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nwritten)
+uint32_t wasi_fd_write(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nwritten)
 {
     fd_entry *e = rt_fd_get(fd);
     if (!e)
         return W_BADF;
-    if (e->kind == FK_SOCKET)
-        return sock_send(fd, iovs, iovs_len, 0, nwritten);
-    prof_push(P_WASI);
-    uint32_t r;
+    if (e->kind == FK_SOCKET) {
+        prof_push(P_SOCKET);
+        uint32_t r = wasi_sock_send(fd, iovs, iovs_len, 0, nwritten);
+        prof_pop();
+        return r;
+    }
     if (e->kind == FK_STDIO)
-        r = stdio_xfer(e, 1, iovs, iovs_len, nwritten);
-    else if (e->kind == FK_TARFILE)
-        r = W_ROFS;
-    else
-        r = W_ISDIR;
-    prof_pop();
-    return r;
+        return stdio_xfer(e, 1, iovs, iovs_len, nwritten);
+    return e->kind == FK_TARFILE ? W_ROFS : W_ISDIR;
 }
 
-uint32_t fd_read(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nread)
+uint32_t wasi_fd_read(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nread)
 {
     fd_entry *e = rt_fd_get(fd);
     if (!e)
         return W_BADF;
     if (e->kind == FK_SOCKET) {
         uint32_t n;
+        prof_push(P_SOCKET);
         uint32_t r = rt_sock_recv(fd, iovs, iovs_len, 0, &n);
+        prof_pop();
         if (r == W_SUCCESS)
             lm_set_u32(nread, n);
         return r;
     }
-    prof_push(P_WASI);
-    uint32_t r = W_SUCCESS;
-    if (e->kind == FK_TARDIR) {
-        r = W_ISDIR;
-    } else if (e->kind == FK_TARFILE) {
-        uint64_t total = 0;
-        for (uint32_t i = 0; i < iovs_len; i++) {
-            uint32_t buf = lm_get_u32(iovs + 8 * i);
-            uint32_t len = lm_get_u32(iovs + 8 * i + 4);
-            uint8_t *p = lm_ptr(buf, len);
-            uint64_t avail = e->node->size - e->cursor;
-            uint64_t take = len < avail ? len : avail;
-            memcpy(p, e->node->content + e->cursor, (size_t)take);
-            e->cursor += take;
-            total += take;
-            if (take < len)
-                break;
-        }
-        lm_set_u32(nread, (uint32_t)total);
-    } else { /* stdio */
-        r = stdio_xfer(e, 0, iovs, iovs_len, nread);
+    if (e->kind == FK_STDIO)
+        return stdio_xfer(e, 0, iovs, iovs_len, nread);
+    if (e->kind == FK_TARDIR)
+        return W_ISDIR;
+    uint64_t total = 0;
+    for (uint32_t i = 0; i < iovs_len; i++) {
+        uint32_t buf = lm_get_u32(iovs + 8 * i);
+        uint32_t len = lm_get_u32(iovs + 8 * i + 4);
+        uint8_t *p = lm_ptr(buf, len);
+        uint64_t avail = e->node->size - e->cursor;
+        uint64_t take = len < avail ? len : avail;
+        memcpy(p, e->node->content + e->cursor, (size_t)take);
+        e->cursor += take;
+        total += take;
+        if (take < len)
+            break;
     }
-    prof_pop();
-    return r;
+    lm_set_u32(nread, (uint32_t)total);
+    return W_SUCCESS;
 }
 
-uint32_t fd_close(uint32_t fd)
+uint32_t wasi_fd_close(uint32_t fd)
 {
-    prof_push(P_WASI);
     fd_entry *e = rt_fd_get(fd);
-    if (!e) {
-        prof_pop();
+    if (!e)
         return W_BADF;
-    }
-    if (fd < 4) { /* keep stdio and the preopen pinned */
-        prof_pop();
+    if (fd < 4) /* keep stdio and the preopen pinned */
         return fd <= 2 ? W_SUCCESS : W_BADF;
-    }
     if (e->kind == FK_SOCKET && e->host_fd >= 0) {
         prof_push(P_HOSTIO);
         close(e->host_fd);
         prof_pop();
     }
     memset(e, 0, sizeof *e);
-    prof_pop();
     return W_SUCCESS;
 }
 
-uint32_t fd_seek(uint32_t fd, uint64_t offset, uint32_t whence, uint32_t newoffset_out)
+uint32_t wasi_fd_seek(uint32_t fd, uint64_t offset, uint32_t whence, uint32_t newoffset_out)
 {
-    prof_push(P_WASI);
     fd_entry *e = rt_fd_get(fd);
-    uint32_t r = W_SUCCESS;
-    if (!e) {
-        r = W_BADF;
-    } else if (e->kind != FK_TARFILE) {
-        r = e->kind == FK_TARDIR ? W_ISDIR : W_SPIPE;
-    } else {
-        int64_t soff = (int64_t)offset;
-        int64_t target;
-        if (whence == 0)
-            target = soff;
-        else if (whence == 1)
-            target = (int64_t)e->cursor + soff;
-        else if (whence == 2)
-            target = (int64_t)e->node->size + soff;
-        else {
-            prof_pop();
-            return W_INVAL;
-        }
-        if (target < 0 || (uint64_t)target > e->node->size) {
-            r = W_INVAL;
-        } else {
-            e->cursor = (uint64_t)target;
-            lm_set_u64(newoffset_out, e->cursor);
-        }
-    }
-    prof_pop();
-    return r;
+    if (!e)
+        return W_BADF;
+    if (e->kind != FK_TARFILE)
+        return e->kind == FK_TARDIR ? W_ISDIR : W_SPIPE;
+    int64_t soff = (int64_t)offset;
+    int64_t target;
+    if (whence == 0)
+        target = soff;
+    else if (whence == 1)
+        target = (int64_t)e->cursor + soff;
+    else if (whence == 2)
+        target = (int64_t)e->node->size + soff;
+    else
+        return W_INVAL;
+    if (target < 0 || (uint64_t)target > e->node->size)
+        return W_INVAL;
+    e->cursor = (uint64_t)target;
+    lm_set_u64(newoffset_out, e->cursor);
+    return W_SUCCESS;
 }
 
-uint32_t fd_fdstat_get(uint32_t fd, uint32_t out)
+uint32_t wasi_fd_fdstat_get(uint32_t fd, uint32_t out)
 {
-    prof_push(P_WASI);
     fd_entry *e = rt_fd_get(fd);
-    if (!e) {
-        prof_pop();
+    if (!e)
         return W_BADF;
-    }
     uint8_t *p = lm_ptr(out, 24);
     memset(p, 0, 24);
     uint64_t rights = 0;
@@ -333,28 +289,21 @@ uint32_t fd_fdstat_get(uint32_t fd, uint32_t out)
     memcpy(p + 2, &e->fdflags, 2);
     memcpy(p + 8, &rights, 8);
     memcpy(p + 16, &rights, 8);
-    prof_pop();
     return W_SUCCESS;
 }
 
-int rt_sock_set_nonblock(fd_entry *e, int nonblock); /* wasi_sock.c */
-
-uint32_t fd_fdstat_set_flags(uint32_t fd, uint32_t flags)
+uint32_t wasi_fd_fdstat_set_flags(uint32_t fd, uint32_t flags)
 {
-    prof_push(P_WASI);
     fd_entry *e = rt_fd_get(fd);
-    uint32_t r = W_SUCCESS;
     if (!e)
-        r = W_BADF;
-    else if (flags & ~(uint32_t)(FDFLAG_APPEND | FDFLAG_NONBLOCK))
-        r = W_INVAL;
-    else {
-        e->fdflags = (uint16_t)flags;
-        if (e->kind == FK_SOCKET && rt_sock_set_nonblock(e, (flags & FDFLAG_NONBLOCK) != 0) != 0)
-            r = rt_errno_to_wasi(errno);
-    }
-    prof_pop();
-    return r;
+        return W_BADF;
+    if (flags & ~(uint32_t)(FDFLAG_APPEND | FDFLAG_NONBLOCK))
+        return W_INVAL;
+    e->fdflags = (uint16_t)flags;
+    if ((e->kind == FK_STDIO || e->kind == FK_SOCKET)
+        && rt_fd_set_nonblock(e, (flags & FDFLAG_NONBLOCK) != 0) != 0)
+        return rt_errno_to_wasi(errno);
+    return W_SUCCESS;
 }
 
 static void fill_filestat(uint8_t *p, const tar_node *n, int node_index)
@@ -372,167 +321,130 @@ static void fill_filestat(uint8_t *p, const tar_node *n, int node_index)
     memcpy(p + 56, &mtime_ns, 8); /* ctim */
 }
 
-uint32_t fd_filestat_get(uint32_t fd, uint32_t out)
+uint32_t wasi_fd_filestat_get(uint32_t fd, uint32_t out)
 {
-    prof_push(P_WASI);
     fd_entry *e = rt_fd_get(fd);
-    uint32_t r = W_SUCCESS;
-    if (!e) {
-        r = W_BADF;
-    } else if (e->kind == FK_TARFILE || e->kind == FK_TARDIR) {
+    if (!e)
+        return W_BADF;
+    if (e->kind == FK_TARFILE || e->kind == FK_TARDIR) {
         fill_filestat(lm_ptr(out, 64), e->node, rt_fs_node_index(e->node));
     } else {
         uint8_t *p = lm_ptr(out, 64);
         memset(p, 0, 64);
         p[16] = e->kind == FK_SOCKET ? FT_SOCKET_STREAM : FT_CHARACTER_DEVICE;
     }
-    prof_pop();
-    return r;
+    return W_SUCCESS;
 }
 
-uint32_t path_filestat_get(uint32_t fd, uint32_t flags, uint32_t path, uint32_t path_len,
-                           uint32_t out)
+uint32_t wasi_path_filestat_get(uint32_t fd, uint32_t flags, uint32_t path, uint32_t path_len,
+                                uint32_t out)
 {
     (void)flags;
-    prof_push(P_WASI);
     fd_entry *e = rt_fd_get(fd);
-    uint32_t r = W_SUCCESS;
     if (!e)
-        r = W_BADF;
-    else if (e->kind != FK_TARDIR)
-        r = W_NOTDIR;
-    else {
-        const char *p = lm_ptr(path, path_len);
-        int werr;
-        const tar_node *n = rt_fs_lookup_at(e->node, p, path_len, &werr);
-        if (!n)
-            r = (uint32_t)werr;
-        else
-            fill_filestat(lm_ptr(out, 64), n, rt_fs_node_index(n));
-    }
-    prof_pop();
-    return r;
+        return W_BADF;
+    if (e->kind != FK_TARDIR)
+        return W_NOTDIR;
+    int werr;
+    const tar_node *n = rt_fs_lookup_at(e->node, lm_ptr(path, path_len), path_len, &werr);
+    if (!n)
+        return (uint32_t)werr;
+    fill_filestat(lm_ptr(out, 64), n, rt_fs_node_index(n));
+    return W_SUCCESS;
 }
 
-uint32_t fd_prestat_get(uint32_t fd, uint32_t out)
+uint32_t wasi_fd_prestat_get(uint32_t fd, uint32_t out)
 {
-    prof_push(P_WASI);
-    fd_entry *e = rt_fd_get(fd);
-    uint32_t r = W_SUCCESS;
-    if (!e)
-        r = W_BADF;
-    else if (fd != 3)
-        r = W_BADF; /* only the root preopen */
-    else {
-        uint8_t *p = lm_ptr(out, 8);
-        memset(p, 0, 8);
-        p[0] = 0; /* preopentype::dir */
-        uint32_t name_len = 1; /* "/" */
-        memcpy(p + 4, &name_len, 4);
-    }
-    prof_pop();
-    return r;
+    if (fd != 3 || !rt_fd_get(fd)) /* only the root preopen */
+        return W_BADF;
+    uint8_t *p = lm_ptr(out, 8);
+    memset(p, 0, 8);
+    p[0] = 0; /* preopentype::dir */
+    uint32_t name_len = 1; /* "/" */
+    memcpy(p + 4, &name_len, 4);
+    return W_SUCCESS;
 }
 
-uint32_t fd_prestat_dir_name(uint32_t fd, uint32_t path, uint32_t path_len)
+uint32_t wasi_fd_prestat_dir_name(uint32_t fd, uint32_t path, uint32_t path_len)
 {
-    prof_push(P_WASI);
-    uint32_t r = W_SUCCESS;
     if (fd != 3 || !rt_fd_get(fd))
-        r = W_BADF;
-    else if (path_len < 1)
-        r = W_INVAL;
-    else
-        memcpy(lm_ptr(path, 1), "/", 1);
-    prof_pop();
-    return r;
+        return W_BADF;
+    if (path_len < 1)
+        return W_INVAL;
+    memcpy(lm_ptr(path, 1), "/", 1);
+    return W_SUCCESS;
 }
 
-uint32_t path_open(uint32_t dirfd, uint32_t dirflags, uint32_t path, uint32_t path_len,
-                   uint32_t oflags, uint64_t rights_base, uint64_t rights_inheriting,
-                   uint32_t fdflags, uint32_t fd_out)
+uint32_t wasi_path_open(uint32_t dirfd, uint32_t dirflags, uint32_t path, uint32_t path_len,
+                        uint32_t oflags, uint64_t rights_base, uint64_t rights_inheriting,
+                        uint32_t fdflags, uint32_t fd_out)
 {
     (void)dirflags;
     (void)rights_base;
     (void)rights_inheriting;
-    prof_push(P_WASI);
     fd_entry *e = rt_fd_get(dirfd);
-    uint32_t r = W_SUCCESS;
-    if (!e) {
-        r = W_BADF;
-    } else if (e->kind != FK_TARDIR) {
-        r = W_NOTDIR;
-    } else if (oflags & (OFLAG_CREAT | OFLAG_TRUNC)) {
-        r = W_ROFS; /* read-only filesystem */
-    } else {
-        const char *p = lm_ptr(path, path_len);
-        int werr;
-        const tar_node *n = rt_fs_lookup_at(e->node, p, path_len, &werr);
-        if (!n) {
-            r = (uint32_t)werr;
-        } else if ((oflags & OFLAG_DIRECTORY) && !n->is_dir) {
-            r = W_NOTDIR;
-        } else {
-            int nfd = rt_fd_alloc();
-            if (nfd < 0) {
-                r = W_NFILE;
-            } else {
-                rt_fdt[nfd].kind = n->is_dir ? FK_TARDIR : FK_TARFILE;
-                rt_fdt[nfd].node = n;
-                rt_fdt[nfd].cursor = 0;
-                rt_fdt[nfd].fdflags = (uint16_t)fdflags;
-                lm_set_u32(fd_out, (uint32_t)nfd);
-            }
-        }
-    }
-    prof_pop();
-    return r;
+    if (!e)
+        return W_BADF;
+    if (e->kind != FK_TARDIR)
+        return W_NOTDIR;
+    if (oflags & (OFLAG_CREAT | OFLAG_TRUNC))
+        return W_ROFS; /* read-only filesystem */
+    int werr;
+    const tar_node *n = rt_fs_lookup_at(e->node, lm_ptr(path, path_len), path_len, &werr);
+    if (!n)
+        return (uint32_t)werr;
+    if ((oflags & OFLAG_DIRECTORY) && !n->is_dir)
+        return W_NOTDIR;
+    int nfd = rt_fd_alloc();
+    if (nfd < 0)
+        return W_NFILE;
+    rt_fdt[nfd].kind = n->is_dir ? FK_TARDIR : FK_TARFILE;
+    rt_fdt[nfd].node = n;
+    rt_fdt[nfd].cursor = 0;
+    rt_fdt[nfd].fdflags = (uint16_t)fdflags;
+    lm_set_u32(fd_out, (uint32_t)nfd);
+    return W_SUCCESS;
 }
 
-uint32_t fd_readdir(uint32_t fd, uint32_t buf, uint32_t buf_len, uint64_t cookie,
-                    uint32_t used_out)
+uint32_t wasi_fd_readdir(uint32_t fd, uint32_t buf, uint32_t buf_len, uint64_t cookie,
+                         uint32_t used_out)
 {
-    prof_push(P_WASI);
     fd_entry *e = rt_fd_get(fd);
-    uint32_t r = W_SUCCESS;
-    if (!e) {
-        r = W_BADF;
-    } else if (e->kind != FK_TARDIR) {
-        r = W_NOTDIR;
-    } else {
-        int me = rt_fs_node_index(e->node);
-        /* children enumerated in node order; the cookie is the ordinal */
-        uint32_t used = 0;
-        uint64_t ordinal = 0;
-        for (int i = 0; i < rt_fs_count() && used < buf_len; i++) {
-            const tar_node *n = rt_fs_node(i);
-            if (n->parent != me)
-                continue;
-            if (ordinal++ < cookie)
-                continue;
-            const char *name = rt_fs_basename(n);
-            uint32_t namlen = (uint32_t)strlen(name);
-            uint8_t dirent[24];
-            memset(dirent, 0, sizeof dirent);
-            uint64_t next = ordinal; /* cookie of the entry after this one */
-            uint64_t ino = (uint64_t)i + 1;
-            memcpy(dirent + 0, &next, 8);
-            memcpy(dirent + 8, &ino, 8);
-            memcpy(dirent + 16, &namlen, 4);
-            dirent[20] = n->is_dir ? FT_DIRECTORY : FT_REGULAR_FILE;
-            uint32_t take = buf_len - used < 24 ? buf_len - used : 24;
-            memcpy(lm_ptr(buf + used, take), dirent, take);
-            used += take;
-            if (take < 24)
-                break;
-            take = buf_len - used < namlen ? buf_len - used : namlen;
-            memcpy(lm_ptr(buf + used, take), name, take);
-            used += take;
-            if (take < namlen)
-                break;
-        }
-        lm_set_u32(used_out, used);
+    if (!e)
+        return W_BADF;
+    if (e->kind != FK_TARDIR)
+        return W_NOTDIR;
+    int me = rt_fs_node_index(e->node);
+    /* children enumerated in node order; the cookie is the ordinal */
+    uint32_t used = 0;
+    uint64_t ordinal = 0;
+    for (int i = 0; i < rt_fs_count() && used < buf_len; i++) {
+        const tar_node *n = rt_fs_node(i);
+        if (n->parent != me)
+            continue;
+        if (ordinal++ < cookie)
+            continue;
+        const char *name = rt_fs_basename(n);
+        uint32_t namlen = (uint32_t)strlen(name);
+        uint8_t dirent[24];
+        memset(dirent, 0, sizeof dirent);
+        uint64_t next = ordinal; /* cookie of the entry after this one */
+        uint64_t ino = (uint64_t)i + 1;
+        memcpy(dirent + 0, &next, 8);
+        memcpy(dirent + 8, &ino, 8);
+        memcpy(dirent + 16, &namlen, 4);
+        dirent[20] = n->is_dir ? FT_DIRECTORY : FT_REGULAR_FILE;
+        uint32_t take = buf_len - used < 24 ? buf_len - used : 24;
+        memcpy(lm_ptr(buf + used, take), dirent, take);
+        used += take;
+        if (take < 24)
+            break;
+        take = buf_len - used < namlen ? buf_len - used : namlen;
+        memcpy(lm_ptr(buf + used, take), name, take);
+        used += take;
+        if (take < namlen)
+            break;
     }
-    prof_pop();
-    return r;
+    lm_set_u32(used_out, used);
+    return W_SUCCESS;
 }

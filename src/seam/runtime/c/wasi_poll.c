@@ -17,8 +17,6 @@
 #define SUBCLOCK_ABSTIME 1
 #define EVTRW_HANGUP 1
 
-uint64_t rt_sock_readable_bytes(fd_entry *e);
-
 struct sub {
     uint64_t userdata;
     uint8_t tag;
@@ -55,18 +53,21 @@ static uint32_t put_event(uint32_t events, uint32_t n, uint64_t userdata, uint16
     return n + 1;
 }
 
-uint32_t poll_oneoff(uint32_t subs_addr, uint32_t events_addr, uint32_t nsubscriptions,
-                     uint32_t nevents_out)
+/* the monotonic-ns deadline of a clock subscription on clock 0 or 1: a
+ * relative timeout counts from entry_mono, an absolute one from now_mono */
+static uint64_t clock_deadline(const struct sub *s, uint64_t entry_mono, uint64_t now_mono)
 {
-    prof_push(P_WASI);
-    if (nsubscriptions == 0) {
-        prof_pop();
+    if (!(s->clock_flags & SUBCLOCK_ABSTIME))
+        return entry_mono + s->timeout;
+    uint64_t now_clk = rt_now_ns((int)s->clock_id);
+    return now_mono + (s->timeout > now_clk ? s->timeout - now_clk : 0);
+}
+
+uint32_t wasi_poll_oneoff(uint32_t subs_addr, uint32_t events_addr, uint32_t nsubscriptions,
+                          uint32_t nevents_out)
+{
+    if (nsubscriptions == 0 || nsubscriptions > 128)
         return W_INVAL;
-    }
-    if (nsubscriptions > 128) {
-        prof_pop();
-        return W_INVAL;
-    }
     lm_ptr(events_addr, 32 * nsubscriptions); /* trap early if out of range */
 
     struct sub subs[128];
@@ -96,14 +97,7 @@ uint32_t poll_oneoff(uint32_t subs_addr, uint32_t events_addr, uint32_t nsubscri
                     have_immediate = 1;
                     continue;
                 }
-                uint64_t deadline_mono;
-                if (s->clock_flags & SUBCLOCK_ABSTIME) {
-                    uint64_t now_clk = rt_now_ns((int)s->clock_id);
-                    uint64_t remain = s->timeout > now_clk ? s->timeout - now_clk : 0;
-                    deadline_mono = now_mono + remain;
-                } else {
-                    deadline_mono = entry_mono + s->timeout;
-                }
+                uint64_t deadline_mono = clock_deadline(s, entry_mono, now_mono);
                 if (deadline_mono <= now_mono) {
                     n = put_event(events_addr, n, s->userdata, W_SUCCESS, EVT_CLOCK, 0, 0);
                     fired[i] = 1;
@@ -157,15 +151,13 @@ uint32_t poll_oneoff(uint32_t subs_addr, uint32_t events_addr, uint32_t nsubscri
         int rc;
         /* waiting on socket readiness is packet-path time (the lwIP/RX
          * analog); a pure clock sleep is timer; other fds are host I/O */
-        prof_push(npfd == 0 ? P_TIMER : (any_socket ? P_SOCK : P_HOSTIO));
+        prof_push(npfd == 0 ? P_TIMER : (any_socket ? P_SOCKET : P_HOSTIO));
         do {
             rc = poll(npfd ? pfds : NULL, (nfds_t)npfd, timeout_ms);
         } while (rc < 0 && errno == EINTR);
         prof_pop();
-        if (rc < 0) {
-            prof_pop();
+        if (rc < 0)
             return rt_errno_to_wasi(errno);
-        }
 
         for (int k = 0; k < npfd; k++) {
             if (!pfds[k].revents)
@@ -195,15 +187,7 @@ uint32_t poll_oneoff(uint32_t subs_addr, uint32_t events_addr, uint32_t nsubscri
                 struct sub *s = &subs[i];
                 if (s->tag != EVT_CLOCK || s->clock_id > 1 || fired[i])
                     continue;
-                uint64_t deadline_mono;
-                if (s->clock_flags & SUBCLOCK_ABSTIME) {
-                    uint64_t now_clk = rt_now_ns((int)s->clock_id);
-                    uint64_t remain = s->timeout > now_clk ? s->timeout - now_clk : 0;
-                    deadline_mono = now2 + remain;
-                } else {
-                    deadline_mono = entry_mono + s->timeout;
-                }
-                if (deadline_mono <= now2)
+                if (clock_deadline(s, entry_mono, now2) <= now2)
                     n = put_event(events_addr, n, s->userdata, W_SUCCESS, EVT_CLOCK, 0, 0);
             }
         }
@@ -214,6 +198,5 @@ uint32_t poll_oneoff(uint32_t subs_addr, uint32_t events_addr, uint32_t nsubscri
     }
 
     lm_set_u32(nevents_out, n);
-    prof_pop();
     return W_SUCCESS;
 }

@@ -13,7 +13,6 @@
 
 #include <arpa/inet.h>
 #include <errno.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
@@ -32,15 +31,6 @@
 #define RIFLAG_RECV_WAITALL 0x2u
 #define SDFLAG_RD 0x1u
 #define SDFLAG_WR 0x2u
-
-int rt_sock_set_nonblock(fd_entry *e, int nonblock)
-{
-    int fl = fcntl(e->host_fd, F_GETFL, 0);
-    if (fl < 0)
-        return -1;
-    fl = nonblock ? (fl | O_NONBLOCK) : (fl & ~O_NONBLOCK);
-    return fcntl(e->host_fd, F_SETFL, fl);
-}
 
 /* the WasmEdge address record: {buf: u32 ptr, buf_len: u32} */
 static uint32_t read_addr_v4(uint32_t addr_rec, struct in_addr *out)
@@ -63,33 +53,24 @@ static uint32_t write_addr_v4(uint32_t addr_rec, const struct in_addr *in)
     return W_SUCCESS;
 }
 
-uint32_t sock_open(uint32_t af, uint32_t socktype, uint32_t fd_out)
+uint32_t wasi_sock_open(uint32_t af, uint32_t socktype, uint32_t fd_out)
 {
-    prof_push(P_SOCK);
-    uint32_t r = W_SUCCESS;
-    if (af != AF_W_INET4) {
-        r = W_AFNOSUPPORT;
-    } else if (socktype != SOCK_W_STREAM) {
-        r = W_INVAL; /* only TCP is in scope */
-    } else {
-        int nfd = rt_fd_alloc();
-        if (nfd < 0) {
-            r = W_NFILE;
-        } else {
-            int hfd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-            if (hfd < 0) {
-                r = rt_errno_to_wasi(errno);
-            } else {
-                rt_fdt[nfd].kind = FK_SOCKET;
-                rt_fdt[nfd].sstate = SS_CREATED;
-                rt_fdt[nfd].host_fd = hfd;
-                rt_fdt[nfd].fdflags = 0;
-                lm_set_u32(fd_out, (uint32_t)nfd);
-            }
-        }
-    }
-    prof_pop();
-    return r;
+    if (af != AF_W_INET4)
+        return W_AFNOSUPPORT;
+    if (socktype != SOCK_W_STREAM)
+        return W_INVAL; /* only TCP is in scope */
+    int nfd = rt_fd_alloc();
+    if (nfd < 0)
+        return W_NFILE;
+    int hfd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (hfd < 0)
+        return rt_errno_to_wasi(errno);
+    rt_fdt[nfd].kind = FK_SOCKET;
+    rt_fdt[nfd].sstate = SS_CREATED;
+    rt_fdt[nfd].host_fd = hfd;
+    rt_fdt[nfd].fdflags = 0;
+    lm_set_u32(fd_out, (uint32_t)nfd);
+    return W_SUCCESS;
 }
 
 static fd_entry *get_sock(uint32_t fd, uint32_t *err)
@@ -107,90 +88,60 @@ static fd_entry *get_sock(uint32_t fd, uint32_t *err)
     return e;
 }
 
-uint32_t sock_bind(uint32_t fd, uint32_t addr_rec, uint32_t port)
+uint32_t wasi_sock_bind(uint32_t fd, uint32_t addr_rec, uint32_t port)
 {
-    prof_push(P_SOCK);
     uint32_t err;
     fd_entry *e = get_sock(fd, &err);
-    if (!e) {
-        prof_pop();
+    if (!e)
         return err;
-    }
-    if (e->sstate != SS_CREATED) {
-        prof_pop();
+    if (e->sstate != SS_CREATED)
         return W_INVAL;
-    }
     struct sockaddr_in sa;
     memset(&sa, 0, sizeof sa);
     sa.sin_family = AF_INET;
     sa.sin_port = htons((uint16_t)port);
     err = read_addr_v4(addr_rec, &sa.sin_addr);
-    if (err != W_SUCCESS) {
-        prof_pop();
+    if (err != W_SUCCESS)
         return err;
-    }
     int one = 1;
     setsockopt(e->host_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    if (bind(e->host_fd, (struct sockaddr *)&sa, sizeof sa) != 0) {
-        err = rt_errno_to_wasi(errno);
-        prof_pop();
-        return err;
-    }
+    if (bind(e->host_fd, (struct sockaddr *)&sa, sizeof sa) != 0)
+        return rt_errno_to_wasi(errno);
     e->sstate = SS_BOUND;
-    prof_pop();
     return W_SUCCESS;
 }
 
-uint32_t sock_listen(uint32_t fd, uint32_t backlog)
+uint32_t wasi_sock_listen(uint32_t fd, uint32_t backlog)
 {
-    prof_push(P_SOCK);
     uint32_t err;
     fd_entry *e = get_sock(fd, &err);
-    if (!e) {
-        prof_pop();
+    if (!e)
         return err;
-    }
-    if (e->sstate != SS_BOUND) { /* listen before bind is a state error here */
-        prof_pop();
+    if (e->sstate != SS_BOUND) /* listen before bind is a state error here */
         return W_INVAL;
-    }
-    if (listen(e->host_fd, (int)(backlog ? backlog : 16)) != 0) {
-        err = rt_errno_to_wasi(errno);
-        prof_pop();
-        return err;
-    }
+    if (listen(e->host_fd, (int)(backlog ? backlog : 16)) != 0)
+        return rt_errno_to_wasi(errno);
     e->sstate = SS_LISTENING;
-    prof_pop();
     return W_SUCCESS;
 }
 
-uint32_t sock_accept(uint32_t fd, uint32_t flags, uint32_t fd_out)
+uint32_t wasi_sock_accept(uint32_t fd, uint32_t flags, uint32_t fd_out)
 {
-    prof_push(P_SOCK);
     uint32_t err;
     fd_entry *e = get_sock(fd, &err);
-    if (!e) {
-        prof_pop();
+    if (!e)
         return err;
-    }
-    if (e->sstate != SS_LISTENING) {
-        prof_pop();
+    if (e->sstate != SS_LISTENING)
         return W_INVAL;
-    }
     int nfd = rt_fd_alloc();
-    if (nfd < 0) {
-        prof_pop();
+    if (nfd < 0)
         return W_NFILE;
-    }
     int hfd;
     do {
         hfd = accept(e->host_fd, NULL, NULL);
     } while (hfd < 0 && errno == EINTR && !(e->fdflags & FDFLAG_NONBLOCK));
-    if (hfd < 0) {
-        err = rt_errno_to_wasi(errno);
-        prof_pop();
-        return err;
-    }
+    if (hfd < 0)
+        return rt_errno_to_wasi(errno);
     rt_fdt[nfd].kind = FK_SOCKET;
     rt_fdt[nfd].sstate = SS_CONNECTED;
     rt_fdt[nfd].host_fd = hfd;
@@ -198,76 +149,57 @@ uint32_t sock_accept(uint32_t fd, uint32_t flags, uint32_t fd_out)
     int one = 1;
     setsockopt(hfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     if (flags & FDFLAG_NONBLOCK)
-        rt_sock_set_nonblock(&rt_fdt[nfd], 1);
+        rt_fd_set_nonblock(&rt_fdt[nfd], 1);
     lm_set_u32(fd_out, (uint32_t)nfd);
-    prof_pop();
     return W_SUCCESS;
 }
 
-uint32_t sock_connect(uint32_t fd, uint32_t addr_rec, uint32_t port)
+uint32_t wasi_sock_connect(uint32_t fd, uint32_t addr_rec, uint32_t port)
 {
-    prof_push(P_SOCK);
     uint32_t err;
     fd_entry *e = get_sock(fd, &err);
-    if (!e) {
-        prof_pop();
+    if (!e)
         return err;
-    }
-    if (e->sstate != SS_CREATED && e->sstate != SS_BOUND) {
-        prof_pop();
+    if (e->sstate != SS_CREATED && e->sstate != SS_BOUND)
         return e->sstate == SS_CONNECTED ? W_ISCONN : W_INVAL;
-    }
     struct sockaddr_in sa;
     memset(&sa, 0, sizeof sa);
     sa.sin_family = AF_INET;
     sa.sin_port = htons((uint16_t)port);
     err = read_addr_v4(addr_rec, &sa.sin_addr);
-    if (err != W_SUCCESS) {
-        prof_pop();
+    if (err != W_SUCCESS)
         return err;
-    }
     int rc;
     do {
         rc = connect(e->host_fd, (struct sockaddr *)&sa, sizeof sa);
     } while (rc != 0 && errno == EINTR);
-    if (rc != 0) {
-        err = rt_errno_to_wasi(errno);
-        prof_pop();
-        return err;
-    }
+    if (rc != 0)
+        return rt_errno_to_wasi(errno);
     e->sstate = SS_CONNECTED;
     int one = 1;
     setsockopt(e->host_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    prof_pop();
     return W_SUCCESS;
 }
 
 uint32_t rt_sock_recv(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t ri_flags,
                       uint32_t *nread)
 {
-    prof_push(P_SOCK);
     uint32_t err;
     fd_entry *e = get_sock(fd, &err);
-    if (!e) {
-        prof_pop();
+    if (!e)
         return err;
-    }
-    if (e->sstate != SS_CONNECTED && e->sstate != SS_SHUT) {
-        prof_pop();
+    if (e->sstate != SS_CONNECTED && e->sstate != SS_SHUT)
         return W_NOTCONN;
-    }
     int flags = 0;
     if (ri_flags & RIFLAG_RECV_PEEK)
         flags |= MSG_PEEK;
     if (ri_flags & RIFLAG_RECV_WAITALL)
         flags |= MSG_WAITALL;
-    err = rt_iov_xfer(e, 0, iovs, iovs_len, flags, nread);
-    prof_pop();
-    return err;
+    return rt_iov_xfer(e, 0, iovs, iovs_len, flags, nread);
 }
 
-uint32_t sock_recv(uint32_t fd, uint32_t ri_data, uint32_t ri_data_len, uint32_t ri_flags,
-                   uint32_t ro_datalen, uint32_t ro_flags)
+uint32_t wasi_sock_recv(uint32_t fd, uint32_t ri_data, uint32_t ri_data_len, uint32_t ri_flags,
+                        uint32_t ro_datalen, uint32_t ro_flags)
 {
     uint32_t n;
     uint32_t err = rt_sock_recv(fd, ri_data, ri_data_len, ri_flags, &n);
@@ -278,42 +210,31 @@ uint32_t sock_recv(uint32_t fd, uint32_t ri_data, uint32_t ri_data_len, uint32_t
     return err;
 }
 
-uint32_t sock_send(uint32_t fd, uint32_t si_data, uint32_t si_data_len, uint32_t si_flags,
-                   uint32_t so_datalen)
+uint32_t wasi_sock_send(uint32_t fd, uint32_t si_data, uint32_t si_data_len, uint32_t si_flags,
+                        uint32_t so_datalen)
 {
     (void)si_flags;
-    prof_push(P_SOCK);
     uint32_t err;
     fd_entry *e = get_sock(fd, &err);
-    if (!e) {
-        prof_pop();
+    if (!e)
         return err;
-    }
-    if (e->sstate != SS_CONNECTED) {
-        prof_pop();
+    if (e->sstate != SS_CONNECTED)
         return W_NOTCONN;
-    }
     uint32_t n;
     err = rt_iov_xfer(e, 1, si_data, si_data_len, 0, &n);
     if (err == W_SUCCESS)
         lm_set_u32(so_datalen, n);
-    prof_pop();
     return err;
 }
 
-uint32_t sock_shutdown(uint32_t fd, uint32_t how)
+uint32_t wasi_sock_shutdown(uint32_t fd, uint32_t how)
 {
-    prof_push(P_SOCK);
     uint32_t err;
     fd_entry *e = get_sock(fd, &err);
-    if (!e) {
-        prof_pop();
+    if (!e)
         return err;
-    }
-    if (e->sstate != SS_CONNECTED && e->sstate != SS_SHUT) {
-        prof_pop();
+    if (e->sstate != SS_CONNECTED && e->sstate != SS_SHUT)
         return W_NOTCONN;
-    }
     int h;
     if (how == SDFLAG_RD)
         h = SHUT_RD;
@@ -321,54 +242,43 @@ uint32_t sock_shutdown(uint32_t fd, uint32_t how)
         h = SHUT_WR;
     else if (how == (SDFLAG_RD | SDFLAG_WR))
         h = SHUT_RDWR;
-    else {
-        prof_pop();
+    else
         return W_INVAL;
-    }
-    if (shutdown(e->host_fd, h) != 0) {
-        err = rt_errno_to_wasi(errno);
-        prof_pop();
-        return err;
-    }
+    if (shutdown(e->host_fd, h) != 0)
+        return rt_errno_to_wasi(errno);
     e->sstate = SS_SHUT;
-    prof_pop();
     return W_SUCCESS;
 }
 
 static uint32_t getaddr_common(uint32_t fd, uint32_t addr_rec, uint32_t type_out,
                                uint32_t port_out, int peer)
 {
-    prof_push(P_SOCK);
     uint32_t err;
     fd_entry *e = get_sock(fd, &err);
-    if (!e) {
-        prof_pop();
+    if (!e)
         return err;
-    }
     struct sockaddr_in sa;
     socklen_t slen = sizeof sa;
     int rc = peer ? getpeername(e->host_fd, (struct sockaddr *)&sa, &slen)
                   : getsockname(e->host_fd, (struct sockaddr *)&sa, &slen);
-    if (rc != 0) {
-        err = rt_errno_to_wasi(errno);
-        prof_pop();
-        return err;
-    }
+    if (rc != 0)
+        return rt_errno_to_wasi(errno);
     err = write_addr_v4(addr_rec, &sa.sin_addr);
     if (err == W_SUCCESS) {
         lm_set_u32(type_out, 4); /* address type: IPv4 */
         lm_set_u32(port_out, ntohs(sa.sin_port));
     }
-    prof_pop();
     return err;
 }
 
-uint32_t sock_getlocaladdr(uint32_t fd, uint32_t addr_rec, uint32_t type_out, uint32_t port_out)
+uint32_t wasi_sock_getlocaladdr(uint32_t fd, uint32_t addr_rec, uint32_t type_out,
+                              uint32_t port_out)
 {
     return getaddr_common(fd, addr_rec, type_out, port_out, 0);
 }
 
-uint32_t sock_getpeeraddr(uint32_t fd, uint32_t addr_rec, uint32_t type_out, uint32_t port_out)
+uint32_t wasi_sock_getpeeraddr(uint32_t fd, uint32_t addr_rec, uint32_t type_out,
+                              uint32_t port_out)
 {
     return getaddr_common(fd, addr_rec, type_out, port_out, 1);
 }

@@ -11,7 +11,8 @@ import pytest
 
 from seam import elf
 from seam.cli import main as cli_main
-from seam.codegen import ABI, ALLOWED_UNRESOLVED, NOSYS, compile_wasm_file
+from seam.codegen import ABI, ALLOWED_UNRESOLVED, BUCKET, NOSYS, compile_wasm_file
+from seam.codegen.symbols import _parse
 from seam.driver import (
     BuildPlan,
     check_no_wasm_engine_dependency,
@@ -19,7 +20,9 @@ from seam.driver import (
     cmd_run,
 )
 from seam.errors import AbiViolation, LinkError
-from seam.runtime import runtime_objects
+from seam.profiler import BUCKETS
+from seam.runtime import C_DIR, CFLAGS, abi_header, runtime_objects
+from seam.wasm.model import FuncType
 
 from wasmgen import ModuleBuilder, empty_module
 
@@ -166,6 +169,27 @@ def test_runtime_defines_every_abi_row_once():
     assert len(ABI) == 55 and len(NOSYS) == 23 and NOSYS <= set(ABI)
     defined = Counter(sym for obj in runtime_objects() for sym in elf.symbols(obj)[0])
     assert {name: defined[name] for name in ABI} == dict.fromkeys(ABI, 1)
+
+
+def test_every_implemented_row_has_a_profile_bucket():
+    assert set(ABI) - NOSYS - set(BUCKET) == {"proc_exit"}  # never returns
+    assert set(BUCKET.values()) <= set(BUCKETS)
+    for bad in ("fd_close i32 -> i32 packets", "fd_close i32 -> i32"):
+        with pytest.raises(ValueError, match="fd_close"):
+            _parse(bad)
+
+
+def test_cc_checks_each_body_against_its_row(tmp_path, monkeypatch):
+    def syntax_check() -> subprocess.CompletedProcess:
+        (tmp_path / "abi.h").write_text(abi_header())
+        return subprocess.run(["cc", *CFLAGS, f"-I{tmp_path}", "-fsyntax-only",
+                               str(C_DIR / "wasi_core.c")], capture_output=True, text=True)
+
+    assert syntax_check().returncode == 0
+    monkeypatch.setitem(ABI, "fd_write", FuncType(("i32", "i64", "i32", "i32"), ("i32",)))
+    proc = syntax_check()
+    assert proc.returncode != 0
+    assert "conflicting types" in proc.stderr and "wasi_fd_write" in proc.stderr
 
 
 def test_warm_runtime_objects_start_no_subprocess(monkeypatch):

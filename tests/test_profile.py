@@ -1,14 +1,17 @@
 """Six-bucket profiler: shape checks on targeted micro-runs."""
 
+import struct
 import subprocess
 
 import pytest
 
 from seam.bench import LoadConfig
+from seam.driver import BuildPlan, cmd_build
 from seam.errors import ProfileDisabled
 from seam.profiler import BUCKETS, profile_run
 
 from conftest import free_port
+from wasmgen import ModuleBuilder
 
 
 def test_compute_guest_dominated_by_guest_bucket(built):
@@ -88,3 +91,35 @@ def test_profiling_overhead_documented(built, capsys):
     delta = 100.0 * (prof - base) / base
     print(f"\nprofiling overhead at desk scale: {delta:+.1f}% "
           f"(plain {base*1000:.1f} ms, profiled {prof*1000:.1f} ms)")
+
+
+def test_every_scope_kind_keeps_the_discipline(tmp_path):
+    """A guest built without clang opens every kind of scope: row scopes of
+    each bucket (wasi, timer, socket), hostio inside random_get and stdio
+    fd_write, timer inside poll_oneoff's clock sleep, and memory. A scope
+    out of discipline aborts the run, and then no report is written."""
+    b = ModuleBuilder()
+    wasi = {name: b.add_import("wasi_snapshot_preview1", name, params, ["i32"])
+            for name, params in [("random_get", ["i32"] * 2), ("fd_write", ["i32"] * 4),
+                                 ("poll_oneoff", ["i32"] * 4),
+                                 ("clock_time_get", ["i32", "i64", "i32"]),
+                                 ("sock_open", ["i32"] * 3)]}
+    b.set_memory(1, 2)
+    b.add_data(0, struct.pack("<II", 16, 3) + bytes(8) + b"ok\n")  # iovec -> "ok\n"
+    # a 2 ms relative clock subscription on the monotonic clock
+    b.add_data(64, struct.pack("<QB7xIIQQH6x", 7, 0, 1, 0, 2_000_000, 0, 0))
+    calls = [("random_get", [200, 16]), ("fd_write", [1, 0, 1, 24]),
+             ("poll_oneoff", [64, 128, 1, 160]), ("clock_time_get", [1, 0, 232]),
+             ("sock_open", [1, 2, 240])]
+    body = [("i32.const", 1), ("memory.grow",), ("drop",)]
+    for name, args in calls:
+        consts = [("i64.const" if (name, i) == ("clock_time_get", 1) else "i32.const", a)
+                  for i, a in enumerate(args)]
+        body += [*consts, ("call", wasi[name]), ("drop",)]
+    b.add_func([], [], [], body, export="_start")
+    wasm = tmp_path / "scopes.wasm"
+    wasm.write_bytes(b.build())
+    cmd_build(BuildPlan(wasm=wasm, output=tmp_path / "scopes"))
+    report = profile_run(tmp_path / "scopes")
+    assert report.buckets["timer"] >= 2_000_000
+    assert all(report.buckets[k] > 0 for k in BUCKETS), report.buckets

@@ -6,8 +6,11 @@ prestat 8 B; dirent 24 B + name. Addresses below are linear-memory offsets.
 
 import fcntl
 import io
+import json
 import os
 import struct
+import subprocess
+import sys
 import tarfile
 
 import pytest
@@ -82,6 +85,31 @@ def test_stdio_read_keeps_count_after_error(rtb):
         rtb.fdt[0].host_fd = 0
         os.close(r)
         os.close(w)
+
+
+NONBLOCK_STDIN_READER = """
+import json, os, sys
+sys.path[:0] = json.loads(sys.argv[1])
+from conftest import RuntimeLib
+from seam.runtime import test_shared_lib
+rt = RuntimeLib(test_shared_lib())
+rt.boot()
+r, w = os.pipe()
+rt.fdt[0].host_fd = r
+assert rt.lib.fd_fdstat_set_flags(0, 0x4) == 0
+rt.iovec(0, 64, 16)
+print(rt.lib.fd_read(0, 0, 1, 32))
+"""
+
+
+def test_nonblocking_stdin_read_is_again():
+    """NONBLOCK set on fd 0 reaches its host fd: fd_read on an empty pipe
+    returns AGAIN (6). In a child, so that a read that blocks fails the
+    test by the timeout instead of hanging the suite."""
+    proc = subprocess.run([sys.executable, "-c", NONBLOCK_STDIN_READER, json.dumps(sys.path)],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "6"
 
 
 def test_stdio_write_keeps_count_after_error(rt):
