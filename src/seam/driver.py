@@ -20,7 +20,7 @@ from . import elf
 from .codegen import ALLOWED_UNRESOLVED, compile_wasm_file, write_artifact
 from .errors import LinkError, SeamError
 from .runtime import runtime_objects
-from .tarfs import pack_dir
+from .tarfs import pack, pack_dir
 
 
 @dataclass
@@ -61,27 +61,26 @@ def cmd_compile(wasm: str | Path, out_obj: str | Path, cc: str = "cc", quiet: bo
 
 def cmd_pack(dir_path: str | Path, out_tar: str | Path) -> int:
     """Pack a directory into a deterministic ustar image; returns entry count."""
-    image = pack_dir(dir_path)
+    image, count = pack(dir_path)
     Path(out_tar).write_bytes(image)
-    # count entries: every 512-block header before the terminator
-    from .tarfs import mount
-
-    return len(mount(image).paths())
+    return count
 
 
-def _fs_image_asm(tar_path: Path) -> str:
-    # .incbin keeps the embedding exact and fast for any image size; the
-    # GNU-stack note keeps the linked executable's stack non-executable
+def _fs_image_asm(image_size: int) -> str:
+    # .incbin keeps the embedding exact and fast for any image size; it names
+    # the image relative to the build directory, where the assembler runs, so
+    # no output path has to survive assembler quoting. The GNU-stack note
+    # keeps the linked executable's stack non-executable
     return (
         '  .section .rodata\n'
         '  .global fs_image_start\n'
         '  .align 16\n'
         'fs_image_start:\n'
-        f'  .incbin "{tar_path}"\n'
+        '  .incbin "fs.tar"\n'
         '  .global fs_image_size\n'
         '  .align 8\n'
         'fs_image_size:\n'
-        f'  .quad {tar_path.stat().st_size}\n'
+        f'  .quad {image_size}\n'
         '  .section .note.GNU-stack,"",@progbits\n'
     )
 
@@ -102,13 +101,12 @@ def cmd_build(plan: BuildPlan) -> dict:
 
         link_inputs = [guest_obj]
         if plan.fs_dir is not None:
-            tar_path = build_dir / "fs.tar"
-            tar_path.write_bytes(pack_dir(plan.fs_dir))
-            asm_path = build_dir / "fs_image.s"
-            asm_path.write_text(_fs_image_asm(tar_path))
+            image = pack_dir(plan.fs_dir)
+            (build_dir / "fs.tar").write_bytes(image)
+            (build_dir / "fs_image.s").write_text(_fs_image_asm(len(image)))
             fs_obj = build_dir / "fs_image.o"
-            proc = subprocess.run([plan.cc, "-c", "-o", str(fs_obj), str(asm_path)],
-                                  capture_output=True, text=True)
+            proc = subprocess.run([plan.cc, "-c", "-o", "fs_image.o", "fs_image.s"],
+                                  cwd=build_dir, capture_output=True, text=True)
             if proc.returncode != 0:
                 raise SeamError(f"fs image assembly failed:\n{proc.stderr}")
             link_inputs.append(fs_obj)

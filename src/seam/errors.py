@@ -58,20 +58,21 @@ class AbiViolation(CodegenError):
 
 
 class PathTooLong(SeamError):
-    """A path cannot be stored in a ustar header (100-byte name / 155-byte prefix)."""
+    """A path cannot be stored in a ustar header (100-byte name / 155-byte
+    prefix) or is longer than the runtime's limit."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, limit: int):
         self.path = path
-        super().__init__(f"path does not fit ustar name+prefix fields: {path!r}")
+        super().__init__(
+            f"path does not fit ustar name+prefix fields or the {limit}-byte limit: {path!r}")
 
 
-class CorruptArchive(SeamError):
-    """A ustar image failed to parse."""
+class TooManyEntries(SeamError):
+    """A tree has more entries than the runtime's node table holds."""
 
-    def __init__(self, block_index: int, reason: str):
-        self.block_index = block_index
-        self.reason = reason
-        super().__init__(f"corrupt archive at block {block_index}: {reason}")
+    def __init__(self, count: int, limit: int):
+        self.count = count
+        super().__init__(f"{count} entries exceed the tar filesystem's limit of {limit}")
 
 
 class LinkError(SeamError):

@@ -25,7 +25,7 @@ void rt_fd_init(void)
         rt_fdt[i].host_fd = i;
     }
     rt_fdt[3].kind = FK_TARDIR;
-    rt_fdt[3].node = rt_fs_root();
+    rt_fdt[3].node = &rt_fs_nodes[0];
 }
 
 int rt_fd_alloc(void)

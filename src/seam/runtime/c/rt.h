@@ -113,12 +113,12 @@ typedef struct tar_node {
     int32_t parent;
 } tar_node;
 
+/* the mounted nodes; rt_fs_nodes[0] is the root once mounted */
+extern tar_node rt_fs_nodes[];
+extern int rt_fs_count;
+
 int rt_fs_mount(const uint8_t *image, uint64_t size); /* 0 ok, -1 corrupt */
 const tar_node *rt_fs_lookup_at(const tar_node *base, const char *path, size_t len, int *werrno);
-const tar_node *rt_fs_root(void);
-int rt_fs_node_index(const tar_node *n);
-const tar_node *rt_fs_node(int index);
-int rt_fs_count(void);
 const char *rt_fs_basename(const tar_node *n);
 
 /* ---- fd table ---- */

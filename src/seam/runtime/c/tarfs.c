@@ -1,39 +1,20 @@
 /* Read-only in-memory filesystem over a ustar image.
  *
  * The image buffer is borrowed, never copied or written: file content is
- * served as (pointer, length) extents straight into it. */
+ * served as (pointer, length) extents straight into it. seam.tarfs.pack_dir
+ * refuses any tree over MAX_PATH - 1 bytes of relative path or MAX_NODES - 1
+ * entries (the root is a node), so whatever it packs mounts here. */
 #include "rt.h"
 
 #include <stdio.h>
-#include <stdlib.h>
 #include <string.h>
 
 #define MAX_NODES 8192
 #define MAX_PATH 255
 
-static tar_node nodes[MAX_NODES];
+tar_node rt_fs_nodes[MAX_NODES];
+int rt_fs_count;
 static char paths[MAX_NODES][MAX_PATH + 1];
-static int node_count;
-
-const tar_node *rt_fs_root(void)
-{
-    return node_count ? &nodes[0] : NULL;
-}
-
-int rt_fs_node_index(const tar_node *n)
-{
-    return (int)(n - nodes);
-}
-
-const tar_node *rt_fs_node(int index)
-{
-    return (index >= 0 && index < node_count) ? &nodes[index] : NULL;
-}
-
-int rt_fs_count(void)
-{
-    return node_count;
-}
 
 const char *rt_fs_basename(const tar_node *n)
 {
@@ -43,47 +24,75 @@ const char *rt_fs_basename(const tar_node *n)
 
 static int find_node(const char *path)
 {
-    for (int i = 0; i < node_count; i++)
-        if (strcmp(nodes[i].path, path) == 0)
+    for (int i = 0; i < rt_fs_count; i++)
+        if (strcmp(rt_fs_nodes[i].path, path) == 0)
             return i;
     return -1;
 }
 
+/* Walk len bytes of path from the absolute, normalized directory path in
+ * cur, leaving the result in cur: empty and "." segments are skipped and
+ * ".." drops the last segment. Returns W_SUCCESS, W_INVAL when ".." climbs
+ * above "/", or W_NOENT when the path outgrows MAX_PATH bytes. */
+static int walk(char cur[MAX_PATH + 1], const char *path, size_t len)
+{
+    size_t cl = strlen(cur);
+    for (size_t i = 0, j; i < len; i = j + 1) {
+        for (j = i; j < len && path[j] != '/'; j++)
+            ;
+        size_t seg = j - i;
+        if (seg == 0 || (seg == 1 && path[i] == '.'))
+            continue;
+        if (seg == 2 && path[i] == '.' && path[i + 1] == '.') {
+            if (cl == 1)
+                return W_INVAL;
+            char *slash = strrchr(cur, '/');
+            cl = slash == cur ? 1 : (size_t)(slash - cur);
+            cur[cl] = 0;
+            continue;
+        }
+        if (cl + 1 + seg > MAX_PATH)
+            return W_NOENT;
+        if (cl > 1)
+            cur[cl++] = '/';
+        memcpy(cur + cl, path + i, seg);
+        cl += seg;
+        cur[cl] = 0;
+    }
+    return W_SUCCESS;
+}
+
+/* index of the node at path, created along with any missing parent
+ * directories; -1 when the node table is full */
 static int add_node(const char *path, int is_dir, const uint8_t *content,
                     uint64_t size, uint64_t mtime)
 {
-    int existing = find_node(path);
-    if (existing >= 0) { /* later archive entries shadow earlier ones */
-        nodes[existing].is_dir = (uint8_t)is_dir;
-        nodes[existing].content = content;
-        nodes[existing].size = size;
-        nodes[existing].mtime = mtime;
-        return existing;
-    }
-    if (node_count >= MAX_NODES)
-        return -1;
-    int idx = node_count++;
-    strncpy(paths[idx], path, MAX_PATH);
-    paths[idx][MAX_PATH] = 0;
-    nodes[idx].path = paths[idx];
-    nodes[idx].is_dir = (uint8_t)is_dir;
-    nodes[idx].content = content;
-    nodes[idx].size = size;
-    nodes[idx].mtime = mtime;
-    nodes[idx].parent = -1;
-    if (strcmp(path, "/") != 0) {
-        char parent[MAX_PATH + 1];
-        strcpy(parent, path);
-        char *slash = strrchr(parent, '/');
-        if (slash == parent)
-            parent[1] = 0;
-        else
-            *slash = 0;
-        int p = find_node(parent);
-        if (p < 0)
-            p = add_node(parent, 1, NULL, 0, 0);
-        nodes[idx].parent = p;
-    }
+    int idx = find_node(path);
+    if (idx < 0) {
+        if (rt_fs_count >= MAX_NODES)
+            return -1;
+        idx = rt_fs_count++;
+        strcpy(paths[idx], path);
+        rt_fs_nodes[idx].path = paths[idx];
+        rt_fs_nodes[idx].parent = -1;
+        if (strcmp(path, "/") != 0) {
+            char parent[MAX_PATH + 1];
+            strcpy(parent, path);
+            char *slash = strrchr(parent, '/');
+            if (slash == parent)
+                parent[1] = 0;
+            else
+                *slash = 0;
+            int p = find_node(parent);
+            if (p < 0 && (p = add_node(parent, 1, NULL, 0, 0)) < 0)
+                return -1;
+            rt_fs_nodes[idx].parent = p;
+        }
+    } /* else a later archive entry shadows an earlier one */
+    rt_fs_nodes[idx].is_dir = (uint8_t)is_dir;
+    rt_fs_nodes[idx].content = content;
+    rt_fs_nodes[idx].size = size;
+    rt_fs_nodes[idx].mtime = mtime;
     return idx;
 }
 
@@ -110,47 +119,15 @@ static int checksum_ok(const uint8_t *hdr)
     return sum == want;
 }
 
-/* normalize an archive member name into an absolute path:
- * strips "./", collapses "//", rejects ".." and absolute names */
-static int normalize_member(const char *name, size_t len, char *out)
+static int corrupt(const char *what, uint64_t off)
 {
-    char tmp[MAX_PATH + 1];
-    out[0] = '/';
-    out[1] = 0;
-    size_t oi = 1;
-    size_t i = 0;
-    while (i < len && name[i] == '/')
-        i++;
-    while (i < len) {
-        size_t j = i;
-        while (j < len && name[j] != '/')
-            j++;
-        size_t seg = j - i;
-        if (seg == 0 || (seg == 1 && name[i] == '.')) {
-            /* skip */
-        } else if (seg == 2 && name[i] == '.' && name[i + 1] == '.') {
-            return -1;
-        } else {
-            if (seg > MAX_PATH)
-                return -1;
-            memcpy(tmp, name + i, seg);
-            tmp[seg] = 0;
-            if (oi + 1 + seg > MAX_PATH)
-                return -1;
-            if (oi > 1)
-                out[oi++] = '/';
-            memcpy(out + oi, tmp, seg);
-            oi += seg;
-            out[oi] = 0;
-        }
-        i = j + 1;
-    }
-    return 0;
+    fprintf(stderr, "seam-rt: tarfs: %s at block %llu\n", what, (unsigned long long)(off / 512));
+    return -1;
 }
 
 int rt_fs_mount(const uint8_t *image, uint64_t size)
 {
-    node_count = 0;
+    rt_fs_count = 0;
     add_node("/", 1, NULL, 0, 0);
     if (!image || size == 0)
         return 0;
@@ -162,26 +139,23 @@ int rt_fs_mount(const uint8_t *image, uint64_t size)
             all_zero = hdr[i] == 0;
         if (all_zero)
             return 0; /* end-of-archive */
-        if (memcmp(hdr + 257, "ustar", 5) != 0) {
-            fprintf(stderr, "seam-rt: tarfs: bad magic at block %llu\n",
-                    (unsigned long long)(off / 512));
-            return -1;
-        }
-        if (!checksum_ok(hdr)) {
-            fprintf(stderr, "seam-rt: tarfs: bad checksum at block %llu\n",
-                    (unsigned long long)(off / 512));
-            return -1;
-        }
+        if (memcmp(hdr + 257, "ustar", 5) != 0)
+            return corrupt("bad magic", off);
+        if (!checksum_ok(hdr))
+            return corrupt("bad checksum", off);
         uint64_t fsize = parse_octal(hdr + 124, 12);
         uint64_t mtime = parse_octal(hdr + 136, 12);
         if (fsize == (uint64_t)-1)
-            return -1;
+            return corrupt("bad size field", off);
+        if (mtime == (uint64_t)-1)
+            return corrupt("bad mtime field", off);
         char type = (char)hdr[156];
+        if (type != '0' && type != 0 && type != '5')
+            return corrupt("unsupported entry type", off);
 
-        char name[MAX_PATH + 1];
         size_t prefix_len = strnlen((const char *)hdr + 345, 155);
         size_t name_len = strnlen((const char *)hdr, 100);
-        char full[MAX_PATH * 2 + 2];
+        char full[155 + 1 + 100];
         size_t fl = 0;
         if (prefix_len) {
             memcpy(full, hdr + 345, prefix_len);
@@ -190,94 +164,44 @@ int rt_fs_mount(const uint8_t *image, uint64_t size)
         }
         memcpy(full + fl, hdr, name_len);
         fl += name_len;
-
-        if (normalize_member(full, fl, name) != 0) {
-            fprintf(stderr, "seam-rt: tarfs: bad member name at block %llu\n",
-                    (unsigned long long)(off / 512));
-            return -1;
-        }
+        char name[MAX_PATH + 1] = "/";
+        int werr = walk(name, full, fl);
+        if (werr == W_INVAL)
+            return corrupt("member escapes the root", off);
+        if (werr != W_SUCCESS)
+            return corrupt("member name too long", off);
 
         uint64_t content_off = off + 512;
         uint64_t padded = (fsize + 511) & ~511ull;
-        if (content_off + padded > size) {
-            fprintf(stderr, "seam-rt: tarfs: truncated entry at block %llu\n",
-                    (unsigned long long)(off / 512));
-            return -1;
-        }
-        if (type == '0' || type == 0) {
-            if (add_node(name, 0, image + content_off, fsize, mtime) < 0)
-                return -1;
-        } else if (type == '5') {
-            if (add_node(name, 1, NULL, 0, mtime) < 0)
-                return -1;
-        } else {
-            fprintf(stderr, "seam-rt: tarfs: unsupported entry type '%c' at block %llu\n",
-                    type, (unsigned long long)(off / 512));
-            return -1;
-        }
+        if (content_off + padded > size)
+            return corrupt("truncated entry", off);
+        int is_dir = type == '5';
+        const uint8_t *content = is_dir ? NULL : image + content_off;
+        if (add_node(name, is_dir, content, is_dir ? 0 : fsize, mtime) < 0)
+            return corrupt("node table full", off);
         off = content_off + padded;
     }
     /* ran off the end without the two zero blocks */
-    fprintf(stderr, "seam-rt: tarfs: missing end-of-archive marker\n");
-    return -1;
+    return corrupt("missing end-of-archive marker", off);
 }
 
 /* resolve `path` (len bytes, not NUL-terminated) against a directory node;
  * absolute paths resolve from the root */
 const tar_node *rt_fs_lookup_at(const tar_node *base, const char *path, size_t len, int *werrno)
 {
-    *werrno = W_SUCCESS;
-    if (node_count == 0) {
+    if (rt_fs_count == 0) {
         *werrno = W_NOENT;
         return NULL;
     }
     char cur[MAX_PATH + 1];
-    if (path && len && path[0] == '/')
-        strcpy(cur, "/");
-    else
-        strcpy(cur, base ? base->path : "/");
-    size_t i = 0;
-    while (i < len) {
-        while (i < len && path[i] == '/')
-            i++;
-        size_t j = i;
-        while (j < len && path[j] != '/')
-            j++;
-        size_t seg = j - i;
-        if (seg == 0)
-            break;
-        if (seg == 1 && path[i] == '.') {
-            i = j;
-            continue;
-        }
-        if (seg == 2 && path[i] == '.' && path[i + 1] == '.') {
-            if (strcmp(cur, "/") == 0) {
-                *werrno = W_INVAL; /* escapes the preopen root */
-                return NULL;
-            }
-            char *slash = strrchr(cur, '/');
-            if (slash == cur)
-                cur[1] = 0;
-            else
-                *slash = 0;
-            i = j;
-            continue;
-        }
-        size_t cl = strlen(cur);
-        if (cl + 1 + seg > MAX_PATH) {
-            *werrno = W_NOENT;
-            return NULL;
-        }
-        if (cl > 1)
-            cur[cl++] = '/';
-        memcpy(cur + cl, path + i, seg);
-        cur[cl + seg] = 0;
-        i = j;
-    }
+    strcpy(cur, base && !(len && path[0] == '/') ? base->path : "/");
+    *werrno = walk(cur, path, len);
+    if (*werrno != W_SUCCESS)
+        return NULL;
     int idx = find_node(cur);
     if (idx < 0) {
         *werrno = W_NOENT;
         return NULL;
     }
-    return &nodes[idx];
+    return &rt_fs_nodes[idx];
 }

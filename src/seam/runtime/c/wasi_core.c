@@ -306,10 +306,10 @@ uint32_t wasi_fd_fdstat_set_flags(uint32_t fd, uint32_t flags)
     return W_SUCCESS;
 }
 
-static void fill_filestat(uint8_t *p, const tar_node *n, int node_index)
+static void fill_filestat(uint8_t *p, const tar_node *n)
 {
     memset(p, 0, 64);
-    uint64_t dev = 1, ino = (uint64_t)node_index + 1, nlink = 1;
+    uint64_t dev = 1, ino = (uint64_t)(n - rt_fs_nodes) + 1, nlink = 1;
     uint64_t mtime_ns = n->mtime * 1000000000ull;
     memcpy(p + 0, &dev, 8);
     memcpy(p + 8, &ino, 8);
@@ -327,7 +327,7 @@ uint32_t wasi_fd_filestat_get(uint32_t fd, uint32_t out)
     if (!e)
         return W_BADF;
     if (e->kind == FK_TARFILE || e->kind == FK_TARDIR) {
-        fill_filestat(lm_ptr(out, 64), e->node, rt_fs_node_index(e->node));
+        fill_filestat(lm_ptr(out, 64), e->node);
     } else {
         uint8_t *p = lm_ptr(out, 64);
         memset(p, 0, 64);
@@ -349,7 +349,7 @@ uint32_t wasi_path_filestat_get(uint32_t fd, uint32_t flags, uint32_t path, uint
     const tar_node *n = rt_fs_lookup_at(e->node, lm_ptr(path, path_len), path_len, &werr);
     if (!n)
         return (uint32_t)werr;
-    fill_filestat(lm_ptr(out, 64), n, rt_fs_node_index(n));
+    fill_filestat(lm_ptr(out, 64), n);
     return W_SUCCESS;
 }
 
@@ -414,12 +414,12 @@ uint32_t wasi_fd_readdir(uint32_t fd, uint32_t buf, uint32_t buf_len, uint64_t c
         return W_BADF;
     if (e->kind != FK_TARDIR)
         return W_NOTDIR;
-    int me = rt_fs_node_index(e->node);
+    int me = (int)(e->node - rt_fs_nodes);
     /* children enumerated in node order; the cookie is the ordinal */
     uint32_t used = 0;
     uint64_t ordinal = 0;
-    for (int i = 0; i < rt_fs_count() && used < buf_len; i++) {
-        const tar_node *n = rt_fs_node(i);
+    for (int i = 0; i < rt_fs_count && used < buf_len; i++) {
+        const tar_node *n = &rt_fs_nodes[i];
         if (n->parent != me)
             continue;
         if (ordinal++ < cookie)

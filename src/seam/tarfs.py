@@ -1,88 +1,22 @@
-"""Deterministic ustar packer and zero-copy in-memory reader.
+"""Deterministic ustar packer for the runtime's tar filesystem.
 
 pack_dir produces byte-identical archives for identical trees: entries
 sorted by path, mtime 0, uid/gid 0, mode 0644/0755, POSIX ustar only.
-mount indexes an image without copying content; reads are memoryview
-slices of the single loaded buffer.
+The only reader is the runtime's (runtime/c/tarfs.c); pack_dir refuses
+any tree that reader would reject at boot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CorruptArchive, PathTooLong
+from .errors import PathTooLong, TooManyEntries
 
 BLOCK = 512
-
-
-@dataclass(frozen=True)
-class FileMeta:
-    kind: str  # "file" | "directory"
-    size: int
-    extent: tuple[int, int]  # (offset, length) into the image buffer
-    mtime: int
-
-
-class FsIndex:
-    def __init__(self, image: bytes | bytearray | memoryview):
-        self._image = memoryview(image) if not isinstance(image, memoryview) else image
-        self.entries: dict[str, FileMeta] = {"/": FileMeta("directory", 0, (0, 0), 0)}
-        self.children: dict[str, list[str]] = {"/": []}
-
-    def _add_parents(self, path: str):
-        parent = path.rsplit("/", 1)[0] or "/"
-        if parent not in self.entries:
-            self._add_parents(parent)
-            self.entries[parent] = FileMeta("directory", 0, (0, 0), 0)
-            self._link(parent)
-
-    def _link(self, path: str):
-        parent = path.rsplit("/", 1)[0] or "/"
-        kids = self.children.setdefault(parent, [])
-        if path not in kids:
-            kids.append(path)
-        self.children.setdefault(path, [])
-
-    def add(self, path: str, meta: FileMeta):
-        if path == "/":
-            return
-        self._add_parents(path)
-        self.entries[path] = meta
-        self._link(path)
-
-    def paths(self) -> list[str]:
-        return sorted(p for p in self.entries if p != "/")
-
-    def content(self, meta: FileMeta) -> memoryview:
-        off, length = meta.extent
-        return self._image[off : off + length]
-
-
-def normalize(path: str) -> str:
-    """Resolve ./.. segments; raises ValueError when the path escapes root."""
-    parts: list[str] = []
-    for seg in path.split("/"):
-        if seg in ("", "."):
-            continue
-        if seg == "..":
-            if not parts:
-                raise ValueError(f"path escapes root: {path!r}")
-            parts.pop()
-        else:
-            parts.append(seg)
-    return "/" + "/".join(parts)
-
-
-def lookup(idx: FsIndex, path: str) -> FileMeta:
-    """Resolve a path; raises FileNotFoundError / ValueError (escape)."""
-    if not path:
-        raise ValueError("empty path")
-    norm = normalize(path)
-    meta = idx.entries.get(norm)
-    if meta is None:
-        raise FileNotFoundError(norm)
-    return meta
+# tarfs.c's MAX_PATH - 1 (the mounted path is "/" + the relative one) and
+# MAX_NODES - 1 (the root is a node)
+MAX_PATH = 254
+MAX_ENTRIES = 8191
 
 
 def _octal(value: int, width: int) -> bytes:
@@ -99,7 +33,7 @@ def _split_ustar_name(name: str) -> tuple[bytes, bytes]:
             prefix, rest = raw[:cut], raw[cut + 1 :]
             if len(prefix) <= 155 and rest:
                 return rest, prefix
-    raise PathTooLong(name)
+    raise PathTooLong(name, MAX_PATH)
 
 
 def _header(name: str, size: int, is_dir: bool) -> bytes:
@@ -131,15 +65,21 @@ def _header(name: str, size: int, is_dir: bool) -> bytes:
     return bytes(hdr)
 
 
-def pack_dir(dir_path: str | Path) -> bytes:
-    """Pack a directory tree into a deterministic ustar image."""
+def pack(dir_path: str | Path) -> tuple[bytes, int]:
+    """Pack a directory tree into a deterministic ustar image; returns the
+    image and its entry count. Raises PathTooLong or TooManyEntries for a
+    tree the runtime could not mount."""
     root = Path(dir_path)
     if not root.is_dir():
         raise IOError(f"not a directory: {root}")
-    out = bytearray()
     entries = sorted(p for p in root.rglob("*"))
+    if len(entries) > MAX_ENTRIES:
+        raise TooManyEntries(len(entries), MAX_ENTRIES)
+    out = bytearray()
     for p in entries:
         rel = p.relative_to(root).as_posix()
+        if len(rel.encode("utf-8")) > MAX_PATH:
+            raise PathTooLong(rel, MAX_PATH)
         if p.is_dir():
             out += _header(rel, 0, True)
         elif p.is_file():
@@ -151,58 +91,9 @@ def pack_dir(dir_path: str | Path) -> bytes:
         else:
             raise IOError(f"unsupported entry (symlink/special): {p}")
     out += b"\x00" * (2 * BLOCK)
-    return bytes(out)
+    return bytes(out), len(entries)
 
 
-def _parse_octal(field: bytes, block_index: int) -> int:
-    s = field.split(b"\x00")[0].split(b" ")[0]
-    if not s:
-        return 0
-    try:
-        return int(s, 8)
-    except ValueError:
-        raise CorruptArchive(block_index, f"bad octal field {field!r}") from None
-
-
-def mount(image: bytes | bytearray | memoryview) -> FsIndex:
-    """Index a ustar image; content stays in (and is served from) the buffer."""
-    buf = bytes(image) if isinstance(image, memoryview) else image
-    idx = FsIndex(buf)
-    off = 0
-    n = len(buf)
-    while off + BLOCK <= n:
-        block_index = off // BLOCK
-        hdr = bytes(buf[off : off + BLOCK])
-        if hdr == b"\x00" * BLOCK:
-            return idx  # end-of-archive
-        if hdr[257:262] != b"ustar":
-            raise CorruptArchive(block_index, "bad ustar magic")
-        want = _parse_octal(hdr[148:156], block_index)
-        got = sum(hdr[:148]) + 8 * 0x20 + sum(hdr[156:])
-        if want != got:
-            raise CorruptArchive(block_index, f"checksum mismatch ({got:o} != {want:o})")
-        size = _parse_octal(hdr[124:136], block_index)
-        mtime = _parse_octal(hdr[136:148], block_index)
-        typeflag = hdr[156:157]
-        name = hdr[0:100].split(b"\x00")[0].decode("utf-8")
-        prefix = hdr[345:500].split(b"\x00")[0].decode("utf-8")
-        if prefix:
-            name = prefix + "/" + name
-        if typeflag in (b"L", b"K", b"x", b"g"):
-            raise CorruptArchive(block_index, "GNU/pax extensions are not ustar")
-        if typeflag not in (b"0", b"\x00", b"5"):
-            raise CorruptArchive(block_index, f"unsupported entry type {typeflag!r}")
-        try:
-            norm = normalize(name)
-        except ValueError:
-            raise CorruptArchive(block_index, f"member escapes root: {name!r}") from None
-        content_off = off + BLOCK
-        padded = (size + BLOCK - 1) // BLOCK * BLOCK
-        if content_off + padded > n:
-            raise CorruptArchive(block_index, "truncated entry")
-        if typeflag == b"5":
-            idx.add(norm, FileMeta("directory", 0, (0, 0), mtime))
-        else:
-            idx.add(norm, FileMeta("file", size, (content_off, size), mtime))
-        off = content_off + padded
-    raise CorruptArchive(off // BLOCK, "missing end-of-archive marker")
+def pack_dir(dir_path: str | Path) -> bytes:
+    """Pack a directory tree into a deterministic ustar image."""
+    return pack(dir_path)[0]

@@ -131,15 +131,16 @@ class RuntimeLib:
             fn.restype = u32 if sig.results else None
             fn.argtypes = [{"i32": u32, "i64": u64}[t] for t in sig.params]
         self.fdt = (FdEntry * 1024).in_dll(lib, "rt_fdt")
-        self._tar_keepalive = None
+        self.fs_nodes = ctypes.pointer(TarNode.in_dll(lib, "rt_fs_nodes"))
+        self.fs_count = ctypes.c_int.in_dll(lib, "rt_fs_count")
+        self.tar_image = None  # the buffer the mounted nodes point into
 
     def boot(self, initial_pages=4, max_pages=16, tar: bytes | None = None,
              args: str = "", env: str = ""):
         """Fresh linear memory + filesystem + fd table, like the exe boot path."""
         assert self.lib.rt_mem_reset(initial_pages, max_pages) == 0
         if tar is not None:
-            self._tar_keepalive = ctypes.create_string_buffer(tar, len(tar))
-            assert self.lib.rt_fs_mount(self._tar_keepalive, len(tar)) == 0
+            assert self.mount(tar) == 0
         else:
             self.lib.rt_fs_mount(None, 0)
         if args:
@@ -152,6 +153,29 @@ class RuntimeLib:
             os.environ.pop("GUEST_ENV", None)
         self.lib.rt_fd_init()
         self.lib.rt_args_init()
+
+    # tar filesystem helpers
+    def mount(self, image: bytes) -> int:
+        """rt_fs_mount over a copy of image that lives until the next mount."""
+        self.tar_image = ctypes.create_string_buffer(image, len(image))
+        return self.lib.rt_fs_mount(self.tar_image, len(image))
+
+    def lookup(self, path: str, base: TarNode | None = None) -> tuple[TarNode | None, int]:
+        """rt_fs_lookup_at from base (the root when None): (node, 0) or (None, WASI errno)."""
+        raw = path.encode()
+        werr = ctypes.c_int(-1)
+        node = self.lib.rt_fs_lookup_at(None if base is None else ctypes.addressof(base),
+                                        raw, len(raw), ctypes.byref(werr))
+        return (node.contents if node else None), werr.value
+
+    @staticmethod
+    def content(node: TarNode) -> bytes:
+        return ctypes.string_at(node.content, node.size)
+
+    def files(self) -> dict[str, bytes]:
+        """Every mounted file's path and content, read from the image buffer."""
+        nodes = [self.fs_nodes[i] for i in range(self.fs_count.value)]
+        return {n.path.decode(): self.content(n) for n in nodes if not n.is_dir}
 
     # linear memory helpers
     def base(self) -> int:

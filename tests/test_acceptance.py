@@ -15,7 +15,7 @@ from seam.bench import LoadConfig, run_load
 from seam.codegen import ABI, NOSYS, RUNTIME_HOOKS
 from seam.driver import BuildPlan, check_no_wasm_engine_dependency, cmd_build, cmd_compile
 from seam.profiler import profile_run
-from seam.tarfs import lookup, mount, pack_dir
+from seam.tarfs import pack_dir
 
 from conftest import free_port, have_node
 import test_poll
@@ -106,8 +106,8 @@ def test_criterion_linear_memory_contract(rt):
 
 
 def test_criterion_tarfs_roundtrip(rt, tmp_path):
-    """100 randomized directory trees mount back byte-identical; CREAT/TRUNC/
-    write attempts return ROFS."""
+    """100 randomized directory trees mount back byte-identical through the
+    runtime's reader; CREAT/TRUNC/write attempts return ROFS."""
     rng = random.Random(0x7A12)
     alphabet = "abcdefghijklmnopqrstuvwxyz0123456789_-."
     trees = 100
@@ -130,10 +130,8 @@ def test_criterion_tarfs_roundtrip(rt, tmp_path):
             p = root / rel
             p.parent.mkdir(parents=True, exist_ok=True)
             p.write_bytes(content)
-        idx = mount(pack_dir(root))
-        files = {p: bytes(idx.content(lookup(idx, p))) for p in idx.paths()
-                 if lookup(idx, p).kind == "file"}
-        assert files == {"/" + k: v for k, v in tree.items()}, f"tree {t} mismatch"
+        assert rt.mount(pack_dir(root)) == 0, f"tree {t} does not mount"
+        assert rt.files() == {"/" + k: v for k, v in tree.items()}, f"tree {t} mismatch"
 
     # read-only violations through the WASI surface
     img = pack_dir(tmp_path / "tree0")
@@ -141,14 +139,14 @@ def test_criterion_tarfs_roundtrip(rt, tmp_path):
     W_ROFS = 69
     n = rt.str_in(256, "newfile")
     assert rt.lib.path_open(3, 0, 256, n, 0x1, 0, 0, 0, 512) == W_ROFS  # CREAT
-    some = next(p for p in mount(img).paths() if lookup(mount(img), p).kind == "file")
+    some = next(iter(rt.files()))
     n = rt.str_in(256, some.lstrip("/"))
     assert rt.lib.path_open(3, 0, 256, n, 0x8, 0, 0, 0, 512) == W_ROFS  # TRUNC
     assert rt.lib.path_open(3, 0, 256, n, 0, 0, 0, 0, 512) == 0
     fd = rt.u32(512)
     rt.iovec(0, 1024, 4)
     assert rt.lib.fd_write(fd, 0, 1, 32) == W_ROFS  # write to a tar file
-    done(f"tarfs-roundtrip: PASS ({trees} trees byte-identical; ROFS enforced)")
+    done(f"tarfs-roundtrip: PASS ({trees} trees byte-identical via rt_fs_mount; ROFS enforced)")
 
 
 # -- 5. end-to-end evaluation shape at desk scale ------------------------------

@@ -22,6 +22,7 @@ from seam.driver import (
 from seam.errors import AbiViolation, LinkError
 from seam.profiler import BUCKETS
 from seam.runtime import C_DIR, CFLAGS, abi_header, runtime_objects
+from seam.tarfs import pack_dir
 from seam.wasm.model import FuncType
 
 from wasmgen import ModuleBuilder, empty_module
@@ -52,11 +53,29 @@ def test_cli_compile_malformed_input(tmp_path, capsys):
     assert "version" in err and "0x4" in err  # diagnostic names the byte offset
 
 
-def test_cli_pack_deterministic(www_dir, tmp_path):
+def test_cli_pack_deterministic(www_dir, tmp_path, capsys):
     t1, t2 = tmp_path / "a.tar", tmp_path / "b.tar"
     assert run_cli(["pack", www_dir, "-o", t1]) == 0
     assert run_cli(["pack", www_dir, "-o", t2]) == 0
     assert t1.read_bytes() == t2.read_bytes()
+    assert "(4 entries)" in capsys.readouterr().out  # 3 files and assets/
+
+
+def test_cli_refuses_trees_the_runtime_cannot_mount(tmp_path, capsys):
+    long_path = tmp_path / "long" / ("a" * 100) / ("b" * 54) / ("c" * 99)  # 255 bytes
+    long_path.parent.mkdir(parents=True)
+    long_path.touch()
+    many = tmp_path / "many"
+    many.mkdir()
+    for i in range(8192):
+        (many / f"{i:04x}").touch()
+    wasm = tmp_path / "empty.wasm"
+    wasm.write_bytes(empty_module())
+    for tree, why in [(tmp_path / "long", "254-byte limit"), (many, "limit of 8191")]:
+        assert run_cli(["pack", tree, "-o", tmp_path / "x.tar"]) == 1
+        assert why in capsys.readouterr().err
+        assert run_cli(["build", wasm, "-o", tmp_path / "x", "--fs", tree]) == 1
+        assert why in capsys.readouterr().err
 
 
 def test_cli_pack_missing_dir(tmp_path):
@@ -110,8 +129,6 @@ def test_build_with_fs_embeds_image(guest_wasm, www_dir, tmp_path, capfd):
 
 
 def test_run_fs_override(built, www_dir, tmp_path):
-    from seam.tarfs import pack_dir
-
     alt = tmp_path / "alt"
     alt.mkdir()
     (alt / "index.html").write_text("override wins\n")
@@ -120,6 +137,68 @@ def test_run_fs_override(built, www_dir, tmp_path):
     proc = cmd_run(built["readfile"], fs_override=tar, capture=True)
     assert proc.returncode == 0
     assert proc.stdout == "override wins\n"
+
+
+def cat_guest(tmp_path, name: str):
+    """A guest that prints the first 64 bytes of the tar file `name`, or exits
+    with path_open's errno."""
+    b = ModuleBuilder()
+    path_open = b.add_import("wasi_snapshot_preview1", "path_open",
+                             ["i32", "i32", "i32", "i32", "i32", "i64", "i64", "i32", "i32"],
+                             ["i32"])
+    fd_read = b.add_import("wasi_snapshot_preview1", "fd_read",
+                           ["i32", "i32", "i32", "i32"], ["i32"])
+    fd_write = b.add_import("wasi_snapshot_preview1", "fd_write",
+                            ["i32", "i32", "i32", "i32"], ["i32"])
+    proc_exit = b.add_import("wasi_snapshot_preview1", "proc_exit", ["i32"], [])
+    b.set_memory(1, 1)
+    # 0: iovec {buf=64, len=64}; 16: fd; 20: nread; 24: nwritten; 32: path
+    b.add_data(0, struct.pack("<II", 64, 64))
+    b.add_data(32, name.encode())
+    b.add_func([], [], ["i32"], [
+        ("i32.const", 3), ("i32.const", 0), ("i32.const", 32), ("i32.const", len(name.encode())),
+        ("i32.const", 0), ("i64.const", 0), ("i64.const", 0), ("i32.const", 0),
+        ("i32.const", 16), ("call", path_open), ("local.tee", 0),
+        ("if", None, [("local.get", 0), ("call", proc_exit)], []),
+        ("i32.const", 16), ("i32.load", 2, 0), ("i32.const", 0), ("i32.const", 1),
+        ("i32.const", 20), ("call", fd_read), ("drop",),
+        ("i32.const", 4), ("i32.const", 20), ("i32.load", 2, 0), ("i32.store", 2, 0),
+        ("i32.const", 1), ("i32.const", 0), ("i32.const", 1), ("i32.const", 24),
+        ("call", fd_write), ("drop",),
+    ], export="_start")
+    wasm = tmp_path / "cat.wasm"
+    wasm.write_bytes(b.build())
+    return wasm
+
+
+@pytest.mark.parametrize("name", ['q"uote', "back\\slash"])
+def test_fs_build_keeps_intermediates_at_any_output_path(www_dir, tmp_path, name):
+    exe = tmp_path / name
+    wasm = cat_guest(tmp_path, "index.html")
+    assert run_cli(["build", wasm, "-o", exe, "--fs", www_dir, "--keep"]) == 0
+    assert (tmp_path / f"{name}.build" / "fs.tar").is_file()
+    proc = subprocess.run([str(exe)], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == (www_dir / "index.html").read_text()
+
+
+def test_seam_fs_overrides_the_embedded_image_at_boot(www_dir, tmp_path):
+    exe = tmp_path / "cat"
+    cmd_build(BuildPlan(wasm=cat_guest(tmp_path, "index.html"), output=exe, fs_dir=www_dir))
+    alt = tmp_path / "alt"
+    alt.mkdir()
+    (alt / "index.html").write_text("override wins\n")
+    tar = tmp_path / "alt.tar"
+    tar.write_bytes(pack_dir(alt))
+    proc = cmd_run(exe, fs_override=tar, capture=True)
+    assert (proc.returncode, proc.stdout) == (0, "override wins\n")
+    image = bytearray(tar.read_bytes())
+    image[0] ^= 0xFF  # the header checksum no longer matches
+    tar.write_bytes(image)
+    proc = cmd_run(exe, fs_override=tar, capture=True)
+    assert proc.returncode == 1
+    assert "seam-rt: corrupt tar image (SEAM_FS)" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_readfile_without_fs_gets_noent(built):

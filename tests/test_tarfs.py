@@ -1,18 +1,26 @@
-"""tarfs: deterministic packer, strict ustar reader, round-trip fidelity.
+"""tarfs: deterministic packer, the runtime's strict ustar reader, round-trip
+fidelity.
 
-Python's tarfile is the independent oracle on both sides: it must be able
-to read what pack_dir writes, and mount must index what tarfile writes.
+The reader under test is the one executables run, runtime/c/tarfs.c, through
+the ctypes facade: rt_fs_mount and rt_fs_lookup_at. Python's tarfile is the
+independent oracle on both sides: it must be able to read what pack_dir
+writes, and rt_fs_mount must index what tarfile writes.
 """
 
+import ctypes
 import hashlib
 import io
 import tarfile
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seam.errors import CorruptArchive, PathTooLong
-from seam.tarfs import lookup, mount, normalize, pack_dir
+from seam.errors import PathTooLong, TooManyEntries
+from seam.tarfs import pack_dir
+
+W_INVAL, W_NOENT = 28, 44
 
 
 def write_tree(root, tree: dict):
@@ -22,23 +30,60 @@ def write_tree(root, tree: dict):
         p.write_bytes(content)
 
 
-def test_pack_single_file_size_and_content(tmp_path):
+def pack_dir_from(tree: dict) -> bytes:
+    with tempfile.TemporaryDirectory() as td:
+        write_tree(Path(td), tree)
+        return pack_dir(td)
+
+
+def tarfile_image(members: dict) -> bytes:
+    """A ustar image written by Python's tarfile: name -> bytes, or None for a directory."""
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w", format=tarfile.USTAR_FORMAT) as tf:
+        for name, data in members.items():
+            info = tarfile.TarInfo(name)
+            if data is None:
+                info.type = tarfile.DIRTYPE
+                tf.addfile(info)
+            else:
+                info.size = len(data)
+                tf.addfile(info, io.BytesIO(data))
+    return buf.getvalue()
+
+
+def with_header_field(img: bytes, at: int, value: bytes) -> bytes:
+    """img with the first header's bytes at `at` replaced and its checksum fixed."""
+    out = bytearray(img)
+    out[at : at + len(value)] = value
+    chk = sum(out[:148]) + 8 * 0x20 + sum(out[156:512])
+    out[148:156] = f"{chk:06o}".encode() + b"\x00 "
+    return bytes(out)
+
+
+def rejected(rt, capfd, img: bytes) -> str:
+    """Mount img, which must fail; returns the runtime's diagnostic."""
+    capfd.readouterr()
+    assert rt.mount(img) == -1
+    return capfd.readouterr().err
+
+
+def test_pack_single_file_size_and_content(rt, tmp_path):
     write_tree(tmp_path, {"index.html": b"hello, world!"})
     img = pack_dir(tmp_path)
-    idx = mount(img)
-    meta = lookup(idx, "/index.html")
-    assert meta.kind == "file"
-    assert meta.size == 13
-    assert bytes(idx.content(meta)) == b"hello, world!"
+    assert rt.mount(img) == 0
+    node, err = rt.lookup("/index.html")
+    assert err == 0 and not node.is_dir
+    assert node.size == 13
+    assert rt.content(node) == b"hello, world!"
     # ustar stores sizes in octal ASCII: 13 -> "...015"
     assert img[124:136] == b"00000000015\x00"
 
 
-def test_pack_empty_dir(tmp_path):
+def test_pack_empty_dir(rt, tmp_path):
     img = pack_dir(tmp_path)
     assert img == b"\x00" * 1024
-    idx = mount(img)
-    assert idx.paths() == []
+    assert rt.mount(img) == 0
+    assert rt.fs_count.value == 1  # the root alone
 
 
 def test_pack_deterministic(tmp_path):
@@ -67,99 +112,84 @@ def test_python_tarfile_reads_our_archives(tmp_path):
     assert got == tree
 
 
-def test_mount_reads_python_tarfile_archives():
-    buf = io.BytesIO()
-    with tarfile.open(fileobj=buf, mode="w", format=tarfile.USTAR_FORMAT) as tf:
-        info = tarfile.TarInfo("dir")
-        info.type = tarfile.DIRTYPE
-        tf.addfile(info)
-        data = b"payload" * 100
-        info = tarfile.TarInfo("dir/file.bin")
-        info.size = len(data)
-        tf.addfile(info, io.BytesIO(data))
-    idx = mount(buf.getvalue())
-    assert lookup(idx, "/dir").kind == "directory"
-    meta = lookup(idx, "/dir/file.bin")
-    assert bytes(idx.content(meta)) == b"payload" * 100
+def test_mount_reads_python_tarfile_archives(rt):
+    assert rt.mount(tarfile_image({"dir": None, "dir/file.bin": b"payload" * 100})) == 0
+    assert rt.lookup("/dir")[0].is_dir
+    node, _ = rt.lookup("/dir/file.bin")
+    assert rt.content(node) == b"payload" * 100
 
 
-def test_mount_checksum_violation():
+def test_mount_checksum_violation(rt, capfd):
     img = bytearray(pack_dir_from({"a.txt": b"x"}))
     img[0] ^= 0xFF  # corrupt the name; checksum no longer matches
-    with pytest.raises(CorruptArchive) as ei:
-        mount(bytes(img))
-    assert "checksum" in str(ei.value)
-    assert ei.value.block_index == 0
+    assert "tarfs: bad checksum at block 0" in rejected(rt, capfd, bytes(img))
 
 
-def pack_dir_from(tree: dict) -> bytes:
-    import tempfile
-    from pathlib import Path
-
-    with tempfile.TemporaryDirectory() as td:
-        write_tree(Path(td), tree)
-        return pack_dir(td)
-
-
-def test_mount_truncated_entry():
+def test_mount_truncated_entry(rt, capfd):
     img = pack_dir_from({"a.txt": b"x" * 1000})
-    with pytest.raises(CorruptArchive) as ei:
-        mount(img[:512])  # header only, data missing
-    assert "truncated" in str(ei.value) or "end-of-archive" in str(ei.value)
+    # header only, data missing
+    assert "tarfs: truncated entry at block 0" in rejected(rt, capfd, img[:512])
 
 
-def test_mount_missing_terminator():
+def test_mount_missing_terminator(rt, capfd):
     img = pack_dir_from({"a.txt": b"x"})
-    with pytest.raises(CorruptArchive):
-        mount(img[:-1024])
+    assert "tarfs: missing end-of-archive marker at block 2" in rejected(rt, capfd, img[:-1024])
 
 
-def test_mount_rejects_gnu_longname():
-    img = bytearray(pack_dir_from({"a.txt": b"x"}))
-    img[156] = ord("L")
-    # fix the checksum for the new typeflag
-    hdr = img[0:512]
-    chk = sum(hdr[:148]) + 8 * 0x20 + sum(hdr[156:])
-    img[148:156] = f"{chk:06o}".encode() + b"\x00 "
-    with pytest.raises(CorruptArchive) as ei:
-        mount(bytes(img))
-    assert "GNU" in str(ei.value) or "ustar" in str(ei.value)
+def test_mount_rejects_gnu_longname(rt, capfd):
+    img = with_header_field(pack_dir_from({"a.txt": b"x"}), 156, b"L")
+    assert "tarfs: unsupported entry type at block 0" in rejected(rt, capfd, img)
 
 
-def test_mount_implied_parent_dirs():
-    buf = io.BytesIO()
-    with tarfile.open(fileobj=buf, mode="w", format=tarfile.USTAR_FORMAT) as tf:
-        data = b"deep"
-        info = tarfile.TarInfo("a/b/c.txt")  # no explicit dir entries
-        info.size = len(data)
-        tf.addfile(info, io.BytesIO(data))
-    idx = mount(buf.getvalue())
-    assert lookup(idx, "/a").kind == "directory"
-    assert lookup(idx, "/a/b").kind == "directory"
-    assert lookup(idx, "/a/b/c.txt").size == 4
+def test_mount_rejects_bad_octal_fields(rt, capfd):
+    img = pack_dir_from({"a.txt": b"x"})
+    bad_size = with_header_field(img, 124, b"0000000009")
+    assert "tarfs: bad size field at block 0" in rejected(rt, capfd, bad_size)
+    bad_mtime = with_header_field(img, 136, b"9")
+    assert "tarfs: bad mtime field at block 0" in rejected(rt, capfd, bad_mtime)
 
 
-def test_lookup_normalization():
-    idx = mount(pack_dir_from({"index.html": b"x"}))
-    assert lookup(idx, "/index.html").kind == "file"
-    assert lookup(idx, "/a/../index.html").kind == "file"
-    assert lookup(idx, "//index.html").kind == "file"
-    assert lookup(idx, "/./index.html").kind == "file"
-    assert lookup(idx, "/").kind == "directory"
-    with pytest.raises(ValueError):
-        lookup(idx, "/../etc")
-    with pytest.raises(FileNotFoundError):
-        lookup(idx, "/nope")
-    with pytest.raises(ValueError):
-        lookup(idx, "")
+def test_mount_implied_parent_dirs(rt):
+    assert rt.mount(tarfile_image({"a/b/c.txt": b"deep"})) == 0  # no explicit dir entries
+    a, _ = rt.lookup("/a")
+    b, _ = rt.lookup("/a/b")
+    c, _ = rt.lookup("/a/b/c.txt")
+    assert a.is_dir and b.is_dir
+    assert c.size == 4
+    assert rt.fs_nodes[c.parent].path == b"/a/b" and rt.fs_nodes[b.parent].path == b"/a"
 
 
-def test_normalize_cases():
-    assert normalize("/a/b/../c") == "/a/c"
-    assert normalize("a//b/./") == "/a/b"
-    assert normalize("/") == "/"
-    with pytest.raises(ValueError):
-        normalize("/..")
+def test_lookup_normalization(rt):
+    # lookup("") is not checked here: it resolves to the base directory
+    assert rt.mount(pack_dir_from({"index.html": b"x"})) == 0
+    for path in ["/index.html", "/a/../index.html", "//index.html", "/./index.html", "index.html"]:
+        node, err = rt.lookup(path)
+        assert err == 0 and not node.is_dir, path
+    assert rt.lookup("/")[0].is_dir
+    assert rt.lookup("/../etc") == (None, W_INVAL)
+    assert rt.lookup("/nope") == (None, W_NOENT)
+
+
+def test_normalize_cases(rt):
+    assert rt.mount(pack_dir_from({"a/b/x": b"", "a/c": b""})) == 0
+    assert rt.lookup("/a/b/../c")[0].path == b"/a/c"
+    assert rt.lookup("a//b/./")[0].path == b"/a/b"
+    assert rt.lookup("/")[0].path == b"/"
+    assert rt.lookup("/..") == (None, W_INVAL)
+    # relative paths walk from the base directory, absolute ones from the root
+    b, _ = rt.lookup("/a/b")
+    assert rt.lookup("../c", base=b)[0].path == b"/a/c"
+    assert rt.lookup("/a/c", base=b)[0].path == b"/a/c"
+    assert rt.lookup("../../..", base=b) == (None, W_INVAL)
+
+
+def test_member_names_walk_like_lookups(rt, capfd):
+    # a member's ".." that stays inside the root resolves; one that leaves it
+    # is a corrupt archive
+    assert rt.mount(tarfile_image({"a/../b.txt": b"b", "./c/./d.txt": b"d"})) == 0
+    assert rt.files() == {"/b.txt": b"b", "/c/d.txt": b"d"}
+    img = tarfile_image({"ok.txt": b"", "a/../../x": b"x"})
+    assert "tarfs: member escapes the root at block 1" in rejected(rt, capfd, img)
 
 
 def test_path_too_long():
@@ -168,12 +198,11 @@ def test_path_too_long():
         pack_dir_from({deep: b"x"})
 
 
-def test_long_path_with_prefix_split_ok():
+def test_long_path_with_prefix_split_ok(rt):
     # 121-byte directory path + file name: fits via the 155-byte prefix field
     long_dir = "d" * 60 + "/" + "e" * 60
-    tree = {f"{long_dir}/file.txt": b"deep content"}
-    idx = mount(pack_dir_from(tree))
-    assert lookup(idx, f"/{long_dir}/file.txt").size == 12
+    assert rt.mount(pack_dir_from({f"{long_dir}/file.txt": b"deep content"})) == 0
+    assert rt.lookup(f"/{long_dir}/file.txt")[0].size == 12
 
 
 def test_single_component_over_100_bytes_impossible():
@@ -182,24 +211,50 @@ def test_single_component_over_100_bytes_impossible():
         pack_dir_from({"p" * 120: b"x"})
 
 
-def test_zero_copy_content_is_view():
+def test_pack_path_limit_is_the_runtime_limit(rt, capfd):
+    # each fits the ustar fields (155-byte prefix, 100-byte name); the
+    # runtime holds "/" + the path in 255 bytes
+    def path(n):
+        return "a" * 100 + "/" + "b" * 54 + "/" + "c" * (n - 156)
+
+    assert rt.mount(pack_dir_from({path(254): b"x"})) == 0
+    assert rt.files() == {"/" + path(254): b"x"}
+    for n in (255, 256):
+        with pytest.raises(PathTooLong):
+            pack_dir_from({path(n): b"x"})
+        img = tarfile_image({path(n): b"x"})
+        assert "tarfs: member name too long at block 0" in rejected(rt, capfd, img)
+
+
+def test_pack_entry_limit_is_the_runtime_limit(rt, capfd, tmp_path):
+    for i in range(8191):
+        (tmp_path / f"{i:04x}").touch()
+    assert rt.mount(pack_dir(tmp_path)) == 0
+    assert rt.fs_count.value == 8192  # the entries and the root
+    (tmp_path / "one-more").touch()
+    with pytest.raises(TooManyEntries):
+        pack_dir(tmp_path)
+    img = tarfile_image({f"{i:04x}": b"" for i in range(8192)})
+    assert "tarfs: node table full at block 8191" in rejected(rt, capfd, img)
+
+
+def test_zero_copy_content_is_view(rt):
     img = pack_dir_from({"a.bin": b"0123456789"})
-    idx = mount(img)
-    view = idx.content(lookup(idx, "/a.bin"))
-    assert isinstance(view, memoryview)
-    off, length = lookup(idx, "/a.bin").extent
-    assert img[off : off + length] == bytes(view)
+    assert rt.mount(img) == 0
+    node, _ = rt.lookup("/a.bin")
+    off = ctypes.cast(node.content, ctypes.c_void_p).value - ctypes.addressof(rt.tar_image)
+    assert off == 512  # right after the header, in the mounted buffer
+    assert img[off : off + node.size] == rt.content(node) == b"0123456789"
 
 
-def test_mount_does_not_mutate_image():
+def test_mount_does_not_mutate_image(rt):
     img = pack_dir_from({"x": b"abc", "y/z": b"def"})
     digest = hashlib.sha256(img).hexdigest()
-    idx = mount(img)
-    for p in idx.paths():
-        meta = lookup(idx, p)
-        if meta.kind == "file":
-            bytes(idx.content(meta))
-    assert hashlib.sha256(img).hexdigest() == digest
+    assert rt.mount(img) == 0
+    assert rt.files() == {"/x": b"abc", "/y/z": b"def"}
+    for path in ["/x", "/y", "/y/z", "/y/../x"]:
+        rt.lookup(path)
+    assert hashlib.sha256(rt.tar_image.raw).hexdigest() == digest
 
 
 NAME = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-.", min_size=1, max_size=12).filter(
@@ -223,10 +278,8 @@ def tree_strategy(draw):
 
 @given(tree_strategy())
 @settings(max_examples=40, deadline=None)
-def test_roundtrip_property(tmp_path_factory, tree):
+def test_roundtrip_property(rt, tmp_path_factory, tree):
     root = tmp_path_factory.mktemp("rt")
     write_tree(root, tree)
-    idx = mount(pack_dir(root))
-    files = {p: bytes(idx.content(lookup(idx, p))) for p in idx.paths()
-             if lookup(idx, p).kind == "file"}
-    assert files == {"/" + k: v for k, v in tree.items()}
+    assert rt.mount(pack_dir(root)) == 0
+    assert rt.files() == {"/" + k: v for k, v in tree.items()}
