@@ -3,7 +3,14 @@
  * The image buffer is borrowed, never copied or written: file content is
  * served as (pointer, length) extents straight into it. seam.tarfs.pack_dir
  * refuses any tree over MAX_PATH - 1 bytes of relative path or MAX_NODES - 1
- * entries (the root is a node), so whatever it packs mounts here. */
+ * entries (the root is a node), so whatever it packs mounts here.
+ *
+ * Nodes are found by path through a hash built as they are added: FNV-1a
+ * over the normalized path into 2 * MAX_NODES open-addressed uint16_t slots
+ * (32 KiB, at most half full), probed linearly, each hit confirmed with
+ * strcmp. So a lookup costs one hash and about one strcmp, and a mount is
+ * linear in its entries. The table is cleared at the start of every mount,
+ * because a process may mount more than once (SEAM_FS, the tests). */
 #include "rt.h"
 
 #include <stdio.h>
@@ -16,18 +23,32 @@ tar_node rt_fs_nodes[MAX_NODES];
 int rt_fs_count;
 static char paths[MAX_NODES][MAX_PATH + 1];
 
+#define HASH_SLOTS (2 * MAX_NODES)
+static uint16_t slots[HASH_SLOTS]; /* node index + 1, or 0 when empty */
+_Static_assert((HASH_SLOTS & (HASH_SLOTS - 1)) == 0 && MAX_NODES < UINT16_MAX,
+               "slots are masked and hold node index + 1");
+
 const char *rt_fs_basename(const tar_node *n)
 {
     const char *slash = strrchr(n->path, '/');
     return slash ? slash + 1 : n->path;
 }
 
+/* the slot holding path's node, or the empty slot where it goes */
+static uint16_t *slot_of(const char *path)
+{
+    uint32_t h = 2166136261u;
+    for (const char *c = path; *c; c++)
+        h = (h ^ (uint8_t)*c) * 16777619u;
+    uint32_t i = h & (HASH_SLOTS - 1);
+    while (slots[i] && strcmp(rt_fs_nodes[slots[i] - 1].path, path) != 0)
+        i = (i + 1) & (HASH_SLOTS - 1);
+    return &slots[i];
+}
+
 static int find_node(const char *path)
 {
-    for (int i = 0; i < rt_fs_count; i++)
-        if (strcmp(rt_fs_nodes[i].path, path) == 0)
-            return i;
-    return -1;
+    return *slot_of(path) - 1;
 }
 
 /* Walk len bytes of path from the absolute, normalized directory path in
@@ -67,7 +88,8 @@ static int walk(char cur[MAX_PATH + 1], const char *path, size_t len)
 static int add_node(const char *path, int is_dir, const uint8_t *content,
                     uint64_t size, uint64_t mtime)
 {
-    int idx = find_node(path);
+    uint16_t *slot = slot_of(path);
+    int idx = *slot - 1;
     if (idx < 0) {
         if (rt_fs_count >= MAX_NODES)
             return -1;
@@ -75,6 +97,7 @@ static int add_node(const char *path, int is_dir, const uint8_t *content,
         strcpy(paths[idx], path);
         rt_fs_nodes[idx].path = paths[idx];
         rt_fs_nodes[idx].parent = -1;
+        *slot = (uint16_t)(idx + 1);
         if (strcmp(path, "/") != 0) {
             char parent[MAX_PATH + 1];
             strcpy(parent, path);
@@ -128,6 +151,7 @@ static int corrupt(const char *what, uint64_t off)
 int rt_fs_mount(const uint8_t *image, uint64_t size)
 {
     rt_fs_count = 0;
+    memset(slots, 0, sizeof slots);
     add_node("/", 1, NULL, 0, 0);
     if (!image || size == 0)
         return 0;

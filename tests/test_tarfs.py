@@ -12,6 +12,7 @@ import hashlib
 import io
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -36,11 +37,12 @@ def pack_dir_from(tree: dict) -> bytes:
         return pack_dir(td)
 
 
-def tarfile_image(members: dict) -> bytes:
-    """A ustar image written by Python's tarfile: name -> bytes, or None for a directory."""
+def tarfile_image(members) -> bytes:
+    """A ustar image written by Python's tarfile: name -> bytes, or None for a
+    directory; a list of (name, data) pairs may repeat a name."""
     buf = io.BytesIO()
     with tarfile.open(fileobj=buf, mode="w", format=tarfile.USTAR_FORMAT) as tf:
-        for name, data in members.items():
+        for name, data in members.items() if isinstance(members, dict) else members:
             info = tarfile.TarInfo(name)
             if data is None:
                 info.type = tarfile.DIRTYPE
@@ -236,6 +238,62 @@ def test_pack_entry_limit_is_the_runtime_limit(rt, capfd, tmp_path):
         pack_dir(tmp_path)
     img = tarfile_image({f"{i:04x}": b"" for i in range(8192)})
     assert "tarfs: node table full at block 8191" in rejected(rt, capfd, img)
+
+
+def test_index_resolves_every_node_of_a_full_table(rt):
+    # 64 implied directories and 8127 files fill all 8192 nodes; each node's
+    # path must find that node, and absent paths, among them siblings that
+    # differ from a present name only in the last byte, must not
+    names = [f"d{i % 64:02x}/n{i:04x}" for i in range(8127)]
+    assert rt.mount(tarfile_image({n: b"" for n in names})) == 0
+    assert rt.fs_count.value == 8192
+    for i in range(8192):
+        node, err = rt.lookup(rt.fs_nodes[i].path.decode())
+        assert err == 0 and ctypes.addressof(node) == ctypes.addressof(rt.fs_nodes[i])
+    absent = [f"/d{i % 64:02x}/n{i:04x}" for i in range(8127, 8627)]
+    absent += [f"/{n[:-1]}{'z' if n[-1] != 'z' else 'y'}" for n in names[:500]]
+    for path in absent:
+        assert rt.lookup(path) == (None, W_NOENT), path
+
+
+def test_shadowed_entry_is_one_node_with_the_later_content(rt):
+    img = tarfile_image([("a.txt", b"old"), ("b.txt", b"b"), ("a.txt", b"newer")])
+    assert rt.mount(img) == 0
+    assert rt.fs_count.value == 3  # the root, a.txt, b.txt
+    node, _ = rt.lookup("/a.txt")
+    assert ctypes.addressof(node) == ctypes.addressof(rt.fs_nodes[1])  # first position kept
+    assert rt.files() == {"/a.txt": b"newer", "/b.txt": b"b"}
+
+
+def test_remount_replaces_the_index(rt):
+    # A has more nodes than B, so a stale index would point past B's nodes at
+    # paths A left behind
+    a = {f"a/{i}.txt": b"A" for i in range(50)} | {"both/x": b"Ax"}
+    b = {"b.txt": b"B", "both/y": b"By"}
+    assert rt.mount(tarfile_image(a)) == 0
+    assert rt.mount(tarfile_image(b)) == 0
+    for path in ["/a", "/a/0.txt", "/a/49.txt", "/both/x"]:
+        assert rt.lookup(path) == (None, W_NOENT), path
+    assert rt.files() == {"/b.txt": b"B", "/both/y": b"By"}
+    for path, data in rt.files().items():
+        assert rt.content(rt.lookup(path)[0]) == data
+
+
+def test_mount_is_linear_in_entries(rt):
+    # best of three mounts each; a linear mount reads ~10x for 10x the
+    # entries, one that scans the node table per entry ~100x
+    def best_mount_s(n):
+        img = tarfile_image({f"f{i:05d}": b"" for i in range(n)})
+        assert rt.mount(img) == 0
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert rt.lib.rt_fs_mount(rt.tar_image, len(img)) == 0
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    small, large = best_mount_s(819), best_mount_s(8190)
+    assert large / small < 30, (small, large)
 
 
 def test_zero_copy_content_is_view(rt):
