@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .bench import LoadConfig, run_load
 from .driver import BuildPlan, cmd_build, cmd_compile, cmd_pack, cmd_run
-from .errors import LinkError, SeamError, TargetUnreachable
+from .errors import LinkError, SeamError, TargetUnreachable, ToolchainMissing
 from .profiler import profile_run
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("-o", "--output", type=Path, required=True)
     b.add_argument("--fs", type=Path, default=None, help="directory to embed as the tar filesystem")
     b.add_argument("--keep", action="store_true", help="keep intermediates under <out>.build/")
-    b.add_argument("--linker", default=None, help="static link driver (default: $SEAM_LINKER or cc)")
+    b.add_argument("--linker", default=None, help="cc-compatible static-PIE link driver (default: $SEAM_LINKER or cc)")
 
     r = sub.add_parser("run", help="run a built executable")
     r.add_argument("exe", type=Path)
@@ -124,6 +124,9 @@ def main(argv: list[str] | None = None) -> int:
                 args.json.write_text(report.to_json() + "\n")
             return EXIT_OK
         parser.error(f"unknown command {args.command}")
+    except ToolchainMissing as e:
+        print(f"seam: error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     except LinkError as e:
         print(f"seam: link error: {e}", file=sys.stderr)
         return EXIT_LINK

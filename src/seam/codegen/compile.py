@@ -22,11 +22,13 @@ _ARCH_ALIASES = {"x86_64": "x86_64", "amd64": "x86_64", "aarch64": "aarch64", "a
 # float rounding ops must lower to instructions. Stack-clash protection
 # probes every page of a large frame, so no frame can step over the guard
 # region under the guest stack (it only adds inline probes, no symbols).
+# -fPIE is the default of most compilers but not all, and the guest is
+# linked into a static PIE.
 _BASE_CFLAGS = [
     "-c", "-O2", "-g0",
     "-ffreestanding", "-fno-builtin", "-fno-stack-protector", "-fstack-clash-protection",
     "-fno-asynchronous-unwind-tables", "-fno-math-errno", "-ffp-contract=off",
-    "-fno-strict-aliasing",
+    "-fno-strict-aliasing", "-fPIE",
 ]
 _ARCH_CFLAGS = {
     "x86_64": ["-msse4.1", "-mpopcnt"],

@@ -57,6 +57,12 @@ extern uint8_t *memory_base(void);
 extern uint32_t memory_grow(uint32_t delta_pages);
 extern void runtime_trap(uint32_t code) __attribute__((noreturn));
 
+/* the guest's .text starts on a 4 KiB boundary, so where its code lands
+   modulo a page or fetch window does not depend on the runtime and libc
+   code the linker places ahead of it; at offset 0 the directive adds no
+   bytes, only the section's alignment */
+__asm__(".pushsection .text\n\t.p2align 12\n\t.popsection");
+
 __attribute__((used)) static void *const sr_keep[] = {
     (void *)&memory_base, (void *)&memory_grow, (void *)&runtime_trap,
 };

@@ -1,9 +1,10 @@
 """Toolchain driver: compile, pack, link, run.
 
 cmd_build is the unikernel-style pipeline: Wasm -> relocatable object with
-unresolved WASI/memory symbols -> static link against the runtime (plus an
-optional tar image object) -> one self-contained executable. The symbol
-audit that makes the seam mechanically checkable is written next to the
+unresolved WASI/memory symbols -> static-PIE link against the runtime image,
+the runtime pre-linked with libc (plus an optional tar image object) -> one
+self-contained executable that loads no shared library. The symbol audit
+that makes the seam mechanically checkable is written next to the
 executable as <out>.audit.json.
 """
 
@@ -19,7 +20,7 @@ from pathlib import Path
 from . import elf
 from .codegen import ALLOWED_UNRESOLVED, compile_wasm_file, write_artifact
 from .errors import LinkError, SeamError
-from .runtime import runtime_objects
+from .runtime import runtime_image, runtime_objects
 from .tarfs import pack, pack_dir
 
 
@@ -85,6 +86,16 @@ def _fs_image_asm(image_size: int) -> str:
     )
 
 
+def link_executable(linker: str, output: Path, inputs: list[Path]):
+    """Link a static PIE from inputs that carry their own start files and
+    libc, the runtime image last; the guest object goes first, so its
+    .text follows only the image's cold and startup code."""
+    proc = subprocess.run([linker, "-static-pie", "-nostdlib", "-o", str(output), *map(str, inputs)],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise LinkError(f"linker failed:\n{proc.stderr}")
+
+
 def cmd_build(plan: BuildPlan) -> dict:
     """Compile + pack + link into one executable; returns the symbol audit."""
     build_dir = Path(str(plan.output) + ".build")
@@ -111,7 +122,7 @@ def cmd_build(plan: BuildPlan) -> dict:
                 raise SeamError(f"fs image assembly failed:\n{proc.stderr}")
             link_inputs.append(fs_obj)
 
-        rt_objs = runtime_objects(cc=plan.cc)
+        image = runtime_image(runtime_objects(cc=plan.cc))
 
         # audit before linking: the guest may leave only ABI functions and
         # runtime hooks unresolved, and the runtime defines every one
@@ -127,12 +138,7 @@ def cmd_build(plan: BuildPlan) -> dict:
                 unresolved=audit["unresolved"],
             )
 
-        linker = plan.linker or default_linker()
-        cmdline = [linker, "-o", str(plan.output),
-                   *[str(p) for p in link_inputs], *[str(p) for p in rt_objs], "-pthread"]
-        proc = subprocess.run(cmdline, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise LinkError(f"linker failed:\n{proc.stderr}")
+        link_executable(plan.linker or default_linker(), plan.output, [*link_inputs, image])
 
         audit_path = Path(str(plan.output) + ".audit.json")
         audit_path.write_text(json.dumps(audit, indent=2, sort_keys=True) + "\n")
@@ -163,7 +169,7 @@ def cmd_run(exe: str | Path, guest_args: list[str] | None = None,
 
 def check_no_wasm_engine_dependency(exe: str | Path) -> list[str]:
     """The executable must not load any Wasm engine at runtime; returns the
-    dynamic library list for the audit trail."""
+    dynamic library list for the audit trail, empty for a static PIE."""
     libs = elf.needed_libs(exe)
     offenders = [l for l in libs if "wasm" in l.lower() or "wamr" in l.lower()]
     if offenders:

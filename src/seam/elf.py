@@ -1,7 +1,8 @@
 """Just enough ELF64 reading for symbol audits.
 
 Covers relocatable objects and executables: global symbol tables
-(defined vs undefined) and the DT_NEEDED list of dynamic executables.
+(defined vs undefined), function addresses, the file type, the program
+headers and the DT_NEEDED list of dynamic executables.
 """
 
 from __future__ import annotations
@@ -15,18 +16,30 @@ _SHT_DYNAMIC = 6
 _SHT_DYNSYM = 11
 _DT_NEEDED = 1
 _STB_LOCAL = 0
+STB_GLOBAL = 1
+_STT_FUNC = 2
 _SHN_UNDEF = 0
+
+ET_DYN = 3  # a shared object, or a position-independent executable
+PT_INTERP = 3
+PT_GNU_STACK = 0x6474E551
+PF_X = 1
 
 
 class ElfError(Exception):
     pass
 
 
-def _sections(data: bytes):
+def _read(path: str | Path) -> bytes:
+    data = Path(path).read_bytes()
     if data[:4] != b"\x7fELF":
         raise ElfError("not an ELF file")
     if data[4] != 2 or data[5] != 1:
         raise ElfError("only little-endian ELF64 is supported")
+    return data
+
+
+def _sections(data: bytes):
     e_shoff, = struct.unpack_from("<Q", data, 0x28)
     e_shentsize, e_shnum, e_shstrndx = struct.unpack_from("<HHH", data, 0x3A)
     secs = []
@@ -48,34 +61,61 @@ def _cstr(data: bytes, off: int) -> str:
     return data[off:end].decode("utf-8", "replace")
 
 
-def symbols(path: str | Path) -> tuple[set[str], set[str]]:
-    """Global (defined, undefined) symbol names of an object or executable."""
-    data = Path(path).read_bytes()
+def _symtab(data: bytes, types=(_SHT_SYMTAB, _SHT_DYNSYM)):
+    """(name, st_info, st_shndx, st_value) of each named symbol."""
     secs = _sections(data)
-    defined: set[str] = set()
-    undefined: set[str] = set()
     for sec in secs:
-        if sec["type"] not in (_SHT_SYMTAB, _SHT_DYNSYM):
+        if sec["type"] not in types:
             continue
         strtab = secs[sec["link"]]
         count = sec["size"] // sec["entsize"] if sec["entsize"] else 0
         for i in range(count):
             off = sec["offset"] + i * sec["entsize"]
             st_name, st_info = struct.unpack_from("<IB", data, off)
-            st_shndx, = struct.unpack_from("<H", data, off + 6)
-            if st_name == 0 or (st_info >> 4) == _STB_LOCAL:
-                continue
-            name = _cstr(data, strtab["offset"] + st_name)
-            if st_shndx == _SHN_UNDEF:
-                undefined.add(name)
-            else:
-                defined.add(name)
+            st_shndx, st_value = struct.unpack_from("<HQ", data, off + 6)
+            if st_name:
+                yield _cstr(data, strtab["offset"] + st_name), st_info, st_shndx, st_value
+
+
+def symbols(path: str | Path) -> tuple[set[str], set[str]]:
+    """Global (defined, undefined) symbol names of an object or executable."""
+    defined: set[str] = set()
+    undefined: set[str] = set()
+    for name, info, shndx, _ in _symtab(_read(path)):
+        if (info >> 4) != _STB_LOCAL:
+            (undefined if shndx == _SHN_UNDEF else defined).add(name)
     return defined, undefined
+
+
+def definitions(path: str | Path) -> list[tuple[str, int]]:
+    """(name, binding) of each defined non-local symbol: STB_GLOBAL, or
+    STB_WEAK (2) for a definition any strong one overrides."""
+    return [(name, info >> 4) for name, info, shndx, _ in _symtab(_read(path))
+            if (info >> 4) != _STB_LOCAL and shndx != _SHN_UNDEF]
+
+
+def function_addresses(path: str | Path) -> dict[str, int]:
+    """Address of each defined function in the static symbol table, local
+    ones included; a name defined twice keeps its last address."""
+    return {name: value for name, info, shndx, value in _symtab(_read(path), (_SHT_SYMTAB,))
+            if info & 0xF == _STT_FUNC and shndx != _SHN_UNDEF}
+
+
+def elf_type(path: str | Path) -> int:
+    return struct.unpack_from("<H", _read(path), 0x10)[0]
+
+
+def program_headers(path: str | Path) -> list[tuple[int, int]]:
+    """(p_type, p_flags) of each program header."""
+    data = _read(path)
+    phoff, = struct.unpack_from("<Q", data, 0x20)
+    phentsize, phnum = struct.unpack_from("<HH", data, 0x36)
+    return [struct.unpack_from("<II", data, phoff + i * phentsize) for i in range(phnum)]
 
 
 def needed_libs(path: str | Path) -> list[str]:
     """DT_NEEDED entries of a dynamically linked executable."""
-    data = Path(path).read_bytes()
+    data = _read(path)
     secs = _sections(data)
     out: list[str] = []
     for sec in secs:

@@ -83,6 +83,12 @@ class LinkError(SeamError):
         super().__init__(message)
 
 
+class ToolchainMissing(LinkError):
+    """The build host lacks a start file or archive the static-PIE link
+    needs. No guest is at fault, so the CLI reports it as an input error
+    (exit 1), like a C compiler that cannot run."""
+
+
 class ProfileDisabled(SeamError):
     """The executable produced no profile report."""
 

@@ -1,8 +1,13 @@
 """Build orchestration for the C runtime that resolves compiled objects' symbols.
 
 The runtime sources ship as package data. `runtime_objects` compiles them
-once per (source-hash, cc) into a cache directory and returns the object
-list for the static link. `test_shared_lib` builds the same sources minus
+once per cache key into a cache directory and returns the object list. The
+same entry holds `image.o`: the objects pre-linked (`cc -r`) with the C
+library's static-PIE start files, libgcc and libc.a, so that linking a
+guest into a self-contained static PIE only has to place the guest and
+resolve its few ABI symbols. The key covers the sources, the flags, the
+compiler's identity and each start file's and archive's path, size and
+mtime. `test_shared_lib` builds the same sources minus
 the executable entry as a shared library, which the test suite loads with
 ctypes to drive WASI functions directly. Both write `abi.h`, generated
 from the ABI table, next to their outputs for abi.c and the wasi_*.c units.
@@ -20,7 +25,7 @@ from pathlib import Path
 
 from ..codegen.ctext import CTYPE
 from ..codegen.symbols import ABI, BUCKET, NOSYS
-from ..errors import SeamError
+from ..errors import LinkError, SeamError, ToolchainMissing
 
 C_DIR = Path(__file__).parent / "c"
 
@@ -40,7 +45,14 @@ LIB_SOURCES = [
 ]
 
 CFLAGS = ["-O2", "-g0", "-std=c11", "-D_GNU_SOURCE", "-Wall", "-Wextra", "-pthread",
-          "-fno-strict-aliasing"]
+          "-fno-strict-aliasing", "-fPIE"]
+
+# image.o's inputs around the runtime objects, in link order: the start
+# files ahead, the archives as one group, the end files last
+_IMAGE = "image.o"
+START_FILES = ["rcrt1.o", "crti.o", "crtbeginS.o"]
+ARCHIVES = ["libgcc.a", "libgcc_eh.a", "libc.a"]
+END_FILES = ["crtendS.o", "crtn.o"]
 
 
 def cache_dir() -> Path:
@@ -94,6 +106,29 @@ def _cc_version(cc: str) -> bytes:
         raise SeamError(f"C compiler {cc!r} not runnable: {e}") from e
 
 
+@functools.lru_cache(maxsize=None)
+def _print_file_name(cc: str, name: str) -> str:
+    """Where cc finds one start file or archive, asked once per process;
+    cc prints the bare name back when it has no such file."""
+    try:
+        return subprocess.run([cc, f"-print-file-name={name}"], capture_output=True,
+                              text=True).stdout.strip()
+    except OSError as e:
+        raise SeamError(f"C compiler {cc!r} not runnable: {e}") from e
+
+
+def _link_files(cc: str) -> dict[str, Path]:
+    """The image's start files and archives; a static PIE has no fallback."""
+    files = {}
+    for name in [*START_FILES, *ARCHIVES, *END_FILES]:
+        path = Path(_print_file_name(cc, name))
+        if not path.is_absolute() or not path.is_file():
+            raise ToolchainMissing(f"{name} not found: install the C library's static archive "
+                                   "(libc6-dev, or glibc-static on Fedora)")
+        files[name] = path
+    return files
+
+
 def _source_key(cc: str, extra: tuple[str, ...] = ()) -> str:
     h = hashlib.sha256()
     for name in [ENTRY_SOURCE, "rt.h", *LIB_SOURCES]:
@@ -127,18 +162,47 @@ def _publish(tmp: Path, final: Path):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def link_image(cc: str, objects: list[Path], out: Path):
+    """Pre-link objects with the static-PIE start files, libgcc and libc.a
+    into one relocatable object."""
+    files = _link_files(cc)
+
+    def paths(names: list[str]) -> list[str]:
+        return [str(files[name]) for name in names]
+
+    proc = subprocess.run(
+        [cc, "-r", "-nostdlib", "-o", str(out), *paths(START_FILES), *map(str, objects),
+         "-Wl,--start-group", *paths(ARCHIVES), "-Wl,--end-group", *paths(END_FILES)],
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise LinkError(f"runtime image link failed:\n{proc.stderr}")
+
+
+def runtime_entry(cc: str = "cc") -> Path:
+    """The cache directory of the runtime built with cc and its libc."""
+    identity = tuple(f"{p}:{st.st_size}:{st.st_mtime_ns}"
+                     for p in _link_files(cc).values() for st in [p.stat()])
+    return cache_dir() / f"rt-{_source_key(cc, identity)}"
+
+
 def runtime_objects(cc: str = "cc") -> list[Path]:
-    """Compile (or reuse) the runtime objects for static linking."""
-    key = _source_key(cc)
-    out_dir = cache_dir() / f"rt-{key}"
+    """Compile (or reuse) the runtime objects, and with them the image."""
+    out_dir = runtime_entry(cc)
     names = [ENTRY_SOURCE, *LIB_SOURCES]
     if not out_dir.exists():
-        tmp = Path(tempfile.mkdtemp(prefix=f"rt-{key}.", dir=cache_dir()))
+        tmp = Path(tempfile.mkdtemp(prefix=f"{out_dir.name}.", dir=cache_dir()))
         (tmp / "abi.h").write_text(abi_header())
         for src_name in names:
             _compile(cc, C_DIR / src_name, tmp / (Path(src_name).stem + ".o"), [f"-I{tmp}"])
+        link_image(cc, [tmp / (Path(s).stem + ".o") for s in names], tmp / _IMAGE)
         _publish(tmp, out_dir)
     return [out_dir / (Path(s).stem + ".o") for s in names]
+
+
+def runtime_image(objects: list[Path]) -> Path:
+    """The runtime image pre-linked from objects, as runtime_objects returned them."""
+    return objects[0].parent / _IMAGE
 
 
 def test_shared_lib(cc: str = "cc") -> Path:

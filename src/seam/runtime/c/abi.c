@@ -12,9 +12,9 @@
 
 #pragma GCC diagnostic ignored "-Wunused-parameter"
 
-/* The scoped path is noinline but not cold: the linker places cold
- * (.text.unlikely) code ahead of .text, so it would move the guest's code,
- * whose speed depends on its alignment. */
+/* The scoped path is noinline. It may as well be cold: the linker places
+ * cold (.text.unlikely) code ahead of the guest's .text, but that starts
+ * on a page boundary, so no runtime code moves the guest's alignment. */
 #define ENTRY(name, bucket, params, args)                                   \
     static __attribute__((noinline)) uint32_t scoped_##name params          \
     {                                                                       \

@@ -1,6 +1,8 @@
 """Toolchain driver and CLI flows: compile, pack, build, run, exit codes."""
 
 import json
+import os
+import shutil
 import signal
 import struct
 import subprocess
@@ -9,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from seam import elf
+from seam import elf, runtime
 from seam.cli import main as cli_main
 from seam.codegen import ABI, ALLOWED_UNRESOLVED, BUCKET, NOSYS, compile_wasm_file
 from seam.codegen.symbols import _parse
@@ -18,10 +20,11 @@ from seam.driver import (
     check_no_wasm_engine_dependency,
     cmd_build,
     cmd_run,
+    link_executable,
 )
 from seam.errors import AbiViolation, LinkError
 from seam.profiler import BUCKETS
-from seam.runtime import C_DIR, CFLAGS, abi_header, runtime_objects
+from seam.runtime import C_DIR, CFLAGS, abi_header, link_image, runtime_image, runtime_objects
 from seam.tarfs import pack_dir
 from seam.wasm.model import FuncType
 
@@ -248,6 +251,14 @@ def test_runtime_defines_every_abi_row_once():
     assert len(ABI) == 55 and len(NOSYS) == 23 and NOSYS <= set(ABI)
     defined = Counter(sym for obj in runtime_objects() for sym in elf.symbols(obj)[0])
     assert {name: defined[name] for name in ABI} == dict.fromkeys(ABI, 1)
+    # and once, strong, in the image that also holds libc, which has its
+    # own sched_yield: a weak alias of __sched_yield that must lose
+    image = runtime_image(runtime_objects())
+    bindings = Counter(elf.definitions(image))
+    assert {name: bindings[name, elf.STB_GLOBAL] for name in ABI} == dict.fromkeys(ABI, 1)
+    assert not {name for name, bind in bindings if name in ABI and bind != elf.STB_GLOBAL}
+    funcs = elf.function_addresses(image)
+    assert funcs["sched_yield"] != funcs.get("__sched_yield")
 
 
 def test_every_implemented_row_has_a_profile_bucket():
@@ -287,12 +298,101 @@ def test_stack_is_not_executable_with_or_without_fs(www_dir, tmp_path):
     wasm.write_bytes(empty_module())
     for exe, fs in [(tmp_path / "plain", None), (tmp_path / "withfs", www_dir)]:
         cmd_build(BuildPlan(wasm=wasm, output=exe, fs_dir=fs))
-        data = exe.read_bytes()
-        phoff, = struct.unpack_from("<Q", data, 0x20)
-        phentsize, phnum = struct.unpack_from("<HH", data, 0x36)
-        headers = [struct.unpack_from("<II", data, phoff + i * phentsize) for i in range(phnum)]
         # exactly one PT_GNU_STACK, without PF_X
-        assert [flags & 1 for kind, flags in headers if kind == 0x6474E551] == [0], exe.name
+        assert [flags & elf.PF_X for kind, flags in elf.program_headers(exe)
+                if kind == elf.PT_GNU_STACK] == [0], exe.name
+
+
+def hello_guest(tmp_path):
+    """A guest that prints "hi" on a line of its own and exits 3."""
+    b = ModuleBuilder()
+    fd_write = b.add_import("wasi_snapshot_preview1", "fd_write",
+                            ["i32", "i32", "i32", "i32"], ["i32"])
+    proc_exit = b.add_import("wasi_snapshot_preview1", "proc_exit", ["i32"], [])
+    b.set_memory(1, 1)
+    # 0: iovec {buf=16, len=3}; 8: nwritten; 16: the text
+    b.add_data(0, struct.pack("<II", 16, 3) + b"\0" * 8 + b"hi\n")
+    b.add_func([], [], [], [
+        ("i32.const", 1), ("i32.const", 0), ("i32.const", 1), ("i32.const", 8),
+        ("call", fd_write), ("drop",), ("i32.const", 3), ("call", proc_exit),
+    ], export="_start")
+    wasm = tmp_path / "hello.wasm"
+    wasm.write_bytes(b.build())
+    return wasm
+
+
+def test_executable_is_a_self_contained_static_pie(tmp_path):
+    exe = tmp_path / "hello"
+    cmd_build(BuildPlan(wasm=hello_guest(tmp_path), output=exe))
+    assert elf.elf_type(exe) == elf.ET_DYN  # position independent: ASLR applies
+    assert elf.PT_INTERP not in [kind for kind, _ in elf.program_headers(exe)]
+    assert elf.needed_libs(exe) == []
+    assert check_no_wasm_engine_dependency(exe) == []
+    plain = subprocess.run([str(exe)], capture_output=True, text=True)
+    # a dynamic executable would warn about the preload on stderr
+    bare = subprocess.run(["env", "-i", "LD_LIBRARY_PATH=/nonexistent",
+                           "LD_PRELOAD=/nonexistent.so", str(exe)], capture_output=True, text=True)
+    assert (plain.returncode, plain.stdout, plain.stderr) == (3, "hi\n", "")
+    assert (bare.returncode, bare.stdout, bare.stderr) == (3, "hi\n", "")
+
+
+def test_guest_placement_does_not_depend_on_the_runtime(tmp_path):
+    """1.7 KB more cold runtime code leaves every guest function at the
+    same offset modulo a page: the guest's .text starts on one."""
+    b = ModuleBuilder()
+    b.set_memory(1, 1)
+    for i in range(6):
+        b.add_func(["i32"], ["i32"], [], [("local.get", 0), ("i32.const", i), ("i32.add",)],
+                   export=f"f{i}")
+    b.add_func([], [], [], [], export="_start")
+    wasm = tmp_path / "g.wasm"
+    wasm.write_bytes(b.build())
+    cmd_build(BuildPlan(wasm=wasm, output=tmp_path / "g", keep_intermediates=True))
+    guest = tmp_path / "g.build" / "guest.o"
+    (tmp_path / "cold.c").write_text(
+        '__attribute__((cold, used)) void extra_cold(void) { __asm__ volatile(".fill 1712, 1, 0x90"); }\n')
+    subprocess.run(["cc", *CFLAGS, "-c", "-o", str(tmp_path / "cold.o"), str(tmp_path / "cold.c")],
+                   check=True)
+    placed = []
+    for name, extra in [("plain", []), ("cold", [tmp_path / "cold.o"])]:
+        image = tmp_path / f"{name}.image.o"
+        link_image("cc", [*runtime_objects(), *extra], image)
+        link_executable("cc", tmp_path / name, [guest, image])
+        placed.append(elf.function_addresses(tmp_path / name))
+    offsets = elf.function_addresses(guest)  # offsets into the guest's .text
+    assert len(offsets) >= 7 and "extra_cold" in placed[1]
+    assert placed[0]["main"] != placed[1]["main"]  # the runtime code after it moved
+    for funcs in placed:
+        assert {name: funcs[name] % 4096 for name in offsets} == {n: v % 4096 for n, v in offsets.items()}
+
+
+def test_missing_static_libc_is_a_named_error(tmp_path, monkeypatch, capsys):
+    real = runtime._print_file_name
+    monkeypatch.setattr(runtime, "_print_file_name",
+                        lambda cc, name: name if name == "libc.a" else real(cc, name))
+    wasm = hello_guest(tmp_path)
+    with pytest.raises(LinkError, match="libc.a not found: install the C library's static archive"):
+        cmd_build(BuildPlan(wasm=wasm, output=tmp_path / "h"))
+    assert run_cli(["build", wasm, "-o", tmp_path / "h"]) == 1
+    assert "libc.a not found" in capsys.readouterr().err
+    assert not (tmp_path / "h").exists()
+
+
+def test_libc_identity_keys_the_runtime_cache(tmp_path, monkeypatch):
+    """image.o is published with the objects of its entry, and a libc.a of
+    another path, size or mtime gets a new entry."""
+    objects = runtime_objects()
+    assert runtime_image(objects).is_file()
+    real = runtime._print_file_name
+    libc = tmp_path / "libc.a"
+    shutil.copyfile(real("cc", "libc.a"), libc)
+    monkeypatch.setattr(runtime, "_print_file_name",
+                        lambda cc, name: str(libc) if name == "libc.a" else real(cc, name))
+    moved = runtime.runtime_entry()
+    st = libc.stat()
+    os.utime(libc, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    touched = runtime.runtime_entry()
+    assert len({objects[0].parent, moved, touched}) == 3
 
 
 def test_unimplemented_but_preview1_name_builds_and_nosys(tmp_path, capfd):
