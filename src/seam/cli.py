@@ -9,6 +9,7 @@ forwards the guest's exit status (128+code for traps).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -21,6 +22,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_USAGE = 2
 EXIT_LINK = 3
+
+BUILD_TIMINGS_SCHEMA = "seam.build-timings/1"
+BUILD_TIMINGS_KEYS = ("decode_ms", "validate_ms", "emit_ms", "cc_ms", "link_ms",
+                      "c_bytes", "obj_text_bytes")
 
 
 def _split_guest_args(argv: list[str]) -> tuple[list[str], list[str]]:
@@ -48,6 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--fs", type=Path, default=None, help="directory to embed as the tar filesystem")
     b.add_argument("--keep", action="store_true", help="keep intermediates under <out>.build/")
     b.add_argument("--linker", default=None, help="cc-compatible static-PIE link driver (default: $SEAM_LINKER or cc)")
+    b.add_argument("--timings", action="store_true",
+                   help="print the phase costs as one JSON line (schema seam.build-timings/1)")
 
     r = sub.add_parser("run", help="run a built executable")
     r.add_argument("exe", type=Path)
@@ -90,12 +97,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "build":
             plan = BuildPlan(wasm=args.wasm, output=args.output, fs_dir=args.fs,
                              keep_intermediates=args.keep, linker=args.linker)
-            audit = cmd_build(plan)
+            timings: dict = {}
+            audit = cmd_build(plan, timings)
             print(f"built {args.output}")
             print("symbol audit:")
             for sym, provider in sorted(audit["resolved"].items()):
                 print(f"  {sym} <- {provider}")
             print("unresolved after link: none")
+            if args.timings:
+                print(json.dumps({"schema": BUILD_TIMINGS_SCHEMA,
+                                  **{k: timings[k] for k in BUILD_TIMINGS_KEYS}}))
             return EXIT_OK
         if args.command == "run":
             proc = cmd_run(args.exe, guest_args=guest_args, fs_override=args.fs,

@@ -6,7 +6,8 @@ import json
 import platform
 import subprocess
 import tempfile
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import elf
@@ -18,17 +19,19 @@ from .symbols import SymbolManifest
 _ARCH_ALIASES = {"x86_64": "x86_64", "amd64": "x86_64", "aarch64": "aarch64", "arm64": "aarch64"}
 
 # closed-world compile flags: the object may reference nothing but the
-# declared externs, so builtins/libcalls/stack protector must stay off and
-# float rounding ops must lower to instructions. Stack-clash protection
-# probes every page of a large frame, so no frame can step over the guard
-# region under the guest stack (it only adds inline probes, no symbols).
+# declared externs, so builtins/libcalls/stack protector must stay off,
+# float rounding ops must lower to instructions, and no loop may become a
+# memcpy/memset call (wasm_init's data copy is a byte loop). Stack-clash
+# protection probes every page of a large frame, so no frame can step over
+# the guard region under the guest stack (it only adds inline probes, no
+# symbols).
 # -fPIE is the default of most compilers but not all, and the guest is
 # linked into a static PIE.
 _BASE_CFLAGS = [
     "-c", "-O2", "-g0",
     "-ffreestanding", "-fno-builtin", "-fno-stack-protector", "-fstack-clash-protection",
     "-fno-asynchronous-unwind-tables", "-fno-math-errno", "-ffp-contract=off",
-    "-fno-strict-aliasing", "-fPIE",
+    "-fno-strict-aliasing", "-fno-tree-loop-distribute-patterns", "-fPIE",
 ]
 _ARCH_CFLAGS = {
     "x86_64": ["-msse4.1", "-mpopcnt"],
@@ -45,6 +48,12 @@ class ObjectArtifact:
     object_bytes: bytes
     symbols: SymbolManifest
     c_source: str  # kept for --keep debugging
+    # phase costs: {decode,validate,emit,cc}_ms, c_bytes, obj_text_bytes
+    timings: dict = field(default_factory=dict)
+
+
+def _ms_since(t0: float) -> float:
+    return round((time.perf_counter() - t0) * 1000, 3)
 
 
 def _cc(cc: str, args: list[str], cwd: Path):
@@ -60,16 +69,21 @@ def compile_module(vm: ValidatedModule, cc: str = "cc") -> ObjectArtifact:
     are defined as wasm_<name>, plus wasm_init / wasm_memory_spec /
     wasm_exports for the runtime's boot sequence.
     """
+    t0 = time.perf_counter()
     gen = CGen(vm)
     source = gen.emit()
+    timings = {"emit_ms": _ms_since(t0)}
     with tempfile.TemporaryDirectory(prefix="seamcc-") as td:
         tdp = Path(td)
         (tdp / "mod.c").write_text(source)
         flags = _BASE_CFLAGS + _ARCH_CFLAGS.get(host_target(), [])
+        t0 = time.perf_counter()
         _cc(cc, [*flags, "-o", "mod.o", "mod.c"], tdp)
+        timings["cc_ms"] = _ms_since(t0)
         obj = (tdp / "mod.o").read_bytes()
         defined, unresolved = gen.manifest_symbols()
         got_defined, got_undef = elf.symbols(tdp / "mod.o")
+        timings.update(c_bytes=len(source), obj_text_bytes=elf.text_bytes(tdp / "mod.o"))
 
     # the object must agree with the computed manifest: nothing extra may
     # leak in (a stray libcall would break the link-closure contract)
@@ -82,12 +96,20 @@ def compile_module(vm: ValidatedModule, cc: str = "cc") -> ObjectArtifact:
         raise CodegenError(f"object is missing expected symbols: {sorted(missing)}")
 
     manifest = SymbolManifest(defined=defined, unresolved=unresolved)
-    return ObjectArtifact(object_bytes=obj, symbols=manifest, c_source=source)
+    return ObjectArtifact(object_bytes=obj, symbols=manifest, c_source=source, timings=timings)
 
 
 def compile_wasm_file(path: str | Path, cc: str = "cc") -> ObjectArtifact:
     data = Path(path).read_bytes()
-    return compile_module(validate_module(decode_module(data)), cc=cc)
+    t0 = time.perf_counter()
+    module = decode_module(data)
+    decode_ms = _ms_since(t0)
+    t0 = time.perf_counter()
+    vm = validate_module(module)
+    validate_ms = _ms_since(t0)
+    art = compile_module(vm, cc=cc)
+    art.timings = {"decode_ms": decode_ms, "validate_ms": validate_ms, **art.timings}
+    return art
 
 
 def write_artifact(art: ObjectArtifact, out_obj: str | Path) -> Path:

@@ -27,6 +27,11 @@ counter.
   budget; a table slot that holds one goes through a thunk that drops it.
   A guard region under the guest stack (runtime main.c) turns an overflow
   by very large frames into trap 7 too.
+
+Instantiation happens at build time. The tables (one per signature that a
+call_indirect names), the data segments and the globals are link-time
+constants; wasm_init keeps only the element-fit trap, one bounds-checked
+copy loop over the data segments and the start call.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ from .symbols import ABI, RESERVED_DEFINED, RUNTIME_HOOKS, WASI_MODULE
 CTYPE = {"i32": "uint32_t", "i64": "uint64_t", "f32": "float", "f64": "double"}
 SIGCHAR = {"i32": "i", "i64": "I", "f32": "f", "f64": "F"}
 ZERO = {"i32": "0u", "i64": "0ull", "f32": "0.0f", "f64": "0.0"}
+# a float global is stored as its bit pattern, so its static initializer is
+# an integer constant and keeps every bit, NaN payloads included
+GLOBAL_CTYPE = {"i32": "uint32_t", "i64": "uint64_t", "f32": "uint32_t", "f64": "uint64_t"}
+_GLOBAL_GET = {"i32": "{}", "i64": "{}", "f32": "sr_f32_frombits({})", "f64": "sr_f64_frombits({})"}
+_GLOBAL_SET = {"i32": "{}", "i64": "{}", "f32": "sr_f32_tobits({})", "f64": "sr_f64_tobits({})"}
 
 TRAP_OOB = 1
 TRAP_DIV_ZERO = 2
@@ -308,6 +318,30 @@ def _c_string(s: str) -> str:
     return '"' + "".join(out) + '"'
 
 
+# each byte as it stands in a C string: printable ASCII as itself, any
+# other byte as a three-digit octal escape, which cannot run into the next
+# character; '?' is escaped too, so no trigraph can form
+_C_BYTE = [chr(b) if 32 <= b < 127 and chr(b) not in '"\\?' else f"\\{b:03o}" for b in range(256)]
+
+
+def _c_bytes(data: bytes) -> str:
+    """A C string literal of exactly these bytes, 64 to a line."""
+    if not data:
+        return '""'
+    esc = _C_BYTE
+    return "\n".join('"' + "".join([esc[b] for b in data[k:k + 64]]) + '"'
+                     for k in range(0, len(data), 64))
+
+
+def _const_bits(instr: tuple) -> str:
+    """The value of a constant expression as an unsigned C constant; a
+    float constant as its bit pattern."""
+    name, val = instr[0], instr[1]
+    if name in ("i32.const", "f32.const"):
+        return f"{val & 0xFFFFFFFF:#x}u"
+    return f"{val & 0xFFFFFFFFFFFFFFFF:#x}ull"
+
+
 def _sig_string(ft: FuncType) -> str:
     return "".join(SIGCHAR[p] for p in ft.params) + ":" + "".join(SIGCHAR[r] for r in ft.results)
 
@@ -497,15 +531,16 @@ class _FuncEmitter:
                 self.line(callexpr + ";")
             return
         if name == "call_indirect":
+            # the slot's type is checked at build time: the call goes through
+            # the table of this signature, whose slots that hold a function of
+            # any other type (or none) point at a stub that traps 5
             sig = self.m.types[ins[1]]
             tid = gen.vm.type_ids[sig]
+            gen.indirect_tids.add(tid)
             iv, _ = self.pop()
             args = [self.pop()[0] for _ in sig.params][::-1]
             self.line(f"if ({iv} >= {gen.table_size}u) runtime_trap({TRAP_TABLE_OOB}u);")
-            self.line(f"if (sr_table[{iv}].tid != {tid}u) runtime_trap({TRAP_CALL_TYPE}u);")
-            rett = CTYPE[sig.results[0]] if sig.results else "void"
-            argts = ", ".join(["uint32_t", *(CTYPE[p] for p in sig.params)])
-            callexpr = f"(({rett} (*)({argts}))sr_table[{iv}].fn)({', '.join(['sr_d - 1u', *args])})"
+            callexpr = f"sr_tab{tid}[{iv}]({', '.join(['sr_d - 1u', *args])})"
             if sig.results:
                 self.push_expr(sig.results[0], callexpr)
             else:
@@ -534,12 +569,13 @@ class _FuncEmitter:
             self.line(f"l{ins[1]} = {v};")
             return
         if name == "global.get":
-            g = self.m.globals[ins[1]]
-            self.push_expr(g.valtype, f"g{ins[1]}")
+            vt = self.m.globals[ins[1]].valtype
+            self.push_expr(vt, _GLOBAL_GET[vt].format(f"g{ins[1]}"))
             return
         if name == "global.set":
             v, _ = self.pop()
-            self.line(f"g{ins[1]} = {v};")
+            vt = self.m.globals[ins[1]].valtype
+            self.line(f"g{ins[1]} = {_GLOBAL_SET[vt].format(v)};")
             return
 
         if name in op.MEM_ACCESS_WIDTH:
@@ -807,7 +843,21 @@ class CGen:
         self.m: Module = vm.module
         self.table_size = self.m.table.initial if self.m.table else 0
         self._check_imports()
-        self.table_funcs = {fi for seg in self.m.elements for fi in seg.func_indices}
+        self.slots, self.elems_fit = self._apply_elements()
+        self.table_funcs = {fi for fi in self.slots if fi is not None}
+        self.indirect_tids: set[int] = set()  # filled while functions are emitted
+
+    def _apply_elements(self) -> tuple[list[int | None], bool]:
+        """The table after instantiation: element segments applied in order,
+        a later one overwriting an earlier one. False when a segment does
+        not fit; instantiation then traps 6 before any table is used."""
+        slots: list[int | None] = [None] * self.table_size
+        for seg in self.m.elements:
+            off = seg.offset[1] & 0xFFFFFFFF
+            if off + len(seg.func_indices) > self.table_size:
+                return slots, False
+            slots[off:off + len(seg.func_indices)] = seg.func_indices
+        return slots, True
 
     def _check_imports(self):
         """Only ABI functions, each with its ABI type, may stay unresolved."""
@@ -869,68 +919,86 @@ class CGen:
             parts.append(f"static {rett} {thunk}({params}) "
                          f"{{ (void)sr_d; {'return ' if sig.results else ''}{call}; }}")
 
-        if self.table_size or m.table is not None:
-            parts.append(
-                f"static struct {{ uint32_t tid; void (*fn)(void); }} sr_table[{max(self.table_size, 1)}];"
-            )
         for i, g in enumerate(m.globals):
-            parts.append(f"static {CTYPE[g.valtype]} g{i};")
+            qual = "static " if g.mutable else "static const "
+            parts.append(f"{qual}{GLOBAL_CTYPE[g.valtype]} g{i} = {_const_bits(g.init)};")
         for i in range(len(m.functions)):
             fi = m.num_imported_funcs + i
             ftype = m.func_type(fi)
             rett = CTYPE[ftype.results[0]] if ftype.results else "void"
             args = ", ".join(["uint32_t", *(CTYPE[p] for p in ftype.params)])
             parts.append(f"static {rett} wf{fi}({args});")
-        for i, seg in enumerate(m.data_segments):
-            if seg.data:
-                lit = ", ".join(str(b) for b in seg.data)
-                parts.append(f"static const uint8_t sr_data{i}[] = {{{lit}}};")
 
-        for i in range(len(m.functions)):
-            parts.append(_FuncEmitter(self, m.num_imported_funcs + i).emit_func())
-
+        funcs = [_FuncEmitter(self, m.num_imported_funcs + i).emit_func() for i in range(len(m.functions))]
+        parts.extend(self._emit_tables())
+        parts.extend(funcs)
+        parts.extend(self._emit_data())
         parts.append(self._emit_init())
         parts.extend(self._emit_exports())
         parts.append(self._emit_memory_spec())
         return "\n\n".join(parts) + "\n"
 
+    def _emit_tables(self) -> list[str]:
+        """One constant table per signature that a call_indirect names. A
+        slot holds its function when the function has that signature, and
+        otherwise the signature's stub, which traps 5 (null slots too)."""
+        parts: list[str] = []
+        sigs = {tid: sig for sig, tid in self.vm.type_ids.items()}
+        for tid in sorted(self.indirect_tids):
+            sig = sigs[tid]
+            rett = CTYPE[sig.results[0]] if sig.results else "void"
+            params = ", ".join(["uint32_t sr_d", *(f"{CTYPE[p]} a{j}" for j, p in enumerate(sig.params))])
+            argts = ", ".join(["uint32_t", *(CTYPE[p] for p in sig.params)])
+            parts.append(f"__attribute__((cold)) static {rett} sr_nofn{tid}({params}) "
+                         f"{{ (void)sr_d; runtime_trap({TRAP_CALL_TYPE}u); }}")
+            fill = [self.table_fn(fi) if fi is not None and self.vm.type_ids[self.m.func_type(fi)] == tid
+                    else f"sr_nofn{tid}" for fi in self.slots] or [f"sr_nofn{tid}"]
+            rows = ",\n    ".join(", ".join(fill[k:k + 8]) for k in range(0, len(fill), 8))
+            parts.append(f"static {rett} (*const sr_tab{tid}[{len(fill)}])({argts}) = {{\n    {rows},\n}};")
+        return parts
+
+    def _emit_data(self) -> list[str]:
+        """Every data segment's bytes in one string, and per segment where
+        its bytes go: {offset in memory, length, offset in the string}."""
+        segs = self.m.data_segments
+        if not segs:
+            return []
+        blob = b"".join(seg.data for seg in segs)
+        rows, at = [], 0
+        for seg in segs:
+            rows.append(f"{{{seg.offset[1] & 0xFFFFFFFF}u, {len(seg.data)}u, {at}u}}")
+            at += len(seg.data)
+        return [
+            f"static const uint8_t sr_data[{max(len(blob), 1)}] =\n{_c_bytes(blob)};",
+            f"static const struct sr_seg {{ uint32_t off, len, at; }} sr_segs[{len(segs)}] = {{\n    "
+            + ",\n    ".join(rows) + ",\n};",
+        ]
+
     def _emit_init(self) -> str:
+        """What instantiation leaves to run time: the element-fit trap, the
+        copy of the data segments into memory (in order, each one checked
+        against the memory's size) and the start call. Tables and globals
+        are link-time constants."""
         m = self.m
         lines = ["void wasm_init(void) {"]
+        if not self.elems_fit:
+            lines.append(f"    runtime_trap({TRAP_TABLE_OOB}u);")
         if m.data_segments:
-            lines.append("    uint8_t *const mb = memory_base();")
-            lines.append("    const uint64_t mem_bytes = (uint64_t)memory_grow(0u) << 16;")
-        if m.table is not None:
-            lines.append(f"    for (uint32_t i = 0; i < {max(self.table_size, 1)}u; i++) sr_table[i].tid = 0xffffffffu;")
-        for seg in m.elements:
-            off = seg.offset[1] & 0xFFFFFFFF
-            lines.append(
-                f"    if ((uint64_t){off}u + {len(seg.func_indices)}ull > {self.table_size}ull) runtime_trap({TRAP_TABLE_OOB}u);"
-            )
-            for k, fi in enumerate(seg.func_indices):
-                tid = self.vm.type_ids[m.func_type(fi)]
-                lines.append(f"    sr_table[{off + k}u].tid = {tid}u;")
-                lines.append(f"    sr_table[{off + k}u].fn = (void (*)(void)){self.table_fn(fi)};")
-        for i, g in enumerate(m.globals):
-            name, val = g.init[0], g.init[1]
-            if name == "i32.const":
-                lines.append(f"    g{i} = {val & 0xFFFFFFFF}u;")
-            elif name == "i64.const":
-                lines.append(f"    g{i} = {val & 0xFFFFFFFFFFFFFFFF}ull;")
-            elif name == "f32.const":
-                lines.append(f"    g{i} = sr_f32_frombits({val:#x}u);")
-            else:
-                lines.append(f"    g{i} = sr_f64_frombits({val:#x}ull);")
-        for i, seg in enumerate(m.data_segments):
-            off = seg.offset[1] & 0xFFFFFFFF
-            lines.append(
-                f"    if ((uint64_t){off}u + {len(seg.data)}ull > mem_bytes) runtime_trap({TRAP_OOB}u);"
-            )
-            if seg.data:
-                # volatile keeps the compiler from recognizing the loop as
-                # memcpy and emitting a libc call into the object
-                lines.append(f"    {{ volatile uint8_t *d = mb + {off}u;")
-                lines.append(f"      for (uint32_t k = 0; k < {len(seg.data)}u; k++) d[k] = sr_data{i}[k]; }}")
+            # the empty asm hides the table and its length from the optimizer,
+            # so the loop is the same code for any number of segments
+            lines += [
+                "    uint8_t *const mb = memory_base();",
+                "    const uint64_t mem_bytes = (uint64_t)memory_grow(0u) << 16;",
+                "    const struct sr_seg *seg = sr_segs;",
+                f"    uint32_t nsegs = {len(m.data_segments)}u;",
+                '    __asm__("" : "+r"(seg), "+r"(nsegs));',
+                "    for (uint32_t s = 0; s < nsegs; s++) {",
+                "        const uint64_t off = seg[s].off, len = seg[s].len;",
+                "        const uint8_t *src = sr_data + seg[s].at;",
+                f"        if (off + len > mem_bytes) runtime_trap({TRAP_OOB}u);",
+                "        for (uint64_t k = 0; k < len; k++) mb[off + k] = src[k];",
+                "    }",
+            ]
         if m.start is not None:
             lines.append(f"    {self.call_expr(m.start, f'{CALL_DEPTH_LIMIT}u', [])};")
         lines.append("}")

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,8 +97,10 @@ def link_executable(linker: str, output: Path, inputs: list[Path]):
         raise LinkError(f"linker failed:\n{proc.stderr}")
 
 
-def cmd_build(plan: BuildPlan) -> dict:
-    """Compile + pack + link into one executable; returns the symbol audit."""
+def cmd_build(plan: BuildPlan, timings: dict | None = None) -> dict:
+    """Compile + pack + link into one executable; returns the symbol audit.
+    A timings dict given gains the build's phase costs: decode, validate,
+    emit, cc and link ms, c_bytes and obj_text_bytes."""
     build_dir = Path(str(plan.output) + ".build")
     tmp_ctx = None
     if plan.keep_intermediates:
@@ -138,7 +141,10 @@ def cmd_build(plan: BuildPlan) -> dict:
                 unresolved=audit["unresolved"],
             )
 
+        t0 = time.perf_counter()
         link_executable(plan.linker or default_linker(), plan.output, [*link_inputs, image])
+        if timings is not None:
+            timings.update(art.timings, link_ms=round((time.perf_counter() - t0) * 1000, 3))
 
         audit_path = Path(str(plan.output) + ".audit.json")
         audit_path.write_text(json.dumps(audit, indent=2, sort_keys=True) + "\n")

@@ -1,8 +1,9 @@
 """Just enough ELF64 reading for symbol audits.
 
 Covers relocatable objects and executables: global symbol tables
-(defined vs undefined), function addresses, the file type, the program
-headers and the DT_NEEDED list of dynamic executables.
+(defined vs undefined), function addresses and sizes, the size of the
+code sections, the file type, the program headers and the DT_NEEDED list
+of dynamic executables.
 """
 
 from __future__ import annotations
@@ -45,14 +46,17 @@ def _sections(data: bytes):
     secs = []
     for i in range(e_shnum):
         off = e_shoff + i * e_shentsize
-        name, sh_type = struct.unpack_from("<II", data, off)
+        sh_name, sh_type = struct.unpack_from("<II", data, off)
         sh_offset, sh_size = struct.unpack_from("<QQ", data, off + 0x18)
         sh_link, = struct.unpack_from("<I", data, off + 0x28)
         sh_entsize, = struct.unpack_from("<Q", data, off + 0x38)
         secs.append({
-            "type": sh_type, "offset": sh_offset, "size": sh_size,
+            "name": sh_name, "type": sh_type, "offset": sh_offset, "size": sh_size,
             "link": sh_link, "entsize": sh_entsize,
         })
+    names = secs[e_shstrndx]["offset"] if e_shstrndx else None
+    for sec in secs:
+        sec["name"] = "" if names is None else _cstr(data, names + sec["name"])
     return secs
 
 
@@ -62,7 +66,7 @@ def _cstr(data: bytes, off: int) -> str:
 
 
 def _symtab(data: bytes, types=(_SHT_SYMTAB, _SHT_DYNSYM)):
-    """(name, st_info, st_shndx, st_value) of each named symbol."""
+    """(name, st_info, st_shndx, st_value, st_size) of each named symbol."""
     secs = _sections(data)
     for sec in secs:
         if sec["type"] not in types:
@@ -72,16 +76,16 @@ def _symtab(data: bytes, types=(_SHT_SYMTAB, _SHT_DYNSYM)):
         for i in range(count):
             off = sec["offset"] + i * sec["entsize"]
             st_name, st_info = struct.unpack_from("<IB", data, off)
-            st_shndx, st_value = struct.unpack_from("<HQ", data, off + 6)
+            st_shndx, st_value, st_size = struct.unpack_from("<HQQ", data, off + 6)
             if st_name:
-                yield _cstr(data, strtab["offset"] + st_name), st_info, st_shndx, st_value
+                yield _cstr(data, strtab["offset"] + st_name), st_info, st_shndx, st_value, st_size
 
 
 def symbols(path: str | Path) -> tuple[set[str], set[str]]:
     """Global (defined, undefined) symbol names of an object or executable."""
     defined: set[str] = set()
     undefined: set[str] = set()
-    for name, info, shndx, _ in _symtab(_read(path)):
+    for name, info, shndx, _, _ in _symtab(_read(path)):
         if (info >> 4) != _STB_LOCAL:
             (undefined if shndx == _SHN_UNDEF else defined).add(name)
     return defined, undefined
@@ -90,15 +94,27 @@ def symbols(path: str | Path) -> tuple[set[str], set[str]]:
 def definitions(path: str | Path) -> list[tuple[str, int]]:
     """(name, binding) of each defined non-local symbol: STB_GLOBAL, or
     STB_WEAK (2) for a definition any strong one overrides."""
-    return [(name, info >> 4) for name, info, shndx, _ in _symtab(_read(path))
+    return [(name, info >> 4) for name, info, shndx, _, _ in _symtab(_read(path))
             if (info >> 4) != _STB_LOCAL and shndx != _SHN_UNDEF]
 
 
 def function_addresses(path: str | Path) -> dict[str, int]:
     """Address of each defined function in the static symbol table, local
     ones included; a name defined twice keeps its last address."""
-    return {name: value for name, info, shndx, value in _symtab(_read(path), (_SHT_SYMTAB,))
+    return {name: value for name, info, shndx, value, _ in _symtab(_read(path), (_SHT_SYMTAB,))
             if info & 0xF == _STT_FUNC and shndx != _SHN_UNDEF}
+
+
+def function_sizes(path: str | Path) -> dict[str, int]:
+    """Size in bytes of each defined function in the static symbol table."""
+    return {name: size for name, info, shndx, _, size in _symtab(_read(path), (_SHT_SYMTAB,))
+            if info & 0xF == _STT_FUNC and shndx != _SHN_UNDEF}
+
+
+def text_bytes(path: str | Path) -> int:
+    """Total size of the code sections, .text and every .text.*."""
+    return sum(sec["size"] for sec in _sections(_read(path))
+               if sec["name"] == ".text" or sec["name"].startswith(".text."))
 
 
 def elf_type(path: str | Path) -> int:

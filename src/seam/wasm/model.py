@@ -121,9 +121,8 @@ class Module:
 class ValidatedModule:
     """A module that passed validation; content identical to .module.
 
-    Carries the canonical signature table used for call_indirect type ids:
-    structurally identical function types share one id (ids start at 1;
-    0 is reserved for uninitialized table slots).
+    Carries the canonical signature ids: structurally identical function
+    types share one id, and so one call_indirect table (ids start at 1).
     """
 
     module: Module

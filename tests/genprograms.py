@@ -1,9 +1,11 @@
 """Seeded generator of self-contained Wasm differential programs.
 
 Each generated module carries a bank of helper functions (some reachable
-through a funcref table), a memory, mutable globals, and N nullary exported
-functions run_<k> returning one value. Outcomes (result bits or trap class)
-are compared between the AoT pipeline and the reference engine.
+through a funcref table filled by two overlapping element segments), a
+memory initialized by overlapping data segments, mutable globals, an
+immutable global of each type, and N nullary exported functions run_<k>
+returning one value. Outcomes (result bits or trap class) are compared
+between the AoT pipeline and the reference engine.
 
 Everything is generated from the independent test-side encoder; the
 generator never touches the package's decoder or codegen.
@@ -66,6 +68,11 @@ TRAPPING_TRUNCS = {
     "i64": [("i64.trunc_f64_s", "f64"), ("i64.trunc_f32_u", "f32")],
 }
 SIGCHAR = {"i32": "i", "i64": "I", "f32": "f", "f64": "F"}
+
+# global indices: two mutable accumulators, then one immutable constant of
+# each type
+MUTABLE_GLOBAL = {"i32": 0, "i64": 1}
+IMMUTABLE_GLOBAL = {t: 2 + k for k, t in enumerate(ALL_TYPES)}
 
 # fixed local layout for generated functions (after any params)
 LOCAL_TYPES = ["i32", "i32", "i64", "f32", "f64", "i32"]  # last i32 is the loop counter
@@ -167,8 +174,10 @@ class _FuncGen:
         if roll < 0.745:  # local reuse
             li = r.choice(self.local_index[t])
             return [("local.get", li)]
-        if roll < 0.78 and t in ("i32", "i64"):  # mutable global accumulators
-            return [("global.get", 0 if t == "i32" else 1)]
+        if roll < 0.78:  # globals: the mutable accumulators, the immutable constants
+            if t in MUTABLE_GLOBAL and r.random() < 0.5:
+                return [("global.get", MUTABLE_GLOBAL[t])]
+            return [("global.get", IMMUTABLE_GLOBAL[t])]
         if roll < 0.84:  # division / remainder, occasionally trapping
             if t in ("i32", "i64"):
                 op = r.choice([f"{t}.div_s", f"{t}.div_u", f"{t}.rem_s", f"{t}.rem_u"])
@@ -207,7 +216,7 @@ class _FuncGen:
                 other = [s for s, ti, _ in self.mod.all_table_slots if ti != tidx]
                 idx = r.choice(other) if other else slot
             elif p < 0.90:
-                idx = r.choice([4, 5, 6, 7])  # uninitialized slots
+                idx = r.choice(self.mod.null_slots)  # uninitialized slots
             else:
                 idx = r.randint(8, 40)  # out of bounds
             out = []
@@ -251,7 +260,7 @@ class _FuncGen:
                 out += self.expr(t, 2) + [("local.set", r.choice(self.local_index[t]))]
             else:
                 gt = r.choice(["i32", "i64"])
-                out += self.expr(gt, 2) + [("global.set", 0 if gt == "i32" else 1)]
+                out += self.expr(gt, 2) + [("global.set", MUTABLE_GLOBAL[gt])]
         return out
 
     def body(self, result: str) -> list:
@@ -278,6 +287,7 @@ class ModuleGen:
         self.helpers_by_type: dict[str, list] = {t: [] for t in ALL_TYPES}
         self.table_slots_by_type: dict[str, list] = {t: [] for t in ALL_TYPES}
         self.all_table_slots: list = []
+        self.null_slots: list[int] = []
         self.exports: list[tuple[str, str]] = []
 
     def _add_helpers(self):
@@ -309,20 +319,32 @@ class ModuleGen:
         assert self.b.add_func(rec_params, ["i32"], [], rec_body) == rec_idx
         self.helpers_by_type["i32"].append((rec_idx, rec_params, "i32"))
 
+        # slot 0 stays null; the first segment puts the first half of the
+        # helpers at slot 1, followed by decoys (helpers of another type)
+        # that the second segment overwrites with the other half
         self.b.set_table(8, 8)
-        self.b.add_elem(0, [idx for idx, _, _ in table_funcs])
-        for slot, (idx, params, result) in enumerate(table_funcs):
+        half = len(table_funcs) // 2
+        decoys = [table_funcs[(half + k + 1) % len(table_funcs)][0] for k in range(r.randint(1, half))]
+        self.b.add_elem(1, [idx for idx, _, _ in table_funcs[:half]] + decoys)
+        self.b.add_elem(1 + half, [idx for idx, _, _ in table_funcs[half:]])
+        for k, (idx, params, result) in enumerate(table_funcs):
             tidx = self.b.type_index(params, [result])
-            self.table_slots_by_type[result].append((slot, tidx, params))
-            self.all_table_slots.append((slot, tidx, params))
+            self.table_slots_by_type[result].append((1 + k, tidx, params))
+            self.all_table_slots.append((1 + k, tidx, params))
+        self.null_slots = [0] + list(range(1 + len(table_funcs), 8))
 
     def build(self) -> tuple[bytes, list[tuple[str, str]]]:
         r = self.rng
         self.b.set_memory(1, 2)
         self.b.add_global("i32", True, ("i32.const", r.randint(-100, 100)))
         self.b.add_global("i64", True, ("i64.const", r.randint(-100, 100)))
+        consts = _FuncGen(self, [], budget=0)
+        for t in ALL_TYPES:
+            self.b.add_global(t, False, consts.const(t)[0])
         seed_bytes = bytes(r.getrandbits(8) for _ in range(256))
         self.b.add_data(0, seed_bytes)
+        for _ in range(r.randint(2, 4)):  # later segments overwrite earlier bytes
+            self.b.add_data(r.randrange(0, 320), bytes(r.getrandbits(8) for _ in range(r.randint(0, 48))))
         self._add_helpers()
         for k in range(self.n_exports):
             t = r.choice(ALL_TYPES)

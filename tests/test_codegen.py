@@ -404,3 +404,154 @@ def test_call_depth_limit_is_exact(tmp_path):
     for kind in ("direct", "indirect"):
         assert run_exe_export(exe, f"{kind}{CALL_DEPTH_LIMIT}") == ("value", "i32", CALL_DEPTH_LIMIT - 1)
         assert run_exe_export(exe, f"{kind}{CALL_DEPTH_LIMIT + 1}") == ("trap", 7)
+
+
+# -- instantiation: tables, data and globals are link-time constants ----------
+
+
+def _wasm_init_bytes(b: ModuleBuilder, tmp_path) -> int:
+    obj = tmp_path / "init.o"
+    write_artifact(compile_module(vm_of(b)), obj)
+    return elf.function_sizes(obj)["wasm_init"]
+
+
+def test_element_segment_past_table_end_traps_at_init(tmp_path):
+    b = ModuleBuilder()
+    f = b.add_func([], ["i32"], [], [("i32.const", 1)], export="run")
+    b.set_table(4, 4)
+    b.add_elem(0, [f])
+    b.add_elem(3, [f, f])  # slot 4 does not exist
+    exe = build_module_exe(b.build(), tmp_path, "elemoob")
+    assert run_exe_export(exe, "run") == ("trap", 6)
+
+
+def test_later_element_segment_overwrites_earlier(tmp_path):
+    b = ModuleBuilder()
+    fs = [b.add_func([], ["i32"], [], [("i32.const", v)]) for v in (11, 22, 33, 44)]
+    b.set_table(4, 4)
+    b.add_elem(0, fs[:3])
+    b.add_elem(1, [fs[3]])
+    t = b.type_index([], ["i32"])
+    for slot in range(4):
+        b.add_func([], ["i32"], [], [("i32.const", slot), ("call_indirect", t)], export=f"slot{slot}")
+    exe = build_module_exe(b.build(), tmp_path, "elemover")
+    assert [run_exe_export(exe, f"slot{s}") for s in range(3)] == [
+        ("value", "i32", 11), ("value", "i32", 44), ("value", "i32", 33)]
+    assert run_exe_export(exe, "slot3") == ("trap", 5)
+
+
+def test_slot_called_under_its_own_and_another_signature(tmp_path):
+    b = ModuleBuilder()
+    add = b.add_func(["i32", "i32"], ["i32"], [], [("local.get", 0), ("local.get", 1), ("i32.add",)])
+    b.set_table(1, 1)
+    b.add_elem(0, [add])
+    own = b.type_index(["i32", "i32"], ["i32"])
+    other = b.type_index(["i32"], ["i32"])
+    b.add_func([], ["i32"], [], [("i32.const", 40), ("i32.const", 2), ("i32.const", 0),
+                                 ("call_indirect", own)], export="own")
+    b.add_func([], ["i32"], [], [("i32.const", 40), ("i32.const", 0),
+                                 ("call_indirect", other)], export="other")
+    exe = build_module_exe(b.build(), tmp_path, "sigs")
+    assert run_exe_export(exe, "own") == ("value", "i32", 42)
+    assert run_exe_export(exe, "other") == ("trap", 5)
+
+
+def test_later_data_segment_overwrites_earlier(tmp_path):
+    b = ModuleBuilder()
+    b.set_memory(1, 1)
+    b.add_data(0, b"AAAAAAAA")
+    b.add_data(2, b"BB")
+    b.add_data(5, b"C")
+    b.add_func([], ["i64"], [], [("i32.const", 0), ("i64.load", 3, 0)], export="run")
+    exe = build_module_exe(b.build(), tmp_path, "dataover")
+    assert run_exe_export(exe, "run") == ("value", "i64", int.from_bytes(b"AABBACAA", "little"))
+
+
+@pytest.mark.parametrize("offset, outcome", [(65536, ("value", "i32", 1)), (65537, ("trap", 1))])
+def test_empty_data_segment_at_memory_end(tmp_path, offset, outcome):
+    b = ModuleBuilder()
+    b.set_memory(1, 1)
+    b.add_data(offset, b"")
+    b.add_func([], ["i32"], [], [("i32.const", 1)], export="run")
+    exe = build_module_exe(b.build(), tmp_path, "dataend")
+    assert run_exe_export(exe, "run") == outcome
+
+
+_GLOBAL_BITS = [
+    ("i32", ("i32.const", -2), 0xFFFFFFFE),
+    ("i64", ("i64.const", -(1 << 40)), (1 << 64) - (1 << 40)),
+    ("f32", ("f32.const_bits", 0x3FC00000), 0x3FC00000),
+    ("f32", ("f32.const_bits", 0x7FC12345), 0x7FC12345),  # quiet NaN, payload
+    ("f32", ("f32.const_bits", 0xFF800001), 0xFF800001),  # signalling NaN, sign set
+    ("f64", ("f64.const_bits", 0x8000000000000000), 0x8000000000000000),
+    ("f64", ("f64.const_bits", 0x7FF8000000012345), 0x7FF8000000012345),
+    ("f64", ("f64.const_bits", 0xFFF0000000000001), 0xFFF0000000000001),
+]
+
+
+def test_globals_read_back_bit_exact(tmp_path):
+    b = ModuleBuilder()
+    for k, (vt, init, _) in enumerate(_GLOBAL_BITS):
+        for mutable in (False, True):
+            g = b.add_global(vt, mutable, init)
+            b.add_func([], [vt], [], [("global.get", g)], export=f"g{k}_{'mut' if mutable else 'const'}")
+    exe = build_module_exe(b.build(), tmp_path, "globals")
+    for k, (vt, _, bits) in enumerate(_GLOBAL_BITS):
+        for kind in ("const", "mut"):
+            assert run_exe_export(exe, f"g{k}_{kind}") == ("value", vt, bits), (k, kind)
+
+
+def test_immutable_globals_are_constants():
+    b = ModuleBuilder()
+    b.add_global("i32", False, ("i32.const", 5))
+    b.add_global("f64", True, ("f64.const_bits", 0x7FF8000000012345))
+    src = compile_module(vm_of(b)).c_source
+    assert "static const uint32_t g0 = 0x5u;" in src
+    assert "static uint64_t g1 = 0x7ff8000000012345ull;" in src
+
+
+def test_large_data_segment_reads_back_exactly(tmp_path):
+    import random
+
+    data = random.Random(256).randbytes(256 * 1024)
+    at = 4096
+    b = ModuleBuilder()
+    b.set_memory(5, 5)
+    b.add_data(at, data)
+    # x = rotl(x, 5) ^ word over every 32-bit word of the segment
+    b.add_func([], ["i32"], ["i32", "i32"], [
+        ("block", None, [("loop", None, [
+            ("local.get", 0), ("i32.const", len(data)), ("i32.ge_u",), ("br_if", 1),
+            ("local.get", 1), ("i32.const", 5), ("i32.rotl",),
+            ("local.get", 0), ("i32.load", 2, at), ("i32.xor",), ("local.set", 1),
+            ("local.get", 0), ("i32.const", 4), ("i32.add",), ("local.set", 0),
+            ("br", 0),
+        ])]),
+        ("local.get", 1),
+    ], export="digest")
+    exe = build_module_exe(b.build(), tmp_path, "bigdata")
+    x = 0
+    for k in range(0, len(data), 4):
+        x = ((x << 5 | x >> 27) & 0xFFFFFFFF) ^ int.from_bytes(data[k:k + 4], "little")
+    assert run_exe_export(exe, "digest") == ("value", "i32", x)
+
+
+def test_wasm_init_code_does_not_grow_with_segments_or_slots(tmp_path):
+    def with_data(n: int) -> ModuleBuilder:
+        b = ModuleBuilder()
+        b.set_memory(1, 1)
+        for k in range(n):
+            b.add_data(k * 100, bytes([k]) * 10)
+        return b
+
+    def with_table(n: int) -> ModuleBuilder:
+        b = ModuleBuilder()
+        f = b.add_func([], ["i32"], [], [("i32.const", 1)])
+        b.set_table(n, n)
+        b.add_elem(0, [f] * n)
+        t = b.type_index([], ["i32"])
+        b.add_func(["i32"], ["i32"], [], [("local.get", 0), ("call_indirect", t)], export="run")
+        return b
+
+    assert _wasm_init_bytes(with_data(64), tmp_path) <= _wasm_init_bytes(with_data(1), tmp_path)
+    assert _wasm_init_bytes(with_table(256), tmp_path) <= _wasm_init_bytes(with_table(4), tmp_path)

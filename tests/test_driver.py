@@ -97,6 +97,24 @@ def test_cli_build_and_run_roundtrip(guest_wasm, tmp_path, capsys):
     assert proc.returncode == 0 and proc.stdout == "hello\n"
 
 
+def test_cli_build_timings_line(tmp_path, capsys):
+    import random
+
+    b = ModuleBuilder()
+    b.set_memory(5, 5)
+    b.add_data(64, random.Random(7).randbytes(256 * 1024))
+    b.add_func([], ["i32"], [], [("i32.const", 64), ("i32.load8_u", 0, 0)], export="run")
+    wasm = tmp_path / "data.wasm"
+    wasm.write_bytes(b.build())
+    assert run_cli(["build", wasm, "-o", tmp_path / "data", "--timings"]) == 0
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert list(line) == ["schema", "decode_ms", "validate_ms", "emit_ms", "cc_ms", "link_ms",
+                          "c_bytes", "obj_text_bytes"]
+    assert line["schema"] == "seam.build-timings/1"
+    assert all(line[k] > 0 for k in ("emit_ms", "cc_ms", "link_ms", "obj_text_bytes"))
+    assert line["c_bytes"] > 256 * 1024
+
+
 def test_cli_run_forwards_guest_exit(built):
     assert run_cli(["run", built["exit7"]]) == 7
 
