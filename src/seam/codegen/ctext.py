@@ -347,12 +347,13 @@ def _sig_string(ft: FuncType) -> str:
 
 
 class _Block:
-    __slots__ = ("bid", "kind", "rt")
+    __slots__ = ("bid", "kind", "rt", "height")
 
-    def __init__(self, bid: int, kind: str, rt: str | None):
+    def __init__(self, bid: int, kind: str, rt: str | None, height: int):
         self.bid = bid
         self.kind = kind  # "func" | "block" | "loop" | "if"
         self.rt = rt
+        self.height = height  # operand stack height at entry
 
 
 class _FuncEmitter:
@@ -367,20 +368,9 @@ class _FuncEmitter:
         self.ntmp = 0
         self.nblock = 0
         self.stack: list[tuple[str, str]] = []
-        self.blocks: list[_Block] = [_Block(-1, "func", self.ftype.results[0] if self.ftype.results else None)]
+        self.blocks: list[_Block] = [_Block(-1, "func", self.ftype.results[0] if self.ftype.results else None, 0)]
         self.dead = False
-        self.uses_mem = self._scan_mem(self.fb.body)
-
-    def _scan_mem(self, instrs) -> bool:
-        for ins in instrs:
-            name = ins[0]
-            if name in op.MEM_ACCESS_WIDTH:
-                return True
-            if name in ("block", "loop") and self._scan_mem(ins[2]):
-                return True
-            if name == "if" and (self._scan_mem(ins[2]) or self._scan_mem(ins[3])):
-                return True
-        return False
+        self.uses_mem = any(ins[0] in op.MEM_ACCESS_WIDTH for ins in self.fb.body)
 
     # -- emission helpers --------------------------------------------------
 
@@ -427,70 +417,40 @@ class _FuncEmitter:
 
     # -- structured control -------------------------------------------------
 
-    def emit_body(self, instrs):
-        for ins in instrs:
-            if self.dead:
-                break
-            self.emit(ins)
-
-    def enter_block(self, kind: str, rt: str | None) -> _Block:
-        bid = self.nblock
+    def enter_block(self, kind: str, rt: str | None):
+        cv = self.pop()[0] if kind == "if" else None
+        blk = _Block(self.nblock, kind, rt, len(self.stack))
         self.nblock += 1
-        blk = _Block(bid, kind, rt)
         if rt:
-            self.line(f"{CTYPE[rt]} b{bid} = {ZERO[rt]};")
+            self.line(f"{CTYPE[rt]} b{blk.bid} = {ZERO[rt]};")
+        if kind == "loop":
+            self.line(f"L{blk.bid}_c:;")
+        elif kind == "if":
+            self.line(f"if ({cv}) {{")
         self.blocks.append(blk)
-        return blk
 
-    def close_body(self, blk: _Block, saved_height: int):
+    def close_body(self, blk: _Block):
         """Store the fallthrough result and reset the virtual stack."""
         if not self.dead and blk.rt:
             v, _ = self.pop()
             self.line(f"b{blk.bid} = {v};")
-        del self.stack[saved_height:]
+        del self.stack[blk.height:]
         self.dead = False
+
+    def exit_block(self):
+        blk = self.blocks.pop()
+        self.close_body(blk)
+        if blk.kind == "if":
+            self.line("}")
+        if blk.kind != "loop":
+            self.line(f"L{blk.bid}_e:;")
+        if blk.rt:
+            self.push(f"b{blk.bid}", blk.rt)
 
     def emit(self, ins: tuple):
         name = ins[0]
         gen = self.gen
 
-        if name == "block":
-            blk = self.enter_block("block", ins[1])
-            h = len(self.stack)
-            self.emit_body(ins[2])
-            self.close_body(blk, h)
-            self.line(f"L{blk.bid}_e:;")
-            self.blocks.pop()
-            if blk.rt:
-                self.push(f"b{blk.bid}", blk.rt)
-            return
-        if name == "loop":
-            blk = self.enter_block("loop", ins[1])
-            self.line(f"L{blk.bid}_c:;")
-            h = len(self.stack)
-            self.emit_body(ins[2])
-            self.close_body(blk, h)
-            self.blocks.pop()
-            if blk.rt:
-                self.push(f"b{blk.bid}", blk.rt)
-            return
-        if name == "if":
-            cv, _ = self.pop()
-            blk = self.enter_block("if", ins[1])
-            h = len(self.stack)
-            self.line(f"if ({cv}) {{")
-            self.emit_body(ins[2])
-            self.close_body(blk, h)
-            if ins[3] or blk.rt:
-                self.line("} else {")
-                self.emit_body(ins[3])
-                self.close_body(blk, h)
-            self.line("}")
-            self.line(f"L{blk.bid}_e:;")
-            self.blocks.pop()
-            if blk.rt:
-                self.push(f"b{blk.bid}", blk.rt)
-            return
         if name == "br":
             self.line(self.branch_stmts(ins[1]))
             self.dead = True
@@ -679,7 +639,31 @@ class _FuncEmitter:
         nparams = len(self.ftype.params)
         for i, t in enumerate(self.fb.locals):
             self.line(f"{CTYPE[t]} l{nparams + i} = {ZERO[t]};")
-        self.emit_body(self.fb.body)
+        body = self.fb.body
+        skip = 0  # blocks opened inside dead code that is being skipped
+        for i, ins in enumerate(body[:-1]):
+            name = ins[0]
+            if self.dead and (skip or name not in ("else", "end")):
+                # code after a branch is never reached: skip it up to the
+                # else or end of the block it is in
+                if name in ("block", "loop", "if"):
+                    skip += 1
+                elif name == "end":
+                    skip -= 1
+                continue
+            if name in ("block", "loop", "if"):
+                self.enter_block(name, ins[1])
+            elif name == "end":
+                self.exit_block()
+            elif name == "else":
+                blk = self.blocks[-1]
+                self.close_body(blk)
+                # an empty else without a result prints nothing
+                if blk.rt or body[i + 1][0] != "end":
+                    self.line("} else {")
+            else:
+                self.emit(ins)
+        # the function's own end: fall through to a return
         if not self.dead:
             self.emit_return()
         return head + "\n" + "\n".join(self.lines) + "\n}"
@@ -1012,13 +996,17 @@ class CGen:
             sym = f"wasm_{name}"
             if sym in RESERVED_DEFINED:
                 raise CodegenError(f"export {name!r} collides with reserved runtime symbol {sym}")
+            if "\0" in name:
+                raise CodegenError(f"export {name!r} holds U+0000, which no ELF symbol name can")
             sig = m.func_type(idx)
             rett = CTYPE[sig.results[0]] if sig.results else "void"
             argdecl = ", ".join(f"{CTYPE[p]} a{j}" for j, p in enumerate(sig.params)) or "void"
             call = self.call_expr(idx, f"{CALL_DEPTH_LIMIT}u", [f"a{j}" for j in range(len(sig.params))])
             alias = f"sr_exp_{_mangle(name)}"
-            # exotic export names need GAS quoted-symbol syntax in the label
-            label = sym if _is_c_ident(sym) else f'\\"{_c_string(sym)[1:-1]}\\"'
+            # exotic export names need GAS quoted-symbol syntax in the label:
+            # escaped for the assembler first, then for the C string around it
+            gas = sym.replace("\\", "\\\\").replace('"', '\\"')
+            label = sym if _is_c_ident(sym) else f'\\"{_c_string(gas)[1:-1]}\\"'
             parts.append(f'{rett} {alias}({argdecl}) __asm__("{label}");')
             parts.append(f"{rett} {alias}({argdecl}) {{ {'return ' if sig.results else ''}{call}; }}")
             entries.append(f"{{{_c_string(name)}, {_c_string(_sig_string(sig))}, (void (*)(void)){alias}}}")

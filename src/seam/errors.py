@@ -29,12 +29,12 @@ class UnsupportedFeature(SeamError):
 class ValidationError(SeamError):
     """A decoded module failed type checking."""
 
-    def __init__(self, func_index: int | None, instr_path: tuple[int, ...], reason: str):
+    def __init__(self, func_index: int | None, instr_index: int | None, reason: str):
         self.func_index = func_index
-        self.instr_path = instr_path
+        self.instr_index = instr_index  # flat index into the function body
         where = "module" if func_index is None else f"func {func_index}"
-        at = "/".join(str(i) for i in instr_path)
-        super().__init__(f"validation failed in {where} at instr {at or '-'}: {reason}")
+        at = "-" if instr_index is None else instr_index
+        super().__init__(f"validation failed in {where} at instr {at}: {reason}")
 
 
 class CodegenError(SeamError):

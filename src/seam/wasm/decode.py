@@ -185,11 +185,12 @@ def _read_memarg(r: Reader) -> tuple[int, int]:
     return align, offset
 
 
-def _read_instrs(r: Reader, terminators: tuple[str, ...], depth: int) -> tuple[list, str]:
-    """Decode instructions until one of `terminators`; returns (body, terminator)."""
-    if depth > 1000:
-        raise MalformedBinary(r.pos, "nesting depth exceeds limit")
+def _read_instrs(r: Reader) -> list:
+    """Decode a flat instruction list up to and including the end that
+    closes depth 0."""
     out: list = []
+    # one entry per open block: True while it is an if that takes an else
+    takes_else: list[bool] = []
     while True:
         start = r.pos
         b = r.byte()
@@ -207,22 +208,19 @@ def _read_instrs(r: Reader, terminators: tuple[str, ...], depth: int) -> tuple[l
             raise MalformedBinary(start, f"unknown opcode {b:#04x}")
         name, imm = op.OPCODES[b]
 
-        if name in terminators:
-            return out, name
-        if name in ("end", "else"):
-            raise MalformedBinary(start, f"unexpected {name}")
-
-        if name == "block" or name == "loop":
-            bt = _read_blocktype(r)
-            body, _ = _read_instrs(r, ("end",), depth + 1)
-            out.append((name, bt, body))
-        elif name == "if":
-            bt = _read_blocktype(r)
-            then, term = _read_instrs(r, ("end", "else"), depth + 1)
-            otherwise: list = []
-            if term == "else":
-                otherwise, _ = _read_instrs(r, ("end",), depth + 1)
-            out.append((name, bt, then, otherwise))
+        if name == "end":
+            out.append((name,))
+            if not takes_else:
+                return out
+            takes_else.pop()
+        elif name == "else":
+            if not (takes_else and takes_else[-1]):
+                raise MalformedBinary(start, "unexpected else")
+            takes_else[-1] = False
+            out.append((name,))
+        elif imm == op.IMM_BLOCK:
+            out.append((name, _read_blocktype(r)))
+            takes_else.append(name == "if")
         elif imm == op.IMM_NONE:
             out.append((name,))
         elif imm == op.IMM_INDEX:
@@ -257,10 +255,15 @@ def _read_instrs(r: Reader, terminators: tuple[str, ...], depth: int) -> tuple[l
 
 def _read_const_expr(r: Reader, context: str) -> tuple:
     """MVP constant expressions are a single const instruction plus end."""
-    body, _ = _read_instrs(r, ("end",), 0)
+    body = _read_instrs(r)[:-1]
     if not body:
         raise MalformedBinary(r.pos, f"missing constant expression in {context}")
-    if len(body) > 1:
+    # a block with all it holds is one instruction
+    depth = top = 0
+    for ins in body:
+        top += depth == 0
+        depth += (ins[0] in ("block", "loop", "if")) - (ins[0] == "end")
+    if top > 1:
         raise UnsupportedFeature("extended-const", r.pos)
     instr = body[0]
     if instr[0] not in ("i32.const", "i64.const", "f32.const", "f64.const", "global.get"):
@@ -410,7 +413,7 @@ def decode_module(data: bytes) -> Module:
                     if len(locals_) + n > _MAX_LOCALS:
                         raise MalformedBinary(body_start, "too many locals")
                     locals_.extend([vt] * n)
-                body, _ = _read_instrs(br, ("end",), 0)
+                body = _read_instrs(br)
                 if br.pos != body_end:
                     raise MalformedBinary(br.pos, "function body size mismatch")
                 code_bodies.append((tuple(locals_), body))

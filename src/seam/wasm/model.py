@@ -1,13 +1,14 @@
 """In-memory module representation produced by the decoder.
 
-Instructions are stored as a structured tree: plain operators are
-``(name, *immediates)`` tuples; nesting constructs carry their bodies:
+A function body is one flat list of ``(name, *immediates)`` tuples in
+binary order. Structured control is marked, not nested:
 
-    ("block", result_type, [instrs])
-    ("loop",  result_type, [instrs])
-    ("if",    result_type, [then_instrs], [else_instrs])
+    ("block", result_type)  ("loop", result_type)  ("if", result_type)
+    ("else",)  ("end",)
 
-``result_type`` is one of "i32" | "i64" | "f32" | "f64" | None (empty).
+so any nesting depth costs no recursion to walk. The function's own
+closing ("end",) is the last entry. ``result_type`` is one of
+"i32" | "i64" | "f32" | "f64" | None (empty).
 f32/f64 const immediates hold the raw IEEE-754 bit pattern as an int so
 NaN payloads survive decoding.
 """

@@ -1,8 +1,8 @@
 """Type checking per the core validation rules.
 
 Runs the usual two-stack algorithm (value stack with an Unknown marker for
-unreachable code, control-frame stack for labels) over the structured
-instruction tree the decoder produces.
+unreachable code, control-frame stack for labels) in one pass over the
+flat instruction list the decoder produces, as the spec's appendix does.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ class _FuncChecker:
         self.results = ftype.results
         self.vals: list[str | None] = []
         self.ctrls: list[_Frame] = [_Frame("func", self.results, 0)]
-        self.path: list[int] = []
+        self.at = 0  # flat index of the instruction being checked
 
     def fail(self, reason: str):
-        raise ValidationError(self.func_index, tuple(self.path), reason)
+        raise ValidationError(self.func_index, self.at, reason)
 
     # -- stack primitives ------------------------------------------------
 
@@ -89,12 +89,6 @@ class _FuncChecker:
 
     # -- instruction dispatch ---------------------------------------------
 
-    def check_body(self, instrs: list):
-        for i, instr in enumerate(instrs):
-            self.path.append(i)
-            self.check(instr)
-            self.path.pop()
-
     def check(self, instr: tuple):
         name = instr[0]
 
@@ -126,25 +120,21 @@ class _FuncChecker:
             return
         if name in ("memory.size", "memory.grow"):  # pragma: no cover - in TYPE_RULES
             raise AssertionError
-        if name in ("block", "loop"):
+        if name in ("block", "loop", "if"):
+            if name == "if":
+                self.pop("i32")
             rt = instr[1]
-            end = (rt,) if rt else ()
-            self.push_frame(name, end)
-            self.check_body(instr[2])
-            self.pop_frame()
-            self.push(*end)
+            self.push_frame(name, (rt,) if rt else ())
             return
-        if name == "if":
-            rt = instr[1]
-            end = (rt,) if rt else ()
-            self.pop("i32")
-            self.push_frame("if", end)
-            self.check_body(instr[2])
-            self.pop_frame()
-            self.push_frame("else", end)
-            self.check_body(instr[3])
-            self.pop_frame()
-            self.push(*end)
+        if name == "else":
+            # the decoder admits an else only right inside an if
+            self.push_frame("else", self.pop_frame().end_types)
+            return
+        if name == "end":
+            frame = self.pop_frame()
+            if frame.kind == "if" and frame.end_types:
+                self.fail("if with a result has no else")
+            self.push(*frame.end_types)
             return
         if name == "br":
             frame = self.label(instr[1])
@@ -230,8 +220,9 @@ class _FuncChecker:
 
     def run(self):
         body = self.m.functions[self.func_index - self.m.num_imported_funcs]
-        self.check_body(body.body)
-        self.pop_frame()
+        # the function's own final end closes the func frame
+        for self.at, instr in enumerate(body.body):
+            self.check(instr)
 
 
 def _check_const(m: Module, instr: tuple, expect: str, what: str):
@@ -239,10 +230,10 @@ def _check_const(m: Module, instr: tuple, expect: str, what: str):
     if name == "global.get":
         # MVP allows only imported immutable globals here, and function-only
         # imports are admitted, so no global can ever be referenced
-        raise ValidationError(None, (), f"{what}: global.get is not a supported constant")
+        raise ValidationError(None, None, f"{what}: global.get is not a supported constant")
     const_type = name.split(".")[0]
     if const_type != expect:
-        raise ValidationError(None, (), f"{what}: expected {expect} constant, got {name}")
+        raise ValidationError(None, None, f"{what}: expected {expect} constant, got {name}")
 
 
 def validate_module(m: Module) -> ValidatedModule:
@@ -250,7 +241,7 @@ def validate_module(m: Module) -> ValidatedModule:
     seen_exports: set[str] = set()
     for e in m.exports:
         if e.name in seen_exports:
-            raise ValidationError(None, (), f"duplicate export name {e.name!r}")
+            raise ValidationError(None, None, f"duplicate export name {e.name!r}")
         seen_exports.add(e.name)
 
     for i, g in enumerate(m.globals):
@@ -263,7 +254,7 @@ def validate_module(m: Module) -> ValidatedModule:
     if m.start is not None:
         sig = m.func_type(m.start)
         if sig.params or sig.results:
-            raise ValidationError(None, (), f"start function must be [] -> [], got {sig}")
+            raise ValidationError(None, None, f"start function must be [] -> [], got {sig}")
 
     for func_index in range(m.num_imported_funcs, m.num_imported_funcs + len(m.functions)):
         _FuncChecker(m, func_index).run()

@@ -3,7 +3,9 @@
 // Modes:
 //   node oracle.mjs invoke <module.wasm> name:sig [name:sig ...]
 //     -> one JSON line: {name: {kind: "value", type, bits} | {kind: "trap", cls}}
-//     A fresh instance is created per export so traps cannot leak state.
+//     A fresh instance is created per export so traps cannot leak state; a
+//     trap while instantiating (a data or element segment out of bounds)
+//     is that export's outcome.
 //   node oracle.mjs validate <a.wasm> <b.wasm> ...
 //     -> one JSON line: {basename: "accept" | "reject"}
 import fs from "fs";
@@ -56,8 +58,8 @@ if (mode === "invoke") {
     const i = spec.lastIndexOf(":");
     const name = spec.slice(0, i);
     const sig = spec.slice(i + 1);
-    const inst = new WebAssembly.Instance(mod, {});
     try {
+      const inst = new WebAssembly.Instance(mod, {});
       const v = inst.exports[name]();
       out[name] = { kind: "value", ...encode(sig, v) };
     } catch (e) {

@@ -80,19 +80,30 @@ def test_object_symbols_match_manifest(tmp_path):
     assert not (set(data["defined"]) & set(data["unresolved"]))
 
 
+_EXOTIC_NAMES = ["run-fn.v2", "étage", 'a"b', "a\\b", '"', "\\", "\n"]
+
+
 def test_exotic_export_names_become_exact_symbols(tmp_path):
-    # names with dashes/dots/UTF-8 still surface as wasm_<name> verbatim
+    # names with dashes, dots, UTF-8, quotes, backslashes and control
+    # characters still surface as wasm_<name> verbatim
     b = ModuleBuilder()
-    b.add_func([], ["i32"], [], [("i32.const", 9)], export="run-fn.v2")
-    b.add_func([], ["i32"], [], [("i32.const", 7)], export="étage")
+    for k, name in enumerate(_EXOTIC_NAMES):
+        b.add_func([], ["i32"], [], [("i32.const", k + 1)], export=name)
     art = compile_module(vm_of(b))
     obj = tmp_path / "m.o"
     write_artifact(art, obj)
     defined, _ = elf.symbols(obj)
-    assert {"wasm_run-fn.v2", "wasm_étage"} <= defined
+    assert {f"wasm_{name}" for name in _EXOTIC_NAMES} <= defined
     exe = build_module_exe(b.build(), tmp_path, "exotic")
-    assert run_exe_export(exe, "run-fn.v2") == ("value", "i32", 9)
-    assert run_exe_export(exe, "étage") == ("value", "i32", 7)
+    for k, name in enumerate(_EXOTIC_NAMES):
+        assert run_exe_export(exe, name) == ("value", "i32", k + 1), name
+
+
+def test_export_name_holding_nul_is_a_codegen_error():
+    b = ModuleBuilder()
+    b.add_func([], ["i32"], [], [("i32.const", 1)], export="a\0b")
+    with pytest.raises(CodegenError, match="U\\+0000"):
+        compile_module(vm_of(b))
 
 
 def test_large_initial_memory(tmp_path):

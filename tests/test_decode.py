@@ -104,13 +104,44 @@ def test_structured_instruction_tree():
         export="f",
     )
     m = decode_module(b.build())
-    body = m.functions[0].body
-    assert body[0][0] == "block"
-    assert body[0][1] == "i32"
-    inner = body[0][2]
-    assert inner[1][0] == "if"
-    assert inner[1][2] == [("i32.const", 1)]
-    assert inner[1][3] == [("i32.const", 2)]
+    # structure is marked in one flat list, closed by the function's end
+    assert m.functions[0].body == [
+        ("block", "i32"),
+        ("local.get", 0),
+        ("if", "i32"), ("i32.const", 1), ("else",), ("i32.const", 2), ("end",),
+        ("end",),
+        ("end",),
+    ]
+
+
+@pytest.mark.parametrize("code", [
+    b"\x05",                          # else outside any if
+    b"\x02\x40\x05\x0b",              # else inside a block
+    b"\x41\x01\x04\x40\x05\x05\x0b",  # a second else
+])
+def test_stray_else_rejected(code):
+    b = ModuleBuilder()
+    b.add_func([], [], [], code)
+    with pytest.raises(MalformedBinary, match="unexpected else"):
+        decode_module(b.build())
+
+
+def test_code_after_the_final_end_rejected():
+    b = ModuleBuilder()
+    b.add_func([], [], [], b"\x0b\x01")  # end, then a nop inside the body's size
+    with pytest.raises(MalformedBinary, match="size mismatch"):
+        decode_module(b.build())
+
+
+@pytest.mark.parametrize("init, error", [
+    (("block", None, []), MalformedBinary),             # one instruction, not a constant
+    (("raw", b"\x41\x01\x41\x02"), UnsupportedFeature),  # two constants
+])
+def test_const_expr_error_classes(init, error):
+    b = ModuleBuilder()
+    b.add_global("i32", False, init)
+    with pytest.raises(error):
+        decode_module(b.build())
 
 
 def test_float_consts_decoded_bit_exact():

@@ -11,8 +11,9 @@ from seam.wasm import decode_module, validate_module
 from seam.wasm import opcodes as op
 
 from conftest import have_node
-from diffharness import run_differential_module
+from diffharness import build_module_exe, run_differential_module, run_exe_export, run_node_exports
 from genprograms import generate_corpus
+from wasmgen import ModuleBuilder
 
 pytestmark = pytest.mark.skipif(not have_node(), reason="reference engine unavailable")
 
@@ -27,24 +28,10 @@ def test_generated_modules_validate(corpus):
         validate_module(decode_module(data))
 
 
-def collect_ops(instrs, seen):
-    for ins in instrs:
-        seen.add(ins[0])
-        if ins[0] in ("block", "loop"):
-            collect_ops(ins[2], seen)
-        elif ins[0] == "if":
-            collect_ops(ins[2], seen)
-            collect_ops(ins[3], seen)
-
-
 def test_generator_covers_instruction_set(corpus):
     """The differential corpus must exercise every numeric operator, every
     load/store variant, and the full control vocabulary."""
-    seen: set = set()
-    for data, _ in corpus:
-        m = decode_module(data)
-        for fb in m.functions:
-            collect_ops(fb.body, seen)
+    seen = {ins[0] for data, _ in corpus for fb in decode_module(data).functions for ins in fb.body}
     required = set(op.TYPE_RULES) | set(op.MEM_ACCESS_WIDTH) | {
         "block", "loop", "if", "br", "br_if", "br_table", "return",
         "call", "call_indirect", "drop", "select", "unreachable",
@@ -67,8 +54,6 @@ def test_differential_agreement(corpus, tmp_path):
 def test_trap_classes_observed(corpus, tmp_path):
     """The corpus actually exercises traps, not just values (both sides
     agreeing on 'no trap anywhere' would be a weak pass)."""
-    from diffharness import build_module_exe, run_exe_export
-
     classes = set()
     for i, (data, exports) in enumerate(corpus):
         exe = tmp_path / f"m{i}"
@@ -79,3 +64,23 @@ def test_trap_classes_observed(corpus, tmp_path):
             if out[0] == "trap":
                 classes.add(out[1])
     assert {1, 2} <= classes, f"too few trap classes seen: {classes}"
+
+
+def _instantiation_trap_module(what: str) -> bytes:
+    b = ModuleBuilder()
+    f = b.add_func([], ["i32"], [], [("i32.const", 1)], export="run")
+    if what == "data":
+        b.set_memory(1, 1)
+        b.add_data(65535, b"ab")  # the second byte lies past the memory's end
+    else:
+        b.set_table(2, 2)
+        b.add_elem(1, [f, f])  # slot 2 does not exist
+    return b.build()
+
+
+@pytest.mark.parametrize("what, trap", [("data", 1), ("elem", 6)])
+def test_instantiation_trap_matches_the_reference(what, trap, tmp_path):
+    data = _instantiation_trap_module(what)
+    exe = build_module_exe(data, tmp_path, what)
+    assert run_exe_export(exe, "run") == ("trap", trap)
+    assert run_node_exports(tmp_path / f"{what}.wasm", [("run", "i")]) == {"run": ("trap", trap)}

@@ -31,7 +31,7 @@ def test_branch_depth_out_of_range():
     with pytest.raises(ValidationError) as ei:
         check(b)
     assert "depth 5" in str(ei.value)
-    assert ei.value.instr_path == (0, 0, 0)
+    assert ei.value.instr_index == 2  # the br, counted in the flat body
 
 
 def test_stack_underflow():

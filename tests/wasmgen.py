@@ -116,9 +116,18 @@ def _blocktype(rt: str | None) -> bytes:
 
 
 def asm(instrs: list | tuple) -> bytes:
-    """Assemble an instruction list (without the trailing end)."""
+    """Assemble an instruction list (without the trailing end).
+
+    Iterative, so a tree of any depth assembles: `todo` holds what is still
+    to be written, last item first; a nested body is spread onto it with the
+    raw bytes (else, end) that follow it."""
     out = bytearray()
-    for ins in instrs:
+    todo: list = list(reversed(instrs))
+    while todo:
+        ins = todo.pop()
+        if isinstance(ins, bytes):
+            out += ins
+            continue
         name = ins[0]
         if name in OP_NO_IMM:
             out.append(OP_NO_IMM[name])
@@ -131,17 +140,14 @@ def asm(instrs: list | tuple) -> bytes:
         elif name in OP_MEM:
             out.append(OP_MEM[name])
             out += uleb(ins[1]) + uleb(ins[2])
-        elif name in ("block", "loop"):
+        elif name in BLOCK_OPS:
             out.append(BLOCK_OPS[name])
-            out += _blocktype(ins[1]) + asm(ins[2])
-            out.append(0x0B)
-        elif name == "if":
-            out.append(0x04)
-            out += _blocktype(ins[1]) + asm(ins[2])
-            if len(ins) > 3 and ins[3]:
-                out.append(0x05)
-                out += asm(ins[3])
-            out.append(0x0B)
+            out += _blocktype(ins[1])
+            todo.append(b"\x0b")
+            if name == "if" and len(ins) > 3 and ins[3]:
+                todo.extend(reversed(ins[3]))
+                todo.append(b"\x05")
+            todo.extend(reversed(ins[2]))
         elif name == "br_table":
             out.append(0x0E)
             out += uleb(len(ins[1]))
