@@ -16,6 +16,8 @@ from ..wasm import ValidatedModule, decode_module, validate_module
 from .ctext import CGen
 from .symbols import SymbolManifest
 
+CC = "cc"  # compiles guests and the runtime, links the runtime, assembles fs images
+
 _ARCH_ALIASES = {"x86_64": "x86_64", "amd64": "x86_64", "aarch64": "aarch64", "arm64": "aarch64"}
 
 # closed-world compile flags: the object may reference nothing but the
@@ -56,13 +58,7 @@ def _ms_since(t0: float) -> float:
     return round((time.perf_counter() - t0) * 1000, 3)
 
 
-def _cc(cc: str, args: list[str], cwd: Path):
-    proc = subprocess.run([cc, *args], cwd=cwd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise CodegenError(f"{cc} failed:\n{proc.stderr.strip()}")
-
-
-def compile_module(vm: ValidatedModule, cc: str = "cc") -> ObjectArtifact:
+def compile_module(vm: ValidatedModule) -> ObjectArtifact:
     """Compile a validated module to a relocatable object.
 
     WASI imports and the linear-memory/trap hooks stay unresolved; exports
@@ -78,7 +74,10 @@ def compile_module(vm: ValidatedModule, cc: str = "cc") -> ObjectArtifact:
         (tdp / "mod.c").write_text(source)
         flags = _BASE_CFLAGS + _ARCH_CFLAGS.get(host_target(), [])
         t0 = time.perf_counter()
-        _cc(cc, [*flags, "-o", "mod.o", "mod.c"], tdp)
+        proc = subprocess.run([CC, *flags, "-o", "mod.o", "mod.c"], cwd=tdp,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise CodegenError(f"{CC} failed:\n{proc.stderr.strip()}")
         timings["cc_ms"] = _ms_since(t0)
         obj = (tdp / "mod.o").read_bytes()
         defined, unresolved = gen.manifest_symbols()
@@ -99,7 +98,7 @@ def compile_module(vm: ValidatedModule, cc: str = "cc") -> ObjectArtifact:
     return ObjectArtifact(object_bytes=obj, symbols=manifest, c_source=source, timings=timings)
 
 
-def compile_wasm_file(path: str | Path, cc: str = "cc") -> ObjectArtifact:
+def compile_wasm_file(path: str | Path) -> ObjectArtifact:
     data = Path(path).read_bytes()
     t0 = time.perf_counter()
     module = decode_module(data)
@@ -107,7 +106,7 @@ def compile_wasm_file(path: str | Path, cc: str = "cc") -> ObjectArtifact:
     t0 = time.perf_counter()
     vm = validate_module(module)
     validate_ms = _ms_since(t0)
-    art = compile_module(vm, cc=cc)
+    art = compile_module(vm)
     art.timings = {"decode_ms": decode_ms, "validate_ms": validate_ms, **art.timings}
     return art
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..profiler import BUCKETS
 from ..wasm.model import FuncType
+
+# the profile's six buckets, in the order of rt.h's P_* scopes; an ABI row
+# charges its time to one of them
+BUCKETS = ("guest", "wasi", "memory", "timer", "socket", "hostio")
 
 # the three hooks the compiled object expects from the runtime
 RUNTIME_HOOKS = ("memory_base", "memory_grow", "runtime_trap")
@@ -116,7 +119,3 @@ class SymbolManifest:
 
     def to_dict(self) -> dict:
         return {"defined": sorted(self.defined), "unresolved": sorted(self.unresolved)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SymbolManifest":
-        return cls(defined=list(d["defined"]), unresolved=list(d["unresolved"]))

@@ -15,11 +15,12 @@ import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import elf
 from .codegen import ALLOWED_UNRESOLVED, compile_wasm_file, write_artifact
+from .codegen.compile import CC
 from .errors import LinkError, SeamError
 from .runtime import runtime_image, runtime_objects
 from .tarfs import pack, pack_dir
@@ -30,11 +31,8 @@ class BuildPlan:
     wasm: Path
     output: Path
     fs_dir: Path | None = None
-    guest_args: list[str] = field(default_factory=list)
-    guest_env: list[str] = field(default_factory=list)
     keep_intermediates: bool = False
     linker: str | None = None
-    cc: str = "cc"
 
     def __post_init__(self):
         self.wasm = Path(self.wasm)
@@ -45,13 +43,9 @@ class BuildPlan:
             raise SeamError(f"input wasm not found: {self.wasm}")
 
 
-def default_linker() -> str:
-    return os.environ.get("SEAM_LINKER", "cc")
-
-
-def cmd_compile(wasm: str | Path, out_obj: str | Path, cc: str = "cc", quiet: bool = False) -> Path:
+def cmd_compile(wasm: str | Path, out_obj: str | Path, quiet: bool = False) -> Path:
     """Compile one .wasm to an object + symbol manifest; returns manifest path."""
-    art = compile_wasm_file(wasm, cc=cc)
+    art = compile_wasm_file(wasm)
     manifest_path = write_artifact(art, out_obj)
     if not quiet:
         print(f"compiled {wasm} -> {out_obj}")
@@ -110,7 +104,7 @@ def cmd_build(plan: BuildPlan, timings: dict | None = None) -> dict:
         build_dir = Path(tmp_ctx.name)
     try:
         guest_obj = build_dir / "guest.o"
-        art = compile_wasm_file(plan.wasm, cc=plan.cc)
+        art = compile_wasm_file(plan.wasm)
         write_artifact(art, guest_obj)
 
         link_inputs = [guest_obj]
@@ -119,13 +113,13 @@ def cmd_build(plan: BuildPlan, timings: dict | None = None) -> dict:
             (build_dir / "fs.tar").write_bytes(image)
             (build_dir / "fs_image.s").write_text(_fs_image_asm(len(image)))
             fs_obj = build_dir / "fs_image.o"
-            proc = subprocess.run([plan.cc, "-c", "-o", "fs_image.o", "fs_image.s"],
+            proc = subprocess.run([CC, "-c", "-o", "fs_image.o", "fs_image.s"],
                                   cwd=build_dir, capture_output=True, text=True)
             if proc.returncode != 0:
                 raise SeamError(f"fs image assembly failed:\n{proc.stderr}")
             link_inputs.append(fs_obj)
 
-        image = runtime_image(runtime_objects(cc=plan.cc))
+        image = runtime_image(runtime_objects())
 
         # audit before linking: the guest may leave only ABI functions and
         # runtime hooks unresolved, and the runtime defines every one
@@ -142,7 +136,8 @@ def cmd_build(plan: BuildPlan, timings: dict | None = None) -> dict:
             )
 
         t0 = time.perf_counter()
-        link_executable(plan.linker or default_linker(), plan.output, [*link_inputs, image])
+        linker = plan.linker or os.environ.get("SEAM_LINKER", CC)
+        link_executable(linker, plan.output, [*link_inputs, image])
         if timings is not None:
             timings.update(art.timings, link_ms=round((time.perf_counter() - t0) * 1000, 3))
 
@@ -154,6 +149,24 @@ def cmd_build(plan: BuildPlan, timings: dict | None = None) -> dict:
             tmp_ctx.cleanup()
 
 
+def guest_environ(exe: Path, guest_args: list[str] | None = None,
+                  guest_env: list[str] | None = None) -> dict[str, str]:
+    """The variables that hand the guest its argv and environment. The
+    runtime splits GUEST_ARGS at spaces and GUEST_ENV at commas, so a value
+    that the split would cut or drop is refused here."""
+    argv = [exe.name, *(guest_args or [])]
+    for arg in argv:
+        if not arg or " " in arg:
+            raise SeamError(f"guest argument {arg!r} is empty or holds a space")
+    for entry in guest_env or []:
+        if not entry or "," in entry:
+            raise SeamError(f"guest environment entry {entry!r} is empty or holds a comma")
+    env = {"GUEST_ARGS": " ".join(argv)}
+    if guest_env:
+        env["GUEST_ENV"] = ",".join(guest_env)
+    return env
+
+
 def cmd_run(exe: str | Path, guest_args: list[str] | None = None,
             fs_override: str | Path | None = None, guest_env: list[str] | None = None,
             invoke: str | None = None, capture: bool = False) -> subprocess.CompletedProcess:
@@ -161,11 +174,7 @@ def cmd_run(exe: str | Path, guest_args: list[str] | None = None,
     exe = Path(exe)
     if not exe.is_file():
         raise SeamError(f"executable not found: {exe}")
-    env = dict(os.environ)
-    argv0 = exe.name
-    env["GUEST_ARGS"] = " ".join([argv0, *(guest_args or [])])
-    if guest_env:
-        env["GUEST_ENV"] = ",".join(guest_env)
+    env = dict(os.environ, **guest_environ(exe, guest_args, guest_env))
     if fs_override is not None:
         env["SEAM_FS"] = str(fs_override)
     if invoke is not None:

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bench import LoadConfig, LoadReport, run_load
+from .codegen.symbols import BUCKETS
+from .driver import guest_environ
 from .errors import ProfileDisabled, SeamError
 
-BUCKETS = ("guest", "wasi", "memory", "timer", "socket", "hostio")
 BUCKET_LABELS = {
     "guest": "guest-code execution",
     "wasi": "WASI function execution",
@@ -112,10 +113,9 @@ def profile_run(exe: str | Path, load: LoadConfig | None = None,
         raise SeamError(f"executable not found: {exe}")
     with tempfile.TemporaryDirectory(prefix="seam-prof-") as td:
         report_path = Path(td) / "profile.json"
-        env = dict(os.environ)
+        env = dict(os.environ, **guest_environ(exe, guest_args))
         env["SEAM_PROFILE"] = "1"
         env["SEAM_PROFILE_OUT"] = str(report_path)
-        env["GUEST_ARGS"] = " ".join([exe.name, *(guest_args or [])])
         if fs_override is not None:
             env["SEAM_FS"] = str(fs_override)
 

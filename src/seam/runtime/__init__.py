@@ -1,16 +1,15 @@
 """Build orchestration for the C runtime that resolves compiled objects' symbols.
 
 The runtime sources ship as package data. `runtime_objects` compiles them
-once per cache key into a cache directory and returns the object list. The
-same entry holds `image.o`: the objects pre-linked (`cc -r`) with the C
-library's static-PIE start files, libgcc and libc.a, so that linking a
-guest into a self-contained static PIE only has to place the guest and
-resolve its few ABI symbols. The key covers the sources, the flags, the
-compiler's identity and each start file's and archive's path, size and
-mtime. `test_shared_lib` builds the same sources minus
-the executable entry as a shared library, which the test suite loads with
-ctypes to drive WASI functions directly. Both write `abi.h`, generated
-from the ABI table, next to their outputs for abi.c and the wasi_*.c units.
+once per cache key, in one `cc -c`, into a cache entry and returns the
+object list. From those same objects the entry gets two links before it is
+published: `image.o`, the objects pre-linked (`cc -r`) with the C library's
+static-PIE start files, libgcc and libc.a, so that linking a guest into a
+self-contained static PIE only has to place the guest and resolve its few
+ABI symbols; and `libseamrt.so`, every unit but the executable entry,
+which the test suite loads with ctypes to drive WASI functions directly
+(`test_shared_lib`). The entry also holds `abi.h`, generated from the ABI
+table, which abi.c and the wasi_*.c units include.
 """
 
 from __future__ import annotations
@@ -23,16 +22,17 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+from ..codegen.compile import CC
 from ..codegen.ctext import CTYPE
 from ..codegen.symbols import ABI, BUCKET, NOSYS
 from ..errors import LinkError, SeamError, ToolchainMissing
 
 C_DIR = Path(__file__).parent / "c"
 
-# main.c is the executable entry; every other unit is shared with the
-# ctypes test build
-ENTRY_SOURCE = "main.c"
-LIB_SOURCES = [
+# main.c, the executable entry, comes first; every other unit is also
+# linked into the shared library for the ctypes tests
+SOURCES = [
+    "main.c",
     "trap.c",
     "mem.c",
     "fdtable.c",
@@ -44,12 +44,16 @@ LIB_SOURCES = [
     "abi.c",
 ]
 
+# one set of objects serves the static-PIE image and the shared library:
+# -fPIC for the library, and no semantic interposition, so that calls
+# within a unit still inline and bind locally as under -fPIE
 CFLAGS = ["-O2", "-g0", "-std=c11", "-D_GNU_SOURCE", "-Wall", "-Wextra", "-pthread",
-          "-fno-strict-aliasing", "-fPIE"]
+          "-fno-strict-aliasing", "-fPIC", "-fno-semantic-interposition"]
 
 # image.o's inputs around the runtime objects, in link order: the start
 # files ahead, the archives as one group, the end files last
 _IMAGE = "image.o"
+_SHARED = "libseamrt.so"
 START_FILES = ["rcrt1.o", "crti.o", "crtbeginS.o"]
 ARCHIVES = ["libgcc.a", "libgcc_eh.a", "libc.a"]
 END_FILES = ["crtendS.o", "crtn.o"]
@@ -98,30 +102,21 @@ def abi_header() -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _cc_version(cc: str) -> bytes:
-    """The compiler's identity, asked once per process and compiler name."""
+def _ask_cc(arg: str) -> str:
+    """cc's answer to one query, asked once per process: its identity
+    (--version), or where it finds one start file or archive
+    (-print-file-name=X, answered with the bare name when it has none)."""
     try:
-        return subprocess.run([cc, "--version"], capture_output=True).stdout[:200]
+        return subprocess.run([CC, arg], capture_output=True, text=True).stdout.strip()
     except OSError as e:
-        raise SeamError(f"C compiler {cc!r} not runnable: {e}") from e
+        raise SeamError(f"C compiler {CC!r} not runnable: {e}") from e
 
 
-@functools.lru_cache(maxsize=None)
-def _print_file_name(cc: str, name: str) -> str:
-    """Where cc finds one start file or archive, asked once per process;
-    cc prints the bare name back when it has no such file."""
-    try:
-        return subprocess.run([cc, f"-print-file-name={name}"], capture_output=True,
-                              text=True).stdout.strip()
-    except OSError as e:
-        raise SeamError(f"C compiler {cc!r} not runnable: {e}") from e
-
-
-def _link_files(cc: str) -> dict[str, Path]:
+def _link_files() -> dict[str, Path]:
     """The image's start files and archives; a static PIE has no fallback."""
     files = {}
     for name in [*START_FILES, *ARCHIVES, *END_FILES]:
-        path = Path(_print_file_name(cc, name))
+        path = Path(_ask_cc(f"-print-file-name={name}"))
         if not path.is_absolute() or not path.is_file():
             raise ToolchainMissing(f"{name} not found: install the C library's static archive "
                                    "(libc6-dev, or glibc-static on Fedora)")
@@ -129,26 +124,10 @@ def _link_files(cc: str) -> dict[str, Path]:
     return files
 
 
-def _source_key(cc: str, extra: tuple[str, ...] = ()) -> str:
-    h = hashlib.sha256()
-    for name in [ENTRY_SOURCE, "rt.h", *LIB_SOURCES]:
-        h.update(name.encode())
-        h.update((C_DIR / name).read_bytes())
-    h.update(abi_header().encode())
-    h.update(" ".join(CFLAGS).encode())
-    h.update(" ".join(extra).encode())
-    h.update(cc.encode())
-    h.update(_cc_version(cc))
-    return h.hexdigest()[:16]
-
-
-def _compile(cc: str, src: Path, out: Path, extra: list[str]):
-    proc = subprocess.run(
-        [cc, *CFLAGS, *extra, "-c", "-o", str(out), str(src)],
-        capture_output=True, text=True,
-    )
+def _run(argv: list[str], error: type[SeamError], what: str, cwd: Path | None = None):
+    proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SeamError(f"runtime compile failed for {src.name}:\n{proc.stderr}")
+        raise error(f"{what} failed:\n{proc.stderr}")
 
 
 def _publish(tmp: Path, final: Path):
@@ -162,42 +141,53 @@ def _publish(tmp: Path, final: Path):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def link_image(cc: str, objects: list[Path], out: Path):
+def link_image(objects: list[Path], out: Path):
     """Pre-link objects with the static-PIE start files, libgcc and libc.a
     into one relocatable object."""
-    files = _link_files(cc)
+    files = _link_files()
 
     def paths(names: list[str]) -> list[str]:
         return [str(files[name]) for name in names]
 
-    proc = subprocess.run(
-        [cc, "-r", "-nostdlib", "-o", str(out), *paths(START_FILES), *map(str, objects),
-         "-Wl,--start-group", *paths(ARCHIVES), "-Wl,--end-group", *paths(END_FILES)],
-        capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise LinkError(f"runtime image link failed:\n{proc.stderr}")
+    _run([CC, "-r", "-nostdlib", "-o", str(out), *paths(START_FILES), *map(str, objects),
+          "-Wl,--start-group", *paths(ARCHIVES), "-Wl,--end-group", *paths(END_FILES)],
+         LinkError, "runtime image link")
 
 
-def runtime_entry(cc: str = "cc") -> Path:
-    """The cache directory of the runtime built with cc and its libc."""
-    identity = tuple(f"{p}:{st.st_size}:{st.st_mtime_ns}"
-                     for p in _link_files(cc).values() for st in [p.stat()])
-    return cache_dir() / f"rt-{_source_key(cc, identity)}"
+def runtime_entry() -> Path:
+    """The cache directory of the runtime built with CC and its libc: the
+    key covers the sources, the flags, the compiler's identity and each
+    start file's and archive's path, size and mtime."""
+    h = hashlib.sha256()
+    for name in SOURCES + ["rt.h"]:
+        h.update(name.encode())
+        h.update((C_DIR / name).read_bytes())
+    h.update(abi_header().encode())
+    h.update(" ".join(CFLAGS).encode())
+    h.update(CC.encode())
+    h.update(_ask_cc("--version").encode())
+    for p in _link_files().values():
+        st = p.stat()
+        h.update(f"{p}:{st.st_size}:{st.st_mtime_ns}".encode())
+    return cache_dir() / f"rt-{h.hexdigest()[:16]}"
 
 
-def runtime_objects(cc: str = "cc") -> list[Path]:
-    """Compile (or reuse) the runtime objects, and with them the image."""
-    out_dir = runtime_entry(cc)
-    names = [ENTRY_SOURCE, *LIB_SOURCES]
+def runtime_objects() -> list[Path]:
+    """Compile (or reuse) the runtime objects, and with them the image and
+    the shared library: one cc -c for every unit, two links."""
+    out_dir = runtime_entry()
+    objects = [Path(s).stem + ".o" for s in SOURCES]
     if not out_dir.exists():
         tmp = Path(tempfile.mkdtemp(prefix=f"{out_dir.name}.", dir=cache_dir()))
         (tmp / "abi.h").write_text(abi_header())
-        for src_name in names:
-            _compile(cc, C_DIR / src_name, tmp / (Path(src_name).stem + ".o"), [f"-I{tmp}"])
-        link_image(cc, [tmp / (Path(s).stem + ".o") for s in names], tmp / _IMAGE)
+        # without -o, cc writes each unit's object into its working directory
+        _run([CC, *CFLAGS, f"-I{tmp}", "-c", *(str(C_DIR / s) for s in SOURCES)],
+             SeamError, "runtime compile", cwd=tmp)
+        link_image([tmp / o for o in objects], tmp / _IMAGE)
+        _run([CC, "-shared", "-pthread", "-o", _SHARED, *objects[1:]],
+             SeamError, "runtime shared link", cwd=tmp)
         _publish(tmp, out_dir)
-    return [out_dir / (Path(s).stem + ".o") for s in names]
+    return [out_dir / o for o in objects]
 
 
 def runtime_image(objects: list[Path]) -> Path:
@@ -205,20 +195,6 @@ def runtime_image(objects: list[Path]) -> Path:
     return objects[0].parent / _IMAGE
 
 
-def test_shared_lib(cc: str = "cc") -> Path:
-    """Build the runtime (minus the entry) as a shared library for ctypes."""
-    key = _source_key(cc, ("shared",))
-    out_dir = cache_dir() / f"rtso-{key}"
-    lib = out_dir / "libseamrt.so"
-    if not lib.exists():
-        tmp = Path(tempfile.mkdtemp(prefix=f"rtso-{key}.", dir=cache_dir()))
-        (tmp / "abi.h").write_text(abi_header())
-        srcs = [str(C_DIR / s) for s in LIB_SOURCES]
-        proc = subprocess.run(
-            [cc, *CFLAGS, f"-I{tmp}", "-fPIC", "-shared", "-o", str(tmp / "libseamrt.so"), *srcs],
-            capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            raise SeamError(f"runtime shared build failed:\n{proc.stderr}")
-        _publish(tmp, out_dir)
-    return lib
+def test_shared_lib() -> Path:
+    """The runtime minus its entry as a shared library, which the tests load with ctypes."""
+    return runtime_objects()[0].parent / _SHARED

@@ -5,6 +5,7 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <limits.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/socket.h>
@@ -13,9 +14,9 @@
 fd_entry rt_fdt[FD_TABLE_SIZE];
 
 int rt_argc;
-const char *rt_argv[64];
+const char *rt_argv[RT_MAX_ARGS];
 int rt_envc;
-const char *rt_envv[64];
+const char *rt_envv[RT_MAX_ARGS];
 
 void rt_fd_init(void)
 {
@@ -115,29 +116,35 @@ uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int
     return W_SUCCESS;
 }
 
-static void split_into(char *buf, const char *sep, const char **out, int *count, int max)
+/* Split the variable var at sep into out, keeping the pieces in buf; a
+ * value that does not fit buf or out ends the process rather than reach
+ * the guest cut short. */
+static int split_var(const char *var, char *buf, size_t size, const char *sep, const char **out)
 {
-    *count = 0;
+    const char *v = getenv(var);
+    int count = 0;
+    if (!v)
+        return 0;
+    if (strlen(v) >= size) {
+        fprintf(stderr, "seam-rt: %s is %zu bytes, more than %zu\n", var, strlen(v), size - 1);
+        exit(1);
+    }
+    strcpy(buf, v);
     char *save = NULL;
-    for (char *tok = strtok_r(buf, sep, &save); tok && *count < max;
-         tok = strtok_r(NULL, sep, &save))
-        out[(*count)++] = tok;
+    for (char *tok = strtok_r(buf, sep, &save); tok; tok = strtok_r(NULL, sep, &save)) {
+        if (count == RT_MAX_ARGS) {
+            fprintf(stderr, "seam-rt: %s holds more than %d entries\n", var, RT_MAX_ARGS);
+            exit(1);
+        }
+        out[count++] = tok;
+    }
+    return count;
 }
 
 void rt_args_init(void)
 {
     static char args_buf[4096];
     static char env_buf[4096];
-    const char *ga = getenv("GUEST_ARGS");
-    const char *ge = getenv("GUEST_ENV");
-    rt_argc = 0;
-    rt_envc = 0;
-    if (ga && *ga) {
-        strncpy(args_buf, ga, sizeof args_buf - 1);
-        split_into(args_buf, " ", rt_argv, &rt_argc, 64);
-    }
-    if (ge && *ge) {
-        strncpy(env_buf, ge, sizeof env_buf - 1);
-        split_into(env_buf, ",", rt_envv, &rt_envc, 64);
-    }
+    rt_argc = split_var("GUEST_ARGS", args_buf, sizeof args_buf, " ", rt_argv);
+    rt_envc = split_var("GUEST_ENV", env_buf, sizeof env_buf, ",", rt_envv);
 }

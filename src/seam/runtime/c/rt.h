@@ -156,14 +156,15 @@ uint32_t rt_sock_recv(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t ri
 uint64_t rt_sock_readable_bytes(fd_entry *e); /* bytes buffered for reading */
 
 /* ---- guest args/env ---- */
-void rt_args_init(void);
+#define RT_MAX_ARGS 64
+void rt_args_init(void); /* exits 1 on a GUEST_ARGS or GUEST_ENV it cannot hold */
 extern int rt_argc;
-extern const char *rt_argv[64];
+extern const char *rt_argv[RT_MAX_ARGS];
 extern int rt_envc;
-extern const char *rt_envv[64];
+extern const char *rt_envv[RT_MAX_ARGS];
 
 /* ---- profiling ---- */
-/* in the order of seam.profiler.BUCKETS; a row's scope is P_<its bucket> */
+/* in the order of seam.codegen.symbols.BUCKETS; a row's scope is P_<its bucket> */
 enum { P_GUEST = 0, P_WASI, P_MEMORY, P_TIMER, P_SOCKET, P_HOSTIO, P_NBUCKETS };
 void prof_init(void);
 void prof_push(int bucket);

@@ -8,13 +8,14 @@ import struct
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from seam import elf, runtime
 from seam.cli import main as cli_main
 from seam.codegen import ABI, ALLOWED_UNRESOLVED, BUCKET, NOSYS, compile_wasm_file
-from seam.codegen.symbols import _parse
+from seam.codegen.symbols import BUCKETS, _parse
 from seam.driver import (
     BuildPlan,
     check_no_wasm_engine_dependency,
@@ -22,13 +23,25 @@ from seam.driver import (
     cmd_run,
     link_executable,
 )
-from seam.errors import AbiViolation, LinkError
-from seam.profiler import BUCKETS
-from seam.runtime import C_DIR, CFLAGS, abi_header, link_image, runtime_image, runtime_objects
+from seam.errors import AbiViolation, LinkError, SeamError
+from seam.profiler import profile_run
+from seam.runtime import (
+    C_DIR,
+    CFLAGS,
+    abi_header,
+    link_image,
+    runtime_entry,
+    runtime_image,
+    runtime_objects,
+)
 from seam.tarfs import pack_dir
 from seam.wasm.model import FuncType
 
 from wasmgen import ModuleBuilder, empty_module
+
+
+# a child Python imports the seam under test, installed or not
+SEAM_ENV = dict(os.environ, PYTHONPATH=str(Path(runtime.__file__).parents[2]))
 
 
 def run_cli(args) -> int:
@@ -234,6 +247,50 @@ def test_guest_env_plumbing(rt):
     assert rt.u32(0) == 2
 
 
+@pytest.mark.parametrize("args, env, named", [
+    (["a b"], [], "'a b'"),
+    (["x", ""], [], "''"),
+    ([], ["A=1,B=2"], "'A=1,B=2'"),
+], ids=["arg-with-space", "empty-arg", "env-with-comma"])
+def test_guest_values_the_runtime_would_split_are_refused(args, env, named, tmp_path, capsys):
+    """GUEST_ARGS is split at spaces and GUEST_ENV at commas, so such a
+    value would reach the guest cut in two or not at all."""
+    exe = tmp_path / "exe"
+    exe.write_bytes(b"")
+    with pytest.raises(SeamError, match=named):
+        cmd_run(exe, guest_args=args, guest_env=env)
+    argv = ["run", exe] + [a for e in env for a in ("--env", e)]
+    assert run_cli([*argv, "--", *args]) == 1
+    assert named in capsys.readouterr().err
+    if not env:
+        with pytest.raises(SeamError, match=named):
+            profile_run(exe, guest_args=args)
+
+
+@pytest.fixture(scope="module")
+def hello_exe(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("hello")
+    cmd_build(BuildPlan(wasm=hello_guest(tmp), output=tmp / "hello"))
+    return tmp / "hello"
+
+
+@pytest.mark.parametrize("var, value, error", [
+    ("GUEST_ARGS", "a" * 4095, None),
+    ("GUEST_ARGS", "a" * 4096, "GUEST_ARGS is 4096 bytes, more than 4095"),
+    ("GUEST_ARGS", " ".join(["a"] * 64), None),
+    ("GUEST_ARGS", " ".join(["a"] * 65), "GUEST_ARGS holds more than 64 entries"),
+    ("GUEST_ENV", "A=" + "1" * 5000, "GUEST_ENV is 5002 bytes, more than 4095"),
+    ("GUEST_ENV", ",".join(["A=1"] * 65), "GUEST_ENV holds more than 64 entries"),
+], ids=["args-4095-bytes", "args-4096-bytes", "args-64-entries", "args-65-entries",
+        "env-5002-bytes", "env-65-entries"])
+def test_runtime_exits_on_guest_args_it_cannot_hold(hello_exe, var, value, error):
+    proc = subprocess.run([str(hello_exe)], env={var: value}, capture_output=True, text=True)
+    if error is None:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "hi\n", "")
+    else:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"seam-rt: {error}\n")
+
+
 def test_unknown_wasi_import_fails_link(tmp_path, capsys):
     b = ModuleBuilder()
     b.add_import("wasi_snapshot_preview1", "totally_not_wasi", [], [])
@@ -265,7 +322,7 @@ def test_import_outside_the_abi_fails_at_compile(imports, tmp_path):
     assert run_cli(["build", wasm, "-o", tmp_path / "x"]) == 1
 
 
-def test_runtime_defines_every_abi_row_once():
+def test_runtime_defines_every_abi_row_once(tmp_path):
     assert len(ABI) == 55 and len(NOSYS) == 23 and NOSYS <= set(ABI)
     defined = Counter(sym for obj in runtime_objects() for sym in elf.symbols(obj)[0])
     assert {name: defined[name] for name in ABI} == dict.fromkeys(ABI, 1)
@@ -277,6 +334,13 @@ def test_runtime_defines_every_abi_row_once():
     assert not {name for name, bind in bindings if name in ABI and bind != elf.STB_GLOBAL}
     funcs = elf.function_addresses(image)
     assert funcs["sched_yield"] != funcs.get("__sched_yield")
+    # once in the shared library's dynamic symbol table, which ctypes binds
+    # against (strip leaves only that table)
+    lib = tmp_path / "libseamrt.so"
+    subprocess.run(["strip", "-o", str(lib), str(runtime.test_shared_lib())], check=True)
+    exported = Counter(elf.definitions(lib))
+    assert {name: exported[name, elf.STB_GLOBAL] for name in ABI} == dict.fromkeys(ABI, 1)
+    assert not {name for name, bind in exported if name in ABI and bind != elf.STB_GLOBAL}
 
 
 def test_every_implemented_row_has_a_profile_bucket():
@@ -309,6 +373,21 @@ def test_warm_runtime_objects_start_no_subprocess(monkeypatch):
 
     monkeypatch.setattr(subprocess, "Popen", no_process)
     assert all(obj.exists() for obj in runtime_objects())
+    assert runtime.test_shared_lib().is_file()
+
+
+def test_one_cache_entry_holds_the_objects_the_image_and_the_library():
+    objects = runtime_objects()
+    assert len(objects) == 10 and {obj.parent for obj in objects} == {runtime_entry()}
+    assert runtime_image(objects).parent == runtime_entry()
+    assert runtime.test_shared_lib().parent == runtime_entry()
+
+
+def test_importing_the_driver_leaves_the_load_generator_unimported():
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, seam.driver; print('seam.bench' in sys.modules)"],
+                          env=SEAM_ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_stack_is_not_executable_with_or_without_fs(www_dir, tmp_path):
@@ -374,7 +453,7 @@ def test_guest_placement_does_not_depend_on_the_runtime(tmp_path):
     placed = []
     for name, extra in [("plain", []), ("cold", [tmp_path / "cold.o"])]:
         image = tmp_path / f"{name}.image.o"
-        link_image("cc", [*runtime_objects(), *extra], image)
+        link_image([*runtime_objects(), *extra], image)
         link_executable("cc", tmp_path / name, [guest, image])
         placed.append(elf.function_addresses(tmp_path / name))
     offsets = elf.function_addresses(guest)  # offsets into the guest's .text
@@ -385,9 +464,9 @@ def test_guest_placement_does_not_depend_on_the_runtime(tmp_path):
 
 
 def test_missing_static_libc_is_a_named_error(tmp_path, monkeypatch, capsys):
-    real = runtime._print_file_name
-    monkeypatch.setattr(runtime, "_print_file_name",
-                        lambda cc, name: name if name == "libc.a" else real(cc, name))
+    real = runtime._ask_cc
+    monkeypatch.setattr(runtime, "_ask_cc",
+                        lambda arg: "libc.a" if arg == "-print-file-name=libc.a" else real(arg))
     wasm = hello_guest(tmp_path)
     with pytest.raises(LinkError, match="libc.a not found: install the C library's static archive"):
         cmd_build(BuildPlan(wasm=wasm, output=tmp_path / "h"))
@@ -401,11 +480,11 @@ def test_libc_identity_keys_the_runtime_cache(tmp_path, monkeypatch):
     another path, size or mtime gets a new entry."""
     objects = runtime_objects()
     assert runtime_image(objects).is_file()
-    real = runtime._print_file_name
+    real = runtime._ask_cc
     libc = tmp_path / "libc.a"
-    shutil.copyfile(real("cc", "libc.a"), libc)
-    monkeypatch.setattr(runtime, "_print_file_name",
-                        lambda cc, name: str(libc) if name == "libc.a" else real(cc, name))
+    shutil.copyfile(real("-print-file-name=libc.a"), libc)
+    monkeypatch.setattr(runtime, "_ask_cc",
+                        lambda arg: str(libc) if arg == "-print-file-name=libc.a" else real(arg))
     moved = runtime.runtime_entry()
     st = libc.stat()
     os.utime(libc, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
@@ -602,7 +681,7 @@ def test_fd_read_on_closed_stdin_reports_eof(tmp_path):
 
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "seam.cli", "--help"],
-                          capture_output=True, text=True)
+                          env=SEAM_ENV, capture_output=True, text=True)
     assert proc.returncode == 0
     for sub in ("compile", "pack", "build", "run", "bench", "profile"):
         assert sub in proc.stdout
