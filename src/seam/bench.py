@@ -1,16 +1,20 @@
 """Keep-alive HTTP/1.1 load generator with latency percentiles.
 
-N worker threads each own connections/N persistent connections and issue
-GETs round-robin for the configured duration, recording per-request
-latency in microseconds and errors by class (connect, timeout, non-2xx,
-body mismatch when an expected body is pinned).
+One selectors loop holds `connections` non-blocking keep-alive sockets,
+each with exactly one GET outstanding (a closed loop, like wrk's -c), so
+`connections` is the number of requests in flight. It records per-request
+latency in microseconds, from the send to the full response, and errors
+by class (connect, timeout, non-2xx, body mismatch when an expected body
+is pinned); a socket that errs is closed and dialled again. At the end of
+the run no request is sent, and those in flight are waited for.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import selectors
 import socket
-import threading
 import time
 from dataclasses import dataclass, field
 from urllib.parse import urlparse
@@ -18,23 +22,21 @@ from urllib.parse import urlparse
 from .errors import TargetUnreachable
 
 ERROR_CLASSES = ("connect", "timeout", "non_2xx", "body_mismatch")
+TIMEOUT_S = 5.0  # a connect or a response that takes longer is a timeout
+_SWEEP_S = 0.1  # how often sockets are checked against TIMEOUT_S
+_CONTENT_LENGTH = re.compile(rb"\r\ncontent-length[ \t]*:[ \t]*(\d+)", re.IGNORECASE)
 
 
 @dataclass
 class LoadConfig:
     url: str
-    threads: int = 2
     connections: int = 16
     duration_s: float = 5.0
-    timeout_s: float = 5.0
     expected_body: bytes | None = None
-    preflight: bool = True
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.connections < self.threads:
-            raise ValueError("connections must be >= threads")
+        if self.connections < 1:
+            raise ValueError("connections must be >= 1")
         if self.duration_s < 1:
             raise ValueError("duration must be >= 1 s")
 
@@ -48,6 +50,7 @@ class LoadReport:
     latency_p50_us: int
     latency_p90_us: int
     latency_p99_us: int
+    client_cpu_us_per_req: float
     errors: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -61,6 +64,7 @@ class LoadReport:
                 "p90": self.latency_p90_us,
                 "p99": self.latency_p99_us,
             },
+            "client_cpu_us_per_req": round(self.client_cpu_us_per_req, 2),
             "errors": dict(self.errors),
         }
 
@@ -77,6 +81,7 @@ class LoadReport:
             f"{'latency p50':<16}{self.latency_p50_us:>12}us",
             f"{'latency p90':<16}{self.latency_p90_us:>12}us",
             f"{'latency p99':<16}{self.latency_p99_us:>12}us",
+            f"{'client cpu/req':<16}{d['client_cpu_us_per_req']:>12}us",
         ]
         for k in ERROR_CLASSES:
             lines.append(f"{'err ' + k:<16}{self.errors.get(k, 0):>14}")
@@ -84,109 +89,17 @@ class LoadReport:
 
 
 class _Conn:
-    """One persistent connection with a minimal HTTP/1.1 client."""
+    """One socket's state: `out` is the part of the request still to send
+    (None until the connect completes), `t0` the monotonic ns at which the
+    connect or the request began."""
 
-    def __init__(self, host: str, port: int, timeout: float):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.sock: socket.socket | None = None
-        self.buf = b""
+    __slots__ = ("sock", "out", "t0", "buf")
 
-    def connect(self):
-        self.close()
-        self.sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.buf = b""
-
-    def close(self):
-        if self.sock is not None:
-            try:
-                self.sock.close()
-            finally:
-                self.sock = None
-
-    def _read_until(self, marker: bytes) -> bytes:
-        while marker not in self.buf:
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("peer closed mid-response")
-            self.buf += chunk
-        head, self.buf = self.buf.split(marker, 1)
-        return head
-
-    def _read_n(self, n: int) -> bytes:
-        while len(self.buf) < n:
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("peer closed mid-body")
-            self.buf += chunk
-        body, self.buf = self.buf[:n], self.buf[n:]
-        return body
-
-    def get(self, path: str) -> tuple[int, bytes, int]:
-        """Returns (status, body, total_bytes_received_estimate)."""
-        req = (f"GET {path} HTTP/1.1\r\nHost: {self.host}\r\n"
-               f"Connection: keep-alive\r\n\r\n").encode()
-        self.sock.sendall(req)
-        head = self._read_until(b"\r\n\r\n")
-        lines = head.split(b"\r\n")
-        status = int(lines[0].split()[1])
-        clen = 0
-        for line in lines[1:]:
-            k, _, v = line.partition(b":")
-            if k.strip().lower() == b"content-length":
-                clen = int(v.strip())
-        body = self._read_n(clen)
-        return status, body, len(head) + 4 + clen
-
-
-class _Worker(threading.Thread):
-    def __init__(self, cfg: LoadConfig, host: str, port: int, path: str,
-                 n_conns: int, deadline: float):
-        super().__init__(daemon=True)
-        self.cfg = cfg
-        self.host = host
-        self.port = port
-        self.path = path
-        self.n_conns = n_conns
-        self.deadline = deadline
-        self.latencies: list[int] = []
-        self.bytes_rx = 0
-        self.errors = {k: 0 for k in ERROR_CLASSES}
-
-    def run(self):
-        conns = [_Conn(self.host, self.port, self.cfg.timeout_s) for _ in range(self.n_conns)]
-        for c in conns:
-            try:
-                c.connect()
-            except OSError:
-                self.errors["connect"] += 1
-        while time.monotonic() < self.deadline:
-            for c in conns:
-                if time.monotonic() >= self.deadline:
-                    break
-                t0 = time.monotonic_ns()
-                try:
-                    if c.sock is None:
-                        c.connect()
-                    status, body, nbytes = c.get(self.path)
-                except socket.timeout:
-                    self.errors["timeout"] += 1
-                    c.close()
-                    continue
-                except OSError:
-                    self.errors["connect"] += 1
-                    c.close()
-                    continue
-                self.latencies.append((time.monotonic_ns() - t0) // 1000)
-                self.bytes_rx += nbytes
-                if status < 200 or status >= 300:
-                    self.errors["non_2xx"] += 1
-                elif self.cfg.expected_body is not None and body != self.cfg.expected_body:
-                    self.errors["body_mismatch"] += 1
-        for c in conns:
-            c.close()
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.out: bytes | None = None
+        self.t0 = time.monotonic_ns()
+        self.buf = bytearray()
 
 
 def _percentile(sorted_us: list[int], q: float) -> int:
@@ -201,35 +114,117 @@ def run_load(cfg: LoadConfig) -> LoadReport:
     u = urlparse(cfg.url)
     if u.scheme != "http" or not u.hostname:
         raise ValueError(f"only http:// URLs are supported: {cfg.url}")
-    host, port = u.hostname, u.port or 80
-    path = u.path or "/"
+    request = (f"GET {u.path or '/'} HTTP/1.1\r\nHost: {u.hostname}\r\n"
+               f"Connection: keep-alive\r\n\r\n").encode()
+    try:
+        first = socket.create_connection((u.hostname, u.port or 80), timeout=TIMEOUT_S)
+    except OSError as e:
+        raise TargetUnreachable(f"cannot reach {cfg.url}: {e}") from e
+    first.setblocking(False)
+    family, peer = first.family, first.getpeername()
 
-    if cfg.preflight:
-        probe = _Conn(host, port, cfg.timeout_s)
-        try:
-            probe.connect()
-            probe.close()
-        except OSError as e:
-            raise TargetUnreachable(f"cannot reach {cfg.url}: {e}") from e
+    sel = selectors.DefaultSelector()
+    latencies: list[int] = []
+    errors = dict.fromkeys(ERROR_CLASSES, 0)
+    rx = 0
+    running = True
 
-    base = cfg.connections // cfg.threads
-    extra = cfg.connections % cfg.threads
+    def dial(sock: socket.socket | None = None):
+        if sock is None:
+            sock = socket.socket(family, socket.SOCK_STREAM)
+            sock.setblocking(False)
+            sock.connect_ex(peer)  # a failed connect shows as an error at the first send
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sel.register(sock, selectors.EVENT_WRITE, _Conn(sock))
+
+    def close(c: _Conn):
+        sel.unregister(c.sock)
+        c.sock.close()
+
+    def fail(c: _Conn, cls: str):
+        errors[cls] += 1
+        close(c)
+        if running:
+            dial()
+
+    def send(c: _Conn):
+        if c.out is None:
+            c.out, c.t0 = request, time.monotonic_ns()
+        n = c.sock.send(c.out)
+        c.out = c.out[n:]
+        if not c.out:
+            sel.modify(c.sock, selectors.EVENT_READ, c)
+
+    def receive(c: _Conn):
+        nonlocal rx
+        chunk = c.sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("peer closed mid-response")
+        buf = c.buf
+        buf += chunk
+        head = buf.find(b"\r\n\r\n")
+        if head < 0:
+            return
+        m = _CONTENT_LENGTH.search(buf, 0, head)
+        end = head + 4 + (int(m[1]) if m else 0)
+        if len(buf) < end:
+            return
+        latencies.append((time.monotonic_ns() - c.t0) // 1000)
+        rx += end
+        status = int(buf[9:12])  # HTTP/1.x NNN
+        if status < 200 or status >= 300:
+            errors["non_2xx"] += 1
+        elif cfg.expected_body is not None and buf[head + 4:end] != cfg.expected_body:
+            errors["body_mismatch"] += 1
+        del buf[:end]
+        if not running:
+            close(c)
+            return
+        c.t0 = time.monotonic_ns()
+        n = c.sock.send(request)
+        if n < len(request):
+            c.out = request[n:]
+            sel.modify(c.sock, selectors.EVENT_WRITE, c)
+
+    cpu0 = time.process_time()
     start = time.monotonic()
-    deadline = start + cfg.duration_s
-    workers = [
-        _Worker(cfg, host, port, path, base + (1 if i < extra else 0), deadline)
-        for i in range(cfg.threads)
-    ]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
+    sweep, stop = start + _SWEEP_S, start + cfg.duration_s
+    try:
+        dial(first)
+        for _ in range(cfg.connections - 1):
+            dial()
+        while sel.get_map():
+            now = time.monotonic()
+            if running and now >= stop:
+                running = False
+                for key in list(sel.get_map().values()):
+                    if key.events == selectors.EVENT_WRITE:  # no request in flight
+                        close(key.data)
+            if now >= sweep:
+                sweep = now + _SWEEP_S
+                late = time.monotonic_ns() - int(TIMEOUT_S * 1e9)
+                for key in list(sel.get_map().values()):
+                    if key.data.t0 < late:
+                        fail(key.data, "timeout")
+            timeout = min(sweep, stop) - now if running else sweep - now
+            for key, mask in sel.select(max(timeout, 0.0)):
+                c = key.data
+                try:
+                    if mask & selectors.EVENT_WRITE:
+                        send(c)
+                    else:
+                        receive(c)
+                except OSError:
+                    fail(c, "connect")
+    finally:
+        for key in list(sel.get_map().values()):
+            key.fileobj.close()
+        sel.close()
     elapsed = time.monotonic() - start
+    cpu = time.process_time() - cpu0
 
-    lats = sorted(l for w in workers for l in w.latencies)
-    errors = {k: sum(w.errors[k] for w in workers) for k in ERROR_CLASSES}
+    lats = sorted(latencies)
     total = len(lats)
-    rx = sum(w.bytes_rx for w in workers)
     return LoadReport(
         total_requests=total,
         duration_s=elapsed,
@@ -238,5 +233,6 @@ def run_load(cfg: LoadConfig) -> LoadReport:
         latency_p50_us=_percentile(lats, 0.50),
         latency_p90_us=_percentile(lats, 0.90),
         latency_p99_us=_percentile(lats, 0.99),
+        client_cpu_us_per_req=cpu * 1e6 / total if total else 0.0,
         errors=errors,
     )

@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("-o", "--output", type=Path, required=True)
     b.add_argument("--fs", type=Path, default=None, help="directory to embed as the tar filesystem")
     b.add_argument("--keep", action="store_true", help="keep intermediates under <out>.build/")
-    b.add_argument("--linker", default=None, help="cc-compatible static-PIE link driver (default: $SEAM_LINKER or cc)")
     b.add_argument("--timings", action="store_true",
                    help="print the phase costs as one JSON line (schema seam.build-timings/1)")
 
@@ -62,18 +61,18 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--invoke", default=None, help="call a nullary export instead of _start")
     r.add_argument("--env", action="append", default=[], help="guest env K=V (repeatable)")
 
-    n = sub.add_parser("bench", help="HTTP load against a URL")
+    n = sub.add_parser("bench", help="closed-loop HTTP load against a URL from one event loop")
     n.add_argument("--url", required=True)
-    n.add_argument("--threads", type=int, default=2)
-    n.add_argument("--connections", type=int, default=16)
+    n.add_argument("--connections", type=int, default=16,
+                   help="keep-alive connections, each with one request in flight")
     n.add_argument("--duration", type=float, default=5.0)
     n.add_argument("--json", type=Path, default=None, help="also write the report as JSON")
 
     f = sub.add_parser("profile", help="run with instrumentation and print the six-bucket profile")
     f.add_argument("exe", type=Path)
     f.add_argument("--url", default=None, help="drive HTTP load at this URL while profiling")
-    f.add_argument("--threads", type=int, default=2)
-    f.add_argument("--connections", type=int, default=16)
+    f.add_argument("--connections", type=int, default=16,
+                   help="keep-alive connections, each with one request in flight")
     f.add_argument("--duration", type=float, default=5.0)
     f.add_argument("--fs", type=Path, default=None)
     f.add_argument("--json", type=Path, default=None)
@@ -96,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.command == "build":
             plan = BuildPlan(wasm=args.wasm, output=args.output, fs_dir=args.fs,
-                             keep_intermediates=args.keep, linker=args.linker)
+                             keep_intermediates=args.keep)
             timings: dict = {}
             audit = cmd_build(plan, timings)
             print(f"built {args.output}")
@@ -113,8 +112,7 @@ def main(argv: list[str] | None = None) -> int:
                            guest_env=args.env, invoke=args.invoke)
             return proc.returncode
         if args.command == "bench":
-            cfg = LoadConfig(url=args.url, threads=args.threads,
-                             connections=args.connections, duration_s=args.duration)
+            cfg = LoadConfig(url=args.url, connections=args.connections, duration_s=args.duration)
             report = run_load(cfg)
             print(report.render_table())
             if args.json:
@@ -123,8 +121,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "profile":
             load = None
             if args.url:
-                load = LoadConfig(url=args.url, threads=args.threads,
-                                  connections=args.connections, duration_s=args.duration)
+                load = LoadConfig(url=args.url, connections=args.connections,
+                                  duration_s=args.duration)
             report = profile_run(args.exe, load=load, guest_args=guest_args,
                                  fs_override=args.fs)
             print(report.render_table())

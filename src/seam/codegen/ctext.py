@@ -51,8 +51,6 @@ _GLOBAL_GET = {"i32": "{}", "i64": "{}", "f32": "sr_f32_frombits({})", "f64": "s
 _GLOBAL_SET = {"i32": "{}", "i64": "{}", "f32": "sr_f32_tobits({})", "f64": "sr_f64_tobits({})"}
 
 TRAP_OOB = 1
-TRAP_DIV_ZERO = 2
-TRAP_OVERFLOW = 3
 TRAP_UNREACHABLE = 4
 TRAP_CALL_TYPE = 5
 TRAP_TABLE_OOB = 6

@@ -32,7 +32,6 @@ class BuildPlan:
     output: Path
     fs_dir: Path | None = None
     keep_intermediates: bool = False
-    linker: str | None = None
 
     def __post_init__(self):
         self.wasm = Path(self.wasm)
@@ -81,11 +80,11 @@ def _fs_image_asm(image_size: int) -> str:
     )
 
 
-def link_executable(linker: str, output: Path, inputs: list[Path]):
+def link_executable(output: Path, inputs: list[Path]):
     """Link a static PIE from inputs that carry their own start files and
     libc, the runtime image last; the guest object goes first, so its
     .text follows only the image's cold and startup code."""
-    proc = subprocess.run([linker, "-static-pie", "-nostdlib", "-o", str(output), *map(str, inputs)],
+    proc = subprocess.run([CC, "-static-pie", "-nostdlib", "-o", str(output), *map(str, inputs)],
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise LinkError(f"linker failed:\n{proc.stderr}")
@@ -136,8 +135,7 @@ def cmd_build(plan: BuildPlan, timings: dict | None = None) -> dict:
             )
 
         t0 = time.perf_counter()
-        linker = plan.linker or os.environ.get("SEAM_LINKER", CC)
-        link_executable(linker, plan.output, [*link_inputs, image])
+        link_executable(plan.output, [*link_inputs, image])
         if timings is not None:
             timings.update(art.timings, link_ms=round((time.perf_counter() - t0) * 1000, 3))
 

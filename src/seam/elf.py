@@ -12,7 +12,6 @@ import struct
 from pathlib import Path
 
 _SHT_SYMTAB = 2
-_SHT_STRTAB = 3
 _SHT_DYNAMIC = 6
 _SHT_DYNSYM = 11
 _DT_NEEDED = 1

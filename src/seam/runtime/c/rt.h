@@ -169,7 +169,8 @@ enum { P_GUEST = 0, P_WASI, P_MEMORY, P_TIMER, P_SOCKET, P_HOSTIO, P_NBUCKETS };
 void prof_init(void);
 void prof_push(int bucket);
 void prof_pop(void);
-extern int prof_on;
+/* hidden: read by every ABI entry, so one rip-relative load, not a GOT hop */
+extern int prof_on __attribute__((visibility("hidden")));
 
 /* ---- misc ---- */
 uint32_t rt_errno_to_wasi(int err);

@@ -55,48 +55,48 @@ uint64_t rt_now_ns(int clock_id)
 
 /* ---- args / environ ---- */
 
-uint32_t wasi_args_sizes_get(uint32_t argc_out, uint32_t bufsize_out)
+static uint32_t strings_sizes_get(int count, const char *const *strings,
+                                  uint32_t count_out, uint32_t bufsize_out)
 {
     uint32_t total = 0;
-    for (int i = 0; i < rt_argc; i++)
-        total += (uint32_t)strlen(rt_argv[i]) + 1;
-    lm_set_u32(argc_out, (uint32_t)rt_argc);
+    for (int i = 0; i < count; i++)
+        total += (uint32_t)strlen(strings[i]) + 1;
+    lm_set_u32(count_out, (uint32_t)count);
     lm_set_u32(bufsize_out, total);
     return W_SUCCESS;
+}
+
+static uint32_t strings_get(int count, const char *const *strings,
+                            uint32_t ptrs, uint32_t buf)
+{
+    uint32_t off = buf;
+    for (int i = 0; i < count; i++) {
+        size_t n = strlen(strings[i]) + 1;
+        memcpy(lm_ptr(off, (uint32_t)n), strings[i], n);
+        lm_set_u32(ptrs + 4u * (uint32_t)i, off);
+        off += (uint32_t)n;
+    }
+    return W_SUCCESS;
+}
+
+uint32_t wasi_args_sizes_get(uint32_t argc_out, uint32_t bufsize_out)
+{
+    return strings_sizes_get(rt_argc, rt_argv, argc_out, bufsize_out);
 }
 
 uint32_t wasi_args_get(uint32_t argv, uint32_t argv_buf)
 {
-    uint32_t off = argv_buf;
-    for (int i = 0; i < rt_argc; i++) {
-        size_t n = strlen(rt_argv[i]) + 1;
-        memcpy(lm_ptr(off, (uint32_t)n), rt_argv[i], n);
-        lm_set_u32(argv + 4u * (uint32_t)i, off);
-        off += (uint32_t)n;
-    }
-    return W_SUCCESS;
+    return strings_get(rt_argc, rt_argv, argv, argv_buf);
 }
 
 uint32_t wasi_environ_sizes_get(uint32_t envc_out, uint32_t bufsize_out)
 {
-    uint32_t total = 0;
-    for (int i = 0; i < rt_envc; i++)
-        total += (uint32_t)strlen(rt_envv[i]) + 1;
-    lm_set_u32(envc_out, (uint32_t)rt_envc);
-    lm_set_u32(bufsize_out, total);
-    return W_SUCCESS;
+    return strings_sizes_get(rt_envc, rt_envv, envc_out, bufsize_out);
 }
 
 uint32_t wasi_environ_get(uint32_t environ_ptrs, uint32_t environ_buf)
 {
-    uint32_t off = environ_buf;
-    for (int i = 0; i < rt_envc; i++) {
-        size_t n = strlen(rt_envv[i]) + 1;
-        memcpy(lm_ptr(off, (uint32_t)n), rt_envv[i], n);
-        lm_set_u32(environ_ptrs + 4u * (uint32_t)i, off);
-        off += (uint32_t)n;
-    }
-    return W_SUCCESS;
+    return strings_get(rt_envc, rt_envv, environ_ptrs, environ_buf);
 }
 
 /* ---- clocks / random / proc ---- */

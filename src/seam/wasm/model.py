@@ -17,9 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-VAL_TYPES = ("i32", "i64", "f32", "f64")
-
-PAGE_SIZE = 65536
 MAX_PAGES = 65536  # 4 GiB ceiling of the 32-bit linear address space
 
 Instr = tuple

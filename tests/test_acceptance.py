@@ -154,10 +154,11 @@ def test_criterion_tarfs_roundtrip(rt, tmp_path):
 
 def test_criterion_end_to_end_bench(httpd_exe, www_dir):
     """Evaluation shape at desk scale: static-file server built from the
-    Wasm fixture with a packed www/, loaded at 2 threads / 16 connections
-    for 5 s over loopback: 0 errors, all bodies byte-identical, > 100 req/s.
-    Absolute cross-runtime numbers are machine-bound; a reported-not-
-    asserted comparison against an external server stands in for them."""
+    Wasm fixture with a packed www/, loaded at 16 connections (16 requests
+    in flight) for 5 s over loopback: 0 errors, all bodies byte-identical,
+    > 100 req/s. Absolute cross-runtime numbers are machine-bound; a
+    reported-not-asserted comparison against an external server stands in
+    for them."""
     port = free_port()
     import os
 
@@ -169,7 +170,7 @@ def test_criterion_end_to_end_bench(httpd_exe, www_dir):
         _wait_port(port)
         expected = (www_dir / "index.html").read_bytes()
         report = run_load(LoadConfig(url=f"http://127.0.0.1:{port}/index.html",
-                                     threads=2, connections=16, duration_s=5,
+                                     connections=16, duration_s=5,
                                      expected_body=expected))
         assert sum(report.errors.values()) == 0, report.errors
         assert report.requests_per_sec > 100, report.requests_per_sec
@@ -227,7 +228,7 @@ def _external_comparison(seam_report) -> str:
     threading.Thread(target=srv.serve_forever, daemon=True).start()
     try:
         ref = run_load(LoadConfig(url=f"http://127.0.0.1:{srv.server_address[1]}/",
-                                  threads=2, connections=16, duration_s=2))
+                                  connections=16, duration_s=2))
     finally:
         srv.shutdown()
     ratio = seam_report.requests_per_sec / max(ref.requests_per_sec, 1.0)
@@ -249,7 +250,7 @@ def test_criterion_profile_shape(built, httpd_exe):
     port = free_port()
     io_rep = profile_run(httpd_exe, guest_args=[str(port)],
                          load=LoadConfig(url=f"http://127.0.0.1:{port}/index.html",
-                                         threads=2, connections=16, duration_s=3))
+                                         connections=16, duration_s=3))
     ipct = io_rep.percentages()
     assert ipct["socket"] + ipct["wasi"] > 50.0, ipct
     assert abs(sum(ipct.values()) - 100.0) <= 5.0

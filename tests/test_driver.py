@@ -454,7 +454,7 @@ def test_guest_placement_does_not_depend_on_the_runtime(tmp_path):
     for name, extra in [("plain", []), ("cold", [tmp_path / "cold.o"])]:
         image = tmp_path / f"{name}.image.o"
         link_image([*runtime_objects(), *extra], image)
-        link_executable("cc", tmp_path / name, [guest, image])
+        link_executable(tmp_path / name, [guest, image])
         placed.append(elf.function_addresses(tmp_path / name))
     offsets = elf.function_addresses(guest)  # offsets into the guest's .text
     assert len(offsets) >= 7 and "extra_cold" in placed[1]
@@ -537,15 +537,6 @@ def test_audit_is_hermetic(guest_wasm, tmp_path):
     a1 = json.loads((tmp_path / "a.audit.json").read_text())
     a2 = json.loads((tmp_path / "b.audit.json").read_text())
     assert a1 == a2
-
-
-def test_seam_linker_env_respected(guest_wasm, tmp_path, monkeypatch):
-    fake = tmp_path / "fakelinker"
-    fake.write_text("#!/bin/sh\nexit 9\n")
-    fake.chmod(0o755)
-    monkeypatch.setenv("SEAM_LINKER", str(fake))
-    with pytest.raises(LinkError):
-        cmd_build(BuildPlan(wasm=guest_wasm["hello"], output=tmp_path / "h"))
 
 
 def test_trap_messages_and_exit_codes(tmp_path):
@@ -711,7 +702,7 @@ def test_cli_bench_against_reference_server(tmp_path, capsys):
     out = tmp_path / "report.json"
     try:
         rc = run_cli(["bench", "--url", f"http://127.0.0.1:{srv.server_address[1]}/",
-                      "--threads", "1", "--connections", "2", "--duration", "1",
+                      "--connections", "2", "--duration", "1",
                       "--json", out])
     finally:
         srv.shutdown()
@@ -723,7 +714,7 @@ def test_cli_bench_against_reference_server(tmp_path, capsys):
 
 def test_cli_bench_unreachable_is_input_error(capsys):
     rc = run_cli(["bench", "--url", "http://127.0.0.1:1/", "--duration", "1",
-                  "--threads", "1", "--connections", "1"])
+                  "--connections", "1"])
     assert rc == 1
 
 

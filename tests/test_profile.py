@@ -32,8 +32,8 @@ def test_io_guest_dominated_by_socket_and_wasi(httpd_exe):
     port = free_port()
     report = profile_run(
         httpd_exe, guest_args=[str(port)],
-        load=LoadConfig(url=f"http://127.0.0.1:{port}/index.html", threads=2,
-                        connections=8, duration_s=2),
+        load=LoadConfig(url=f"http://127.0.0.1:{port}/index.html", connections=8,
+                        duration_s=2),
     )
     pct = report.percentages()
     assert pct["socket"] + pct["wasi"] > 50.0
