@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from ..errors import AbiViolation, CodegenError, UnsupportedImportModule
 from ..wasm import opcodes as op
-from ..wasm.model import Module, ValidatedModule
+from ..wasm.model import FuncType, Module, ValidatedModule
 from .symbols import ABI, RESERVED_DEFINED, RUNTIME_HOOKS, WASI_MODULE
 
 CTYPE = {"i32": "uint32_t", "i64": "uint64_t", "f32": "float", "f64": "double"}
@@ -368,7 +368,7 @@ class _FuncEmitter:
         self.stack: list[tuple[str, str]] = []
         self.blocks: list[_Block] = [_Block(-1, "func", self.ftype.results[0] if self.ftype.results else None, 0)]
         self.dead = False
-        self.uses_mem = any(ins[0] in op.MEM_ACCESS_WIDTH for ins in self.fb.body)
+        self.uses_mem = any(op.OPS[ins[0]].width for ins in self.fb.body)
 
     # -- emission helpers --------------------------------------------------
 
@@ -536,17 +536,6 @@ class _FuncEmitter:
             self.line(f"g{ins[1]} = {_GLOBAL_SET[vt].format(v)};")
             return
 
-        if name in op.MEM_ACCESS_WIDTH:
-            self.emit_mem(name, ins[1], ins[2])
-            return
-        if name == "memory.size":
-            self.push_expr("i32", "memory_grow(0u)")
-            return
-        if name == "memory.grow":
-            dv, _ = self.pop()
-            self.push_expr("i32", f"memory_grow({dv})")
-            return
-
         if name == "i32.const":
             self.push_expr("i32", f"{ins[1] & 0xFFFFFFFF}u")
             return
@@ -560,66 +549,22 @@ class _FuncEmitter:
             self.push_expr("f64", f"sr_f64_frombits({ins[1]:#x}ull)")
             return
 
-        if name in _NUMERIC:
-            self.emit_numeric(name)
-            return
-        raise CodegenError(f"no lowering for instruction {name}")  # pragma: no cover
-
-    # -- memory and numeric lowering ----------------------------------------
-
-    def emit_mem(self, name: str, align: int, offset: int):
-        width = op.MEM_ACCESS_WIDTH[name]
-        vt = op.MEM_ACCESS_TYPE[name]
-        is_store = "store" in name
-        if is_store:
-            val, _ = self.pop()
-        addr, _ = self.pop()
-        ea = f"a{self.ntmp}"
-        self.ntmp += 1
-        self.line(f"uint64_t {ea} = (uint64_t){addr} + {offset}ull;")
-        ptr = f"(mb + {ea})"
-        if is_store:
-            if name == "f32.store":
-                self.line(f"((sr_u32u *){ptr})->v = sr_f32_tobits({val});")
-            elif name == "f64.store":
-                self.line(f"((sr_u64u *){ptr})->v = sr_f64_tobits({val});")
-            elif width == 1:
-                self.line(f"*{ptr} = (uint8_t){val};")
-            elif width == 2:
-                self.line(f"((sr_u16u *){ptr})->v = (uint16_t){val};")
-            elif width == 4:
-                self.line(f"((sr_u32u *){ptr})->v = (uint32_t){val};")
-            else:
-                self.line(f"((sr_u64u *){ptr})->v = {val};")
-            return
-        if name == "f32.load":
-            self.push_expr("f32", f"sr_f32_frombits(((const sr_u32u *){ptr})->v)")
-        elif name == "f64.load":
-            self.push_expr("f64", f"sr_f64_frombits(((const sr_u64u *){ptr})->v)")
+        # every other operator is its table row's C template
+        row = op.OPS[name]
+        args = [self.pop()[0] for _ in row.params][::-1]
+        if row.width:
+            ea = f"a{self.ntmp}"
+            self.ntmp += 1
+            self.line(f"uint64_t {ea} = (uint64_t){args[0]} + {ins[2]}ull;")
+            text = row.c.format(p=f"(mb + {ea})", v=args[-1])
         else:
-            loads = {
-                ("i32", 4, False): "((const sr_u32u *){p})->v",
-                ("i32", 1, True): "(uint32_t)(int32_t)(int8_t)*{p}",
-                ("i32", 1, False): "(uint32_t)*{p}",
-                ("i32", 2, True): "(uint32_t)(int32_t)(int16_t)((const sr_u16u *){p})->v",
-                ("i32", 2, False): "(uint32_t)((const sr_u16u *){p})->v",
-                ("i64", 8, False): "((const sr_u64u *){p})->v",
-                ("i64", 1, True): "(uint64_t)(int64_t)(int8_t)*{p}",
-                ("i64", 1, False): "(uint64_t)*{p}",
-                ("i64", 2, True): "(uint64_t)(int64_t)(int16_t)((const sr_u16u *){p})->v",
-                ("i64", 2, False): "(uint64_t)((const sr_u16u *){p})->v",
-                ("i64", 4, True): "(uint64_t)(int64_t)(int32_t)((const sr_u32u *){p})->v",
-                ("i64", 4, False): "(uint64_t)((const sr_u32u *){p})->v",
-            }
-            signed = name.endswith("_s")
-            self.push_expr(vt, loads[(vt, width, signed)].format(p=ptr))
-        self.line(f"SR_KEEP_{'F' if vt in ('f32', 'f64') else 'I'}({self.stack[-1][0]});")
-
-    def emit_numeric(self, name: str):
-        params, results = op.TYPE_RULES[name]
-        args = [self.pop()[0] for _ in params][::-1]
-        expr = _NUMERIC[name](*args)
-        self.push_expr(results[0], expr)
+            text = row.c.format(*args)
+        if not row.results:  # a store
+            self.line(text + ";")
+            return
+        self.push_expr(row.results[0], text)
+        if row.width:
+            self.line(f"SR_KEEP_{'F' if row.results[0][0] == 'f' else 'I'}({self.stack[-1][0]});")
 
     # -- whole function -----------------------------------------------------
 
@@ -665,156 +610,6 @@ class _FuncEmitter:
         if not self.dead:
             self.emit_return()
         return head + "\n" + "\n".join(self.lines) + "\n}"
-
-
-def _s32(a):  # reinterpret helpers for expression text
-    return f"(int32_t){a}"
-
-
-def _s64(a):
-    return f"(int64_t){a}"
-
-
-_NUMERIC = {
-    "i32.eqz": lambda a: f"({a} == 0u)",
-    "i32.eq": lambda a, b: f"({a} == {b})",
-    "i32.ne": lambda a, b: f"({a} != {b})",
-    "i32.lt_s": lambda a, b: f"({_s32(a)} < {_s32(b)})",
-    "i32.lt_u": lambda a, b: f"({a} < {b})",
-    "i32.gt_s": lambda a, b: f"({_s32(a)} > {_s32(b)})",
-    "i32.gt_u": lambda a, b: f"({a} > {b})",
-    "i32.le_s": lambda a, b: f"({_s32(a)} <= {_s32(b)})",
-    "i32.le_u": lambda a, b: f"({a} <= {b})",
-    "i32.ge_s": lambda a, b: f"({_s32(a)} >= {_s32(b)})",
-    "i32.ge_u": lambda a, b: f"({a} >= {b})",
-    "i64.eqz": lambda a: f"({a} == 0ull)",
-    "i64.eq": lambda a, b: f"({a} == {b})",
-    "i64.ne": lambda a, b: f"({a} != {b})",
-    "i64.lt_s": lambda a, b: f"({_s64(a)} < {_s64(b)})",
-    "i64.lt_u": lambda a, b: f"({a} < {b})",
-    "i64.gt_s": lambda a, b: f"({_s64(a)} > {_s64(b)})",
-    "i64.gt_u": lambda a, b: f"({a} > {b})",
-    "i64.le_s": lambda a, b: f"({_s64(a)} <= {_s64(b)})",
-    "i64.le_u": lambda a, b: f"({a} <= {b})",
-    "i64.ge_s": lambda a, b: f"({_s64(a)} >= {_s64(b)})",
-    "i64.ge_u": lambda a, b: f"({a} >= {b})",
-    "f32.eq": lambda a, b: f"({a} == {b})",
-    "f32.ne": lambda a, b: f"({a} != {b})",
-    "f32.lt": lambda a, b: f"({a} < {b})",
-    "f32.gt": lambda a, b: f"({a} > {b})",
-    "f32.le": lambda a, b: f"({a} <= {b})",
-    "f32.ge": lambda a, b: f"({a} >= {b})",
-    "f64.eq": lambda a, b: f"({a} == {b})",
-    "f64.ne": lambda a, b: f"({a} != {b})",
-    "f64.lt": lambda a, b: f"({a} < {b})",
-    "f64.gt": lambda a, b: f"({a} > {b})",
-    "f64.le": lambda a, b: f"({a} <= {b})",
-    "f64.ge": lambda a, b: f"({a} >= {b})",
-    "i32.clz": lambda a: f"sr_i32_clz({a})",
-    "i32.ctz": lambda a: f"sr_i32_ctz({a})",
-    "i32.popcnt": lambda a: f"sr_i32_popcnt({a})",
-    "i32.add": lambda a, b: f"{a} + {b}",
-    "i32.sub": lambda a, b: f"{a} - {b}",
-    "i32.mul": lambda a, b: f"{a} * {b}",
-    "i32.div_s": lambda a, b: f"sr_i32_div_s({a}, {b})",
-    "i32.div_u": lambda a, b: f"sr_i32_div_u({a}, {b})",
-    "i32.rem_s": lambda a, b: f"sr_i32_rem_s({a}, {b})",
-    "i32.rem_u": lambda a, b: f"sr_i32_rem_u({a}, {b})",
-    "i32.and": lambda a, b: f"{a} & {b}",
-    "i32.or": lambda a, b: f"{a} | {b}",
-    "i32.xor": lambda a, b: f"{a} ^ {b}",
-    "i32.shl": lambda a, b: f"{a} << ({b} & 31u)",
-    "i32.shr_s": lambda a, b: f"(uint32_t)({_s32(a)} >> ({b} & 31u))",
-    "i32.shr_u": lambda a, b: f"{a} >> ({b} & 31u)",
-    "i32.rotl": lambda a, b: f"sr_i32_rotl({a}, {b})",
-    "i32.rotr": lambda a, b: f"sr_i32_rotr({a}, {b})",
-    "i64.clz": lambda a: f"sr_i64_clz({a})",
-    "i64.ctz": lambda a: f"sr_i64_ctz({a})",
-    "i64.popcnt": lambda a: f"sr_i64_popcnt({a})",
-    "i64.add": lambda a, b: f"{a} + {b}",
-    "i64.sub": lambda a, b: f"{a} - {b}",
-    "i64.mul": lambda a, b: f"{a} * {b}",
-    "i64.div_s": lambda a, b: f"sr_i64_div_s({a}, {b})",
-    "i64.div_u": lambda a, b: f"sr_i64_div_u({a}, {b})",
-    "i64.rem_s": lambda a, b: f"sr_i64_rem_s({a}, {b})",
-    "i64.rem_u": lambda a, b: f"sr_i64_rem_u({a}, {b})",
-    "i64.and": lambda a, b: f"{a} & {b}",
-    "i64.or": lambda a, b: f"{a} | {b}",
-    "i64.xor": lambda a, b: f"{a} ^ {b}",
-    "i64.shl": lambda a, b: f"{a} << ({b} & 63u)",
-    "i64.shr_s": lambda a, b: f"(uint64_t)({_s64(a)} >> ({b} & 63u))",
-    "i64.shr_u": lambda a, b: f"{a} >> ({b} & 63u)",
-    "i64.rotl": lambda a, b: f"sr_i64_rotl({a}, {b})",
-    "i64.rotr": lambda a, b: f"sr_i64_rotr({a}, {b})",
-    "f32.abs": lambda a: f"__builtin_fabsf({a})",
-    "f32.neg": lambda a: f"-{a}",
-    "f32.ceil": lambda a: f"sr_f32_ceil_({a})",
-    "f32.floor": lambda a: f"sr_f32_floor_({a})",
-    "f32.trunc": lambda a: f"sr_f32_trunc_({a})",
-    "f32.nearest": lambda a: f"sr_f32_nearest_({a})",
-    "f32.sqrt": lambda a: f"__builtin_sqrtf({a})",
-    "f32.add": lambda a, b: f"{a} + {b}",
-    "f32.sub": lambda a, b: f"{a} - {b}",
-    "f32.mul": lambda a, b: f"{a} * {b}",
-    "f32.div": lambda a, b: f"{a} / {b}",
-    "f32.min": lambda a, b: f"sr_f32_min({a}, {b})",
-    "f32.max": lambda a, b: f"sr_f32_max({a}, {b})",
-    "f32.copysign": lambda a, b: f"__builtin_copysignf({a}, {b})",
-    "f64.abs": lambda a: f"__builtin_fabs({a})",
-    "f64.neg": lambda a: f"-{a}",
-    "f64.ceil": lambda a: f"sr_f64_ceil_({a})",
-    "f64.floor": lambda a: f"sr_f64_floor_({a})",
-    "f64.trunc": lambda a: f"sr_f64_trunc_({a})",
-    "f64.nearest": lambda a: f"sr_f64_nearest_({a})",
-    "f64.sqrt": lambda a: f"__builtin_sqrt({a})",
-    "f64.add": lambda a, b: f"{a} + {b}",
-    "f64.sub": lambda a, b: f"{a} - {b}",
-    "f64.mul": lambda a, b: f"{a} * {b}",
-    "f64.div": lambda a, b: f"{a} / {b}",
-    "f64.min": lambda a, b: f"sr_f64_min({a}, {b})",
-    "f64.max": lambda a, b: f"sr_f64_max({a}, {b})",
-    "f64.copysign": lambda a, b: f"__builtin_copysign({a}, {b})",
-    "i32.wrap_i64": lambda a: f"(uint32_t){a}",
-    "i32.trunc_f32_s": lambda a: f"sr_i32_trunc_s((double){a})",
-    "i32.trunc_f32_u": lambda a: f"sr_i32_trunc_u((double){a})",
-    "i32.trunc_f64_s": lambda a: f"sr_i32_trunc_s({a})",
-    "i32.trunc_f64_u": lambda a: f"sr_i32_trunc_u({a})",
-    "i64.extend_i32_s": lambda a: f"(uint64_t)(int64_t)(int32_t){a}",
-    "i64.extend_i32_u": lambda a: f"(uint64_t){a}",
-    "i64.trunc_f32_s": lambda a: f"sr_i64_trunc_s((double){a})",
-    "i64.trunc_f32_u": lambda a: f"sr_i64_trunc_u((double){a})",
-    "i64.trunc_f64_s": lambda a: f"sr_i64_trunc_s({a})",
-    "i64.trunc_f64_u": lambda a: f"sr_i64_trunc_u({a})",
-    "f32.convert_i32_s": lambda a: f"(float)(int32_t){a}",
-    "f32.convert_i32_u": lambda a: f"(float){a}",
-    "f32.convert_i64_s": lambda a: f"(float)(int64_t){a}",
-    "f32.convert_i64_u": lambda a: f"(float){a}",
-    "f32.demote_f64": lambda a: f"(float){a}",
-    "f64.convert_i32_s": lambda a: f"(double)(int32_t){a}",
-    "f64.convert_i32_u": lambda a: f"(double){a}",
-    "f64.convert_i64_s": lambda a: f"(double)(int64_t){a}",
-    "f64.convert_i64_u": lambda a: f"(double){a}",
-    "f64.promote_f32": lambda a: f"(double){a}",
-    "i32.reinterpret_f32": lambda a: f"sr_f32_tobits({a})",
-    "i64.reinterpret_f64": lambda a: f"sr_f64_tobits({a})",
-    "f32.reinterpret_i32": lambda a: f"sr_f32_frombits({a})",
-    "f64.reinterpret_i64": lambda a: f"sr_f64_frombits({a})",
-    "i32.extend8_s": lambda a: f"(uint32_t)(int32_t)(int8_t){a}",
-    "i32.extend16_s": lambda a: f"(uint32_t)(int32_t)(int16_t){a}",
-    "i64.extend8_s": lambda a: f"(uint64_t)(int64_t)(int8_t){a}",
-    "i64.extend16_s": lambda a: f"(uint64_t)(int64_t)(int16_t){a}",
-    "i64.extend32_s": lambda a: f"(uint64_t)(int64_t)(int32_t){a}",
-}
-_NUMERIC.update({
-    "i32.trunc_sat_f32_s": lambda a: f"sr_i32_trunc_sat_s((double){a})",
-    "i32.trunc_sat_f32_u": lambda a: f"sr_i32_trunc_sat_u((double){a})",
-    "i32.trunc_sat_f64_s": lambda a: f"sr_i32_trunc_sat_s({a})",
-    "i32.trunc_sat_f64_u": lambda a: f"sr_i32_trunc_sat_u({a})",
-    "i64.trunc_sat_f32_s": lambda a: f"sr_i64_trunc_sat_s((double){a})",
-    "i64.trunc_sat_f32_u": lambda a: f"sr_i64_trunc_sat_u((double){a})",
-    "i64.trunc_sat_f64_s": lambda a: f"sr_i64_trunc_sat_s({a})",
-    "i64.trunc_sat_f64_u": lambda a: f"sr_i64_trunc_sat_u({a})",
-})
 
 
 class CGen:

@@ -196,17 +196,18 @@ def _read_instrs(r: Reader) -> list:
         b = r.byte()
         if b == 0xFC:
             sub = r.u32()
-            if sub in op.FC_OPCODES:
-                out.append((op.FC_OPCODES[sub],))
-                continue
-            if sub <= 17:
-                raise UnsupportedFeature("bulk-memory", start)
-            raise MalformedBinary(start, f"unknown 0xFC opcode {sub}")
-        if b in op.PROPOSAL_OPCODES:
-            raise UnsupportedFeature(op.PROPOSAL_OPCODES[b], start)
-        if b not in op.OPCODES:
-            raise MalformedBinary(start, f"unknown opcode {b:#04x}")
-        name, imm = op.OPCODES[b]
+            row = op.BY_FC.get(sub)
+            if row is None:
+                if sub <= 17:
+                    raise UnsupportedFeature("bulk-memory", start)
+                raise MalformedBinary(start, f"unknown 0xFC opcode {sub}")
+        else:
+            row = op.BY_BYTE.get(b)
+            if row is None:
+                if b in op.PROPOSAL_OPCODES:
+                    raise UnsupportedFeature(op.PROPOSAL_OPCODES[b], start)
+                raise MalformedBinary(start, f"unknown opcode {b:#04x}")
+        name, imm = row.name, row.imm
 
         if name == "end":
             out.append((name,))
@@ -233,9 +234,11 @@ def _read_instrs(r: Reader) -> list:
             out.append((name, targets, r.u32()))
         elif imm == op.IMM_CALL_INDIRECT:
             typeidx = r.u32()
-            tbl = r.byte()
-            if tbl != 0x00:
-                raise UnsupportedFeature("reference-types", r.pos - 1)
+            # the table index is a u32 LEB (padded in the reference-types
+            # encoding); only table 0 exists without reference types
+            at = r.pos
+            if r.u32() != 0:
+                raise UnsupportedFeature("reference-types", at)
             out.append((name, typeidx))
         elif imm == op.IMM_MEM_ZERO:
             if r.byte() != 0x00:

@@ -1,216 +1,289 @@
-"""Opcode tables for the supported feature set.
+"""The instruction table: each supported Wasm operator, stated once.
 
 Supported: MVP core plus sign-extension operators and non-trapping
 float-to-int conversions (the 0xFC 0..7 subspace). Anything else decodes
 to UnsupportedFeature.
+
+`_TABLE` has one row per operator, parsed once at import into `OPS` (by
+name), `BY_BYTE` and `BY_FC` (by code). The columns:
+
+- code: the opcode byte in hex, or `FC` and the 0xFC subopcode (`6A`, `FC00`);
+- name: the text-format name, which decoded instructions carry;
+- immediate: what follows the code in the binary, one of the IMM_* kinds;
+- stack effect: `params -> results`, e.g. `i32 i32 -> i32`; `-` for
+  control, variable access and calls, which validate.py types itself;
+- C: the expression ctext.py lowers the operator to. `{0}` and `{1}` are
+  the operands, deepest first. A load reads through `{p}`, the effective
+  address as a `uint8_t *`; a store is a statement that writes `{v}` there.
+  The `*.const` rows have none, as ctext.py formats their immediates.
+
+decode.py reads the code and the immediate. validate.py applies any stack
+effect the same way; every `memarg` and `memzero` row requires a memory,
+and a `memarg` row's alignment must not exceed its `width`, which comes
+from the name (`load8` is 1 byte, `store32` 4) or else from the value
+type. ctext.py formats the C.
+
+To add an operator, add its row. Only a new immediate kind needs a case in
+decode.py, and only an operator without a stack effect needs its own case
+in validate.py and ctext.py.
 """
 
 from __future__ import annotations
 
-# immediate encodings, keyed by opcode name
-IMM_NONE = ""
+import re
+from typing import NamedTuple
+
+# immediate kinds, as the table's third column spells them
+IMM_NONE = "-"
 IMM_INDEX = "u32"          # single LEB u32 index
 IMM_MEMARG = "memarg"      # align u32, offset u32
 IMM_BLOCK = "block"        # block type byte / s33
 IMM_BR_TABLE = "brtable"   # vec(u32), u32 default
-IMM_CALL_INDIRECT = "callind"  # type index u32, table byte 0x00
+IMM_CALL_INDIRECT = "callind"  # type index u32, table index u32 (must be 0)
 IMM_MEM_ZERO = "memzero"   # single 0x00 byte (memory.size/grow)
-IMM_I32 = "i32const"
-IMM_I64 = "i64const"
-IMM_F32 = "f32const"
-IMM_F64 = "f64const"
+IMM_I32 = "s32"            # the *.const immediates: signed LEBs, IEEE bits
+IMM_I64 = "s64"
+IMM_F32 = "f32"
+IMM_F64 = "f64"
+_CONSTS = (IMM_I32, IMM_I64, IMM_F32, IMM_F64)
+_IMMS = (IMM_NONE, IMM_INDEX, IMM_MEMARG, IMM_BLOCK, IMM_BR_TABLE, IMM_CALL_INDIRECT,
+         IMM_MEM_ZERO, *_CONSTS)
+_VALTYPES = ("i32", "i64", "f32", "f64")
 
-OPCODES: dict[int, tuple[str, str]] = {
-    0x00: ("unreachable", IMM_NONE),
-    0x01: ("nop", IMM_NONE),
-    0x02: ("block", IMM_BLOCK),
-    0x03: ("loop", IMM_BLOCK),
-    0x04: ("if", IMM_BLOCK),
-    0x05: ("else", IMM_NONE),
-    0x0B: ("end", IMM_NONE),
-    0x0C: ("br", IMM_INDEX),
-    0x0D: ("br_if", IMM_INDEX),
-    0x0E: ("br_table", IMM_BR_TABLE),
-    0x0F: ("return", IMM_NONE),
-    0x10: ("call", IMM_INDEX),
-    0x11: ("call_indirect", IMM_CALL_INDIRECT),
-    0x1A: ("drop", IMM_NONE),
-    0x1B: ("select", IMM_NONE),
-    0x20: ("local.get", IMM_INDEX),
-    0x21: ("local.set", IMM_INDEX),
-    0x22: ("local.tee", IMM_INDEX),
-    0x23: ("global.get", IMM_INDEX),
-    0x24: ("global.set", IMM_INDEX),
-    0x28: ("i32.load", IMM_MEMARG),
-    0x29: ("i64.load", IMM_MEMARG),
-    0x2A: ("f32.load", IMM_MEMARG),
-    0x2B: ("f64.load", IMM_MEMARG),
-    0x2C: ("i32.load8_s", IMM_MEMARG),
-    0x2D: ("i32.load8_u", IMM_MEMARG),
-    0x2E: ("i32.load16_s", IMM_MEMARG),
-    0x2F: ("i32.load16_u", IMM_MEMARG),
-    0x30: ("i64.load8_s", IMM_MEMARG),
-    0x31: ("i64.load8_u", IMM_MEMARG),
-    0x32: ("i64.load16_s", IMM_MEMARG),
-    0x33: ("i64.load16_u", IMM_MEMARG),
-    0x34: ("i64.load32_s", IMM_MEMARG),
-    0x35: ("i64.load32_u", IMM_MEMARG),
-    0x36: ("i32.store", IMM_MEMARG),
-    0x37: ("i64.store", IMM_MEMARG),
-    0x38: ("f32.store", IMM_MEMARG),
-    0x39: ("f64.store", IMM_MEMARG),
-    0x3A: ("i32.store8", IMM_MEMARG),
-    0x3B: ("i32.store16", IMM_MEMARG),
-    0x3C: ("i64.store8", IMM_MEMARG),
-    0x3D: ("i64.store16", IMM_MEMARG),
-    0x3E: ("i64.store32", IMM_MEMARG),
-    0x3F: ("memory.size", IMM_MEM_ZERO),
-    0x40: ("memory.grow", IMM_MEM_ZERO),
-    0x41: ("i32.const", IMM_I32),
-    0x42: ("i64.const", IMM_I64),
-    0x43: ("f32.const", IMM_F32),
-    0x44: ("f64.const", IMM_F64),
-    0x45: ("i32.eqz", IMM_NONE),
-    0x46: ("i32.eq", IMM_NONE),
-    0x47: ("i32.ne", IMM_NONE),
-    0x48: ("i32.lt_s", IMM_NONE),
-    0x49: ("i32.lt_u", IMM_NONE),
-    0x4A: ("i32.gt_s", IMM_NONE),
-    0x4B: ("i32.gt_u", IMM_NONE),
-    0x4C: ("i32.le_s", IMM_NONE),
-    0x4D: ("i32.le_u", IMM_NONE),
-    0x4E: ("i32.ge_s", IMM_NONE),
-    0x4F: ("i32.ge_u", IMM_NONE),
-    0x50: ("i64.eqz", IMM_NONE),
-    0x51: ("i64.eq", IMM_NONE),
-    0x52: ("i64.ne", IMM_NONE),
-    0x53: ("i64.lt_s", IMM_NONE),
-    0x54: ("i64.lt_u", IMM_NONE),
-    0x55: ("i64.gt_s", IMM_NONE),
-    0x56: ("i64.gt_u", IMM_NONE),
-    0x57: ("i64.le_s", IMM_NONE),
-    0x58: ("i64.le_u", IMM_NONE),
-    0x59: ("i64.ge_s", IMM_NONE),
-    0x5A: ("i64.ge_u", IMM_NONE),
-    0x5B: ("f32.eq", IMM_NONE),
-    0x5C: ("f32.ne", IMM_NONE),
-    0x5D: ("f32.lt", IMM_NONE),
-    0x5E: ("f32.gt", IMM_NONE),
-    0x5F: ("f32.le", IMM_NONE),
-    0x60: ("f32.ge", IMM_NONE),
-    0x61: ("f64.eq", IMM_NONE),
-    0x62: ("f64.ne", IMM_NONE),
-    0x63: ("f64.lt", IMM_NONE),
-    0x64: ("f64.gt", IMM_NONE),
-    0x65: ("f64.le", IMM_NONE),
-    0x66: ("f64.ge", IMM_NONE),
-    0x67: ("i32.clz", IMM_NONE),
-    0x68: ("i32.ctz", IMM_NONE),
-    0x69: ("i32.popcnt", IMM_NONE),
-    0x6A: ("i32.add", IMM_NONE),
-    0x6B: ("i32.sub", IMM_NONE),
-    0x6C: ("i32.mul", IMM_NONE),
-    0x6D: ("i32.div_s", IMM_NONE),
-    0x6E: ("i32.div_u", IMM_NONE),
-    0x6F: ("i32.rem_s", IMM_NONE),
-    0x70: ("i32.rem_u", IMM_NONE),
-    0x71: ("i32.and", IMM_NONE),
-    0x72: ("i32.or", IMM_NONE),
-    0x73: ("i32.xor", IMM_NONE),
-    0x74: ("i32.shl", IMM_NONE),
-    0x75: ("i32.shr_s", IMM_NONE),
-    0x76: ("i32.shr_u", IMM_NONE),
-    0x77: ("i32.rotl", IMM_NONE),
-    0x78: ("i32.rotr", IMM_NONE),
-    0x79: ("i64.clz", IMM_NONE),
-    0x7A: ("i64.ctz", IMM_NONE),
-    0x7B: ("i64.popcnt", IMM_NONE),
-    0x7C: ("i64.add", IMM_NONE),
-    0x7D: ("i64.sub", IMM_NONE),
-    0x7E: ("i64.mul", IMM_NONE),
-    0x7F: ("i64.div_s", IMM_NONE),
-    0x80: ("i64.div_u", IMM_NONE),
-    0x81: ("i64.rem_s", IMM_NONE),
-    0x82: ("i64.rem_u", IMM_NONE),
-    0x83: ("i64.and", IMM_NONE),
-    0x84: ("i64.or", IMM_NONE),
-    0x85: ("i64.xor", IMM_NONE),
-    0x86: ("i64.shl", IMM_NONE),
-    0x87: ("i64.shr_s", IMM_NONE),
-    0x88: ("i64.shr_u", IMM_NONE),
-    0x89: ("i64.rotl", IMM_NONE),
-    0x8A: ("i64.rotr", IMM_NONE),
-    0x8B: ("f32.abs", IMM_NONE),
-    0x8C: ("f32.neg", IMM_NONE),
-    0x8D: ("f32.ceil", IMM_NONE),
-    0x8E: ("f32.floor", IMM_NONE),
-    0x8F: ("f32.trunc", IMM_NONE),
-    0x90: ("f32.nearest", IMM_NONE),
-    0x91: ("f32.sqrt", IMM_NONE),
-    0x92: ("f32.add", IMM_NONE),
-    0x93: ("f32.sub", IMM_NONE),
-    0x94: ("f32.mul", IMM_NONE),
-    0x95: ("f32.div", IMM_NONE),
-    0x96: ("f32.min", IMM_NONE),
-    0x97: ("f32.max", IMM_NONE),
-    0x98: ("f32.copysign", IMM_NONE),
-    0x99: ("f64.abs", IMM_NONE),
-    0x9A: ("f64.neg", IMM_NONE),
-    0x9B: ("f64.ceil", IMM_NONE),
-    0x9C: ("f64.floor", IMM_NONE),
-    0x9D: ("f64.trunc", IMM_NONE),
-    0x9E: ("f64.nearest", IMM_NONE),
-    0x9F: ("f64.sqrt", IMM_NONE),
-    0xA0: ("f64.add", IMM_NONE),
-    0xA1: ("f64.sub", IMM_NONE),
-    0xA2: ("f64.mul", IMM_NONE),
-    0xA3: ("f64.div", IMM_NONE),
-    0xA4: ("f64.min", IMM_NONE),
-    0xA5: ("f64.max", IMM_NONE),
-    0xA6: ("f64.copysign", IMM_NONE),
-    0xA7: ("i32.wrap_i64", IMM_NONE),
-    0xA8: ("i32.trunc_f32_s", IMM_NONE),
-    0xA9: ("i32.trunc_f32_u", IMM_NONE),
-    0xAA: ("i32.trunc_f64_s", IMM_NONE),
-    0xAB: ("i32.trunc_f64_u", IMM_NONE),
-    0xAC: ("i64.extend_i32_s", IMM_NONE),
-    0xAD: ("i64.extend_i32_u", IMM_NONE),
-    0xAE: ("i64.trunc_f32_s", IMM_NONE),
-    0xAF: ("i64.trunc_f32_u", IMM_NONE),
-    0xB0: ("i64.trunc_f64_s", IMM_NONE),
-    0xB1: ("i64.trunc_f64_u", IMM_NONE),
-    0xB2: ("f32.convert_i32_s", IMM_NONE),
-    0xB3: ("f32.convert_i32_u", IMM_NONE),
-    0xB4: ("f32.convert_i64_s", IMM_NONE),
-    0xB5: ("f32.convert_i64_u", IMM_NONE),
-    0xB6: ("f32.demote_f64", IMM_NONE),
-    0xB7: ("f64.convert_i32_s", IMM_NONE),
-    0xB8: ("f64.convert_i32_u", IMM_NONE),
-    0xB9: ("f64.convert_i64_s", IMM_NONE),
-    0xBA: ("f64.convert_i64_u", IMM_NONE),
-    0xBB: ("f64.promote_f32", IMM_NONE),
-    0xBC: ("i32.reinterpret_f32", IMM_NONE),
-    0xBD: ("i64.reinterpret_f64", IMM_NONE),
-    0xBE: ("f32.reinterpret_i32", IMM_NONE),
-    0xBF: ("f64.reinterpret_i64", IMM_NONE),
-    0xC0: ("i32.extend8_s", IMM_NONE),
-    0xC1: ("i32.extend16_s", IMM_NONE),
-    0xC2: ("i64.extend8_s", IMM_NONE),
-    0xC3: ("i64.extend16_s", IMM_NONE),
-    0xC4: ("i64.extend32_s", IMM_NONE),
-}
+_TABLE = """
+00   unreachable          -        -
+01   nop                  -        -
+02   block                block    -
+03   loop                 block    -
+04   if                   block    -
+05   else                 -        -
+0B   end                  -        -
+0C   br                   u32      -
+0D   br_if                u32      -
+0E   br_table             brtable  -
+0F   return               -        -
+10   call                 u32      -
+11   call_indirect        callind  -
+1A   drop                 -        -
+1B   select               -        -
+20   local.get            u32      -
+21   local.set            u32      -
+22   local.tee            u32      -
+23   global.get           u32      -
+24   global.set           u32      -
+28   i32.load             memarg   i32 -> i32      ((const sr_u32u *){p})->v
+29   i64.load             memarg   i32 -> i64      ((const sr_u64u *){p})->v
+2A   f32.load             memarg   i32 -> f32      sr_f32_frombits(((const sr_u32u *){p})->v)
+2B   f64.load             memarg   i32 -> f64      sr_f64_frombits(((const sr_u64u *){p})->v)
+2C   i32.load8_s          memarg   i32 -> i32      (uint32_t)(int32_t)(int8_t)*{p}
+2D   i32.load8_u          memarg   i32 -> i32      (uint32_t)*{p}
+2E   i32.load16_s         memarg   i32 -> i32      (uint32_t)(int32_t)(int16_t)((const sr_u16u *){p})->v
+2F   i32.load16_u         memarg   i32 -> i32      (uint32_t)((const sr_u16u *){p})->v
+30   i64.load8_s          memarg   i32 -> i64      (uint64_t)(int64_t)(int8_t)*{p}
+31   i64.load8_u          memarg   i32 -> i64      (uint64_t)*{p}
+32   i64.load16_s         memarg   i32 -> i64      (uint64_t)(int64_t)(int16_t)((const sr_u16u *){p})->v
+33   i64.load16_u         memarg   i32 -> i64      (uint64_t)((const sr_u16u *){p})->v
+34   i64.load32_s         memarg   i32 -> i64      (uint64_t)(int64_t)(int32_t)((const sr_u32u *){p})->v
+35   i64.load32_u         memarg   i32 -> i64      (uint64_t)((const sr_u32u *){p})->v
+36   i32.store            memarg   i32 i32 ->      ((sr_u32u *){p})->v = (uint32_t){v}
+37   i64.store            memarg   i32 i64 ->      ((sr_u64u *){p})->v = {v}
+38   f32.store            memarg   i32 f32 ->      ((sr_u32u *){p})->v = sr_f32_tobits({v})
+39   f64.store            memarg   i32 f64 ->      ((sr_u64u *){p})->v = sr_f64_tobits({v})
+3A   i32.store8           memarg   i32 i32 ->      *{p} = (uint8_t){v}
+3B   i32.store16          memarg   i32 i32 ->      ((sr_u16u *){p})->v = (uint16_t){v}
+3C   i64.store8           memarg   i32 i64 ->      *{p} = (uint8_t){v}
+3D   i64.store16          memarg   i32 i64 ->      ((sr_u16u *){p})->v = (uint16_t){v}
+3E   i64.store32          memarg   i32 i64 ->      ((sr_u32u *){p})->v = (uint32_t){v}
+3F   memory.size          memzero  -> i32          memory_grow(0u)
+40   memory.grow          memzero  i32 -> i32      memory_grow({0})
+41   i32.const            s32      -> i32
+42   i64.const            s64      -> i64
+43   f32.const            f32      -> f32
+44   f64.const            f64      -> f64
+45   i32.eqz              -        i32 -> i32      ({0} == 0u)
+46   i32.eq               -        i32 i32 -> i32  ({0} == {1})
+47   i32.ne               -        i32 i32 -> i32  ({0} != {1})
+48   i32.lt_s             -        i32 i32 -> i32  ((int32_t){0} < (int32_t){1})
+49   i32.lt_u             -        i32 i32 -> i32  ({0} < {1})
+4A   i32.gt_s             -        i32 i32 -> i32  ((int32_t){0} > (int32_t){1})
+4B   i32.gt_u             -        i32 i32 -> i32  ({0} > {1})
+4C   i32.le_s             -        i32 i32 -> i32  ((int32_t){0} <= (int32_t){1})
+4D   i32.le_u             -        i32 i32 -> i32  ({0} <= {1})
+4E   i32.ge_s             -        i32 i32 -> i32  ((int32_t){0} >= (int32_t){1})
+4F   i32.ge_u             -        i32 i32 -> i32  ({0} >= {1})
+50   i64.eqz              -        i64 -> i32      ({0} == 0ull)
+51   i64.eq               -        i64 i64 -> i32  ({0} == {1})
+52   i64.ne               -        i64 i64 -> i32  ({0} != {1})
+53   i64.lt_s             -        i64 i64 -> i32  ((int64_t){0} < (int64_t){1})
+54   i64.lt_u             -        i64 i64 -> i32  ({0} < {1})
+55   i64.gt_s             -        i64 i64 -> i32  ((int64_t){0} > (int64_t){1})
+56   i64.gt_u             -        i64 i64 -> i32  ({0} > {1})
+57   i64.le_s             -        i64 i64 -> i32  ((int64_t){0} <= (int64_t){1})
+58   i64.le_u             -        i64 i64 -> i32  ({0} <= {1})
+59   i64.ge_s             -        i64 i64 -> i32  ((int64_t){0} >= (int64_t){1})
+5A   i64.ge_u             -        i64 i64 -> i32  ({0} >= {1})
+5B   f32.eq               -        f32 f32 -> i32  ({0} == {1})
+5C   f32.ne               -        f32 f32 -> i32  ({0} != {1})
+5D   f32.lt               -        f32 f32 -> i32  ({0} < {1})
+5E   f32.gt               -        f32 f32 -> i32  ({0} > {1})
+5F   f32.le               -        f32 f32 -> i32  ({0} <= {1})
+60   f32.ge               -        f32 f32 -> i32  ({0} >= {1})
+61   f64.eq               -        f64 f64 -> i32  ({0} == {1})
+62   f64.ne               -        f64 f64 -> i32  ({0} != {1})
+63   f64.lt               -        f64 f64 -> i32  ({0} < {1})
+64   f64.gt               -        f64 f64 -> i32  ({0} > {1})
+65   f64.le               -        f64 f64 -> i32  ({0} <= {1})
+66   f64.ge               -        f64 f64 -> i32  ({0} >= {1})
+67   i32.clz              -        i32 -> i32      sr_i32_clz({0})
+68   i32.ctz              -        i32 -> i32      sr_i32_ctz({0})
+69   i32.popcnt           -        i32 -> i32      sr_i32_popcnt({0})
+6A   i32.add              -        i32 i32 -> i32  {0} + {1}
+6B   i32.sub              -        i32 i32 -> i32  {0} - {1}
+6C   i32.mul              -        i32 i32 -> i32  {0} * {1}
+6D   i32.div_s            -        i32 i32 -> i32  sr_i32_div_s({0}, {1})
+6E   i32.div_u            -        i32 i32 -> i32  sr_i32_div_u({0}, {1})
+6F   i32.rem_s            -        i32 i32 -> i32  sr_i32_rem_s({0}, {1})
+70   i32.rem_u            -        i32 i32 -> i32  sr_i32_rem_u({0}, {1})
+71   i32.and              -        i32 i32 -> i32  {0} & {1}
+72   i32.or               -        i32 i32 -> i32  {0} | {1}
+73   i32.xor              -        i32 i32 -> i32  {0} ^ {1}
+74   i32.shl              -        i32 i32 -> i32  {0} << ({1} & 31u)
+75   i32.shr_s            -        i32 i32 -> i32  (uint32_t)((int32_t){0} >> ({1} & 31u))
+76   i32.shr_u            -        i32 i32 -> i32  {0} >> ({1} & 31u)
+77   i32.rotl             -        i32 i32 -> i32  sr_i32_rotl({0}, {1})
+78   i32.rotr             -        i32 i32 -> i32  sr_i32_rotr({0}, {1})
+79   i64.clz              -        i64 -> i64      sr_i64_clz({0})
+7A   i64.ctz              -        i64 -> i64      sr_i64_ctz({0})
+7B   i64.popcnt           -        i64 -> i64      sr_i64_popcnt({0})
+7C   i64.add              -        i64 i64 -> i64  {0} + {1}
+7D   i64.sub              -        i64 i64 -> i64  {0} - {1}
+7E   i64.mul              -        i64 i64 -> i64  {0} * {1}
+7F   i64.div_s            -        i64 i64 -> i64  sr_i64_div_s({0}, {1})
+80   i64.div_u            -        i64 i64 -> i64  sr_i64_div_u({0}, {1})
+81   i64.rem_s            -        i64 i64 -> i64  sr_i64_rem_s({0}, {1})
+82   i64.rem_u            -        i64 i64 -> i64  sr_i64_rem_u({0}, {1})
+83   i64.and              -        i64 i64 -> i64  {0} & {1}
+84   i64.or               -        i64 i64 -> i64  {0} | {1}
+85   i64.xor              -        i64 i64 -> i64  {0} ^ {1}
+86   i64.shl              -        i64 i64 -> i64  {0} << ({1} & 63u)
+87   i64.shr_s            -        i64 i64 -> i64  (uint64_t)((int64_t){0} >> ({1} & 63u))
+88   i64.shr_u            -        i64 i64 -> i64  {0} >> ({1} & 63u)
+89   i64.rotl             -        i64 i64 -> i64  sr_i64_rotl({0}, {1})
+8A   i64.rotr             -        i64 i64 -> i64  sr_i64_rotr({0}, {1})
+8B   f32.abs              -        f32 -> f32      __builtin_fabsf({0})
+8C   f32.neg              -        f32 -> f32      -{0}
+8D   f32.ceil             -        f32 -> f32      sr_f32_ceil_({0})
+8E   f32.floor            -        f32 -> f32      sr_f32_floor_({0})
+8F   f32.trunc            -        f32 -> f32      sr_f32_trunc_({0})
+90   f32.nearest          -        f32 -> f32      sr_f32_nearest_({0})
+91   f32.sqrt             -        f32 -> f32      __builtin_sqrtf({0})
+92   f32.add              -        f32 f32 -> f32  {0} + {1}
+93   f32.sub              -        f32 f32 -> f32  {0} - {1}
+94   f32.mul              -        f32 f32 -> f32  {0} * {1}
+95   f32.div              -        f32 f32 -> f32  {0} / {1}
+96   f32.min              -        f32 f32 -> f32  sr_f32_min({0}, {1})
+97   f32.max              -        f32 f32 -> f32  sr_f32_max({0}, {1})
+98   f32.copysign         -        f32 f32 -> f32  __builtin_copysignf({0}, {1})
+99   f64.abs              -        f64 -> f64      __builtin_fabs({0})
+9A   f64.neg              -        f64 -> f64      -{0}
+9B   f64.ceil             -        f64 -> f64      sr_f64_ceil_({0})
+9C   f64.floor            -        f64 -> f64      sr_f64_floor_({0})
+9D   f64.trunc            -        f64 -> f64      sr_f64_trunc_({0})
+9E   f64.nearest          -        f64 -> f64      sr_f64_nearest_({0})
+9F   f64.sqrt             -        f64 -> f64      __builtin_sqrt({0})
+A0   f64.add              -        f64 f64 -> f64  {0} + {1}
+A1   f64.sub              -        f64 f64 -> f64  {0} - {1}
+A2   f64.mul              -        f64 f64 -> f64  {0} * {1}
+A3   f64.div              -        f64 f64 -> f64  {0} / {1}
+A4   f64.min              -        f64 f64 -> f64  sr_f64_min({0}, {1})
+A5   f64.max              -        f64 f64 -> f64  sr_f64_max({0}, {1})
+A6   f64.copysign         -        f64 f64 -> f64  __builtin_copysign({0}, {1})
+A7   i32.wrap_i64         -        i64 -> i32      (uint32_t){0}
+A8   i32.trunc_f32_s      -        f32 -> i32      sr_i32_trunc_s((double){0})
+A9   i32.trunc_f32_u      -        f32 -> i32      sr_i32_trunc_u((double){0})
+AA   i32.trunc_f64_s      -        f64 -> i32      sr_i32_trunc_s({0})
+AB   i32.trunc_f64_u      -        f64 -> i32      sr_i32_trunc_u({0})
+AC   i64.extend_i32_s     -        i32 -> i64      (uint64_t)(int64_t)(int32_t){0}
+AD   i64.extend_i32_u     -        i32 -> i64      (uint64_t){0}
+AE   i64.trunc_f32_s      -        f32 -> i64      sr_i64_trunc_s((double){0})
+AF   i64.trunc_f32_u      -        f32 -> i64      sr_i64_trunc_u((double){0})
+B0   i64.trunc_f64_s      -        f64 -> i64      sr_i64_trunc_s({0})
+B1   i64.trunc_f64_u      -        f64 -> i64      sr_i64_trunc_u({0})
+B2   f32.convert_i32_s    -        i32 -> f32      (float)(int32_t){0}
+B3   f32.convert_i32_u    -        i32 -> f32      (float){0}
+B4   f32.convert_i64_s    -        i64 -> f32      (float)(int64_t){0}
+B5   f32.convert_i64_u    -        i64 -> f32      (float){0}
+B6   f32.demote_f64       -        f64 -> f32      (float){0}
+B7   f64.convert_i32_s    -        i32 -> f64      (double)(int32_t){0}
+B8   f64.convert_i32_u    -        i32 -> f64      (double){0}
+B9   f64.convert_i64_s    -        i64 -> f64      (double)(int64_t){0}
+BA   f64.convert_i64_u    -        i64 -> f64      (double){0}
+BB   f64.promote_f32      -        f32 -> f64      (double){0}
+BC   i32.reinterpret_f32  -        f32 -> i32      sr_f32_tobits({0})
+BD   i64.reinterpret_f64  -        f64 -> i64      sr_f64_tobits({0})
+BE   f32.reinterpret_i32  -        i32 -> f32      sr_f32_frombits({0})
+BF   f64.reinterpret_i64  -        i64 -> f64      sr_f64_frombits({0})
+C0   i32.extend8_s        -        i32 -> i32      (uint32_t)(int32_t)(int8_t){0}
+C1   i32.extend16_s       -        i32 -> i32      (uint32_t)(int32_t)(int16_t){0}
+C2   i64.extend8_s        -        i64 -> i64      (uint64_t)(int64_t)(int8_t){0}
+C3   i64.extend16_s       -        i64 -> i64      (uint64_t)(int64_t)(int16_t){0}
+C4   i64.extend32_s       -        i64 -> i64      (uint64_t)(int64_t)(int32_t){0}
+FC00 i32.trunc_sat_f32_s  -        f32 -> i32      sr_i32_trunc_sat_s((double){0})
+FC01 i32.trunc_sat_f32_u  -        f32 -> i32      sr_i32_trunc_sat_u((double){0})
+FC02 i32.trunc_sat_f64_s  -        f64 -> i32      sr_i32_trunc_sat_s({0})
+FC03 i32.trunc_sat_f64_u  -        f64 -> i32      sr_i32_trunc_sat_u({0})
+FC04 i64.trunc_sat_f32_s  -        f32 -> i64      sr_i64_trunc_sat_s((double){0})
+FC05 i64.trunc_sat_f32_u  -        f32 -> i64      sr_i64_trunc_sat_u((double){0})
+FC06 i64.trunc_sat_f64_s  -        f64 -> i64      sr_i64_trunc_sat_s({0})
+FC07 i64.trunc_sat_f64_u  -        f64 -> i64      sr_i64_trunc_sat_u({0})
+"""
 
-# 0xFC subspace: only the non-trapping float-to-int conversions are in scope.
-FC_OPCODES: dict[int, str] = {
-    0: "i32.trunc_sat_f32_s",
-    1: "i32.trunc_sat_f32_u",
-    2: "i32.trunc_sat_f64_s",
-    3: "i32.trunc_sat_f64_u",
-    4: "i64.trunc_sat_f32_s",
-    5: "i64.trunc_sat_f32_u",
-    6: "i64.trunc_sat_f64_s",
-    7: "i64.trunc_sat_f64_u",
-}
+
+class Op(NamedTuple):
+    name: str
+    imm: str
+    params: tuple[str, ...] | None  # None: validate.py types the operator itself
+    results: tuple[str, ...]
+    c: str | None                   # None: ctext.py lowers the operator itself
+    width: int                      # bytes a memarg row accesses; 0 for the rest
+    memory: bool                    # requires the module's memory
+
+
+def _parse(table: str) -> tuple[dict[str, Op], dict[int, Op], dict[int, Op]]:
+    ops, by_byte, by_fc = {}, {}, {}
+    for line in table.strip().splitlines():
+        cells = line.split()
+        code, name, imm = cells[:3]
+        if imm not in _IMMS:
+            raise ValueError(f"opcode row {name}: unknown immediate {imm!r}")
+        params, results, n = None, (), 4
+        if cells[3] != "-":
+            arrow = cells.index("->")
+            n = arrow + 1
+            while n < len(cells) and cells[n] in _VALTYPES:
+                n += 1
+            params, results = tuple(cells[3:arrow]), tuple(cells[arrow + 1:n])
+            if not set(params) <= set(_VALTYPES):
+                raise ValueError(f"opcode row {name}: bad stack effect")
+        c = line.split(None, n)[n] if n < len(cells) else None
+        if (c is None) != (params is None or imm in _CONSTS):
+            raise ValueError(f"opcode row {name}: a C template goes with each non-const stack effect")
+        width = 0
+        if imm == IMM_MEMARG:
+            m = re.fullmatch(r"[if](32|64)\.(?:load|store)(8|16|32)?(?:_[su])?", name)
+            if m is None:
+                raise ValueError(f"opcode row {name}: no access width")
+            width = int(m[2] or m[1]) // 8
+        row = Op(name, imm, params, results, c, width, imm in (IMM_MEMARG, IMM_MEM_ZERO))
+        ops[name] = row
+        if code.startswith("FC"):
+            by_fc[int(code[2:], 16)] = row
+        else:
+            by_byte[int(code, 16)] = row
+    return ops, by_byte, by_fc
+
+
+OPS, BY_BYTE, BY_FC = _parse(_TABLE)
 
 # opcode prefixes / leading bytes that identify known out-of-scope proposals,
 # so rejection can name the feature instead of calling the byte malformed
@@ -233,72 +306,3 @@ PROPOSAL_OPCODES: dict[int, str] = {
     0xFD: "simd",
     0xFE: "threads",
 }
-
-
-def _family(prefix: str, names: str, sig: tuple[tuple[str, ...], tuple[str, ...]]):
-    return {f"{prefix}.{n}": sig for n in names.split()}
-
-
-# stack effect (params, results) for every straight-line operator;
-# control flow, variable access, and calls are typed by the validator itself
-TYPE_RULES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-for _t in ("i32", "i64"):
-    TYPE_RULES[f"{_t}.eqz"] = ((_t,), ("i32",))
-    TYPE_RULES.update(_family(_t, "eq ne lt_s lt_u gt_s gt_u le_s le_u ge_s ge_u", ((_t, _t), ("i32",))))
-    TYPE_RULES.update(_family(_t, "clz ctz popcnt", ((_t,), (_t,))))
-    TYPE_RULES.update(
-        _family(
-            _t,
-            "add sub mul div_s div_u rem_s rem_u and or xor shl shr_s shr_u rotl rotr",
-            ((_t, _t), (_t,)),
-        )
-    )
-for _t in ("f32", "f64"):
-    TYPE_RULES.update(_family(_t, "eq ne lt gt le ge", ((_t, _t), ("i32",))))
-    TYPE_RULES.update(_family(_t, "abs neg ceil floor trunc nearest sqrt", ((_t,), (_t,))))
-    TYPE_RULES.update(_family(_t, "add sub mul div min max copysign", ((_t, _t), (_t,))))
-for _t in ("i32", "i64", "f32", "f64"):
-    TYPE_RULES[f"{_t}.const"] = ((), (_t,))
-TYPE_RULES.update(
-    {
-        "i32.wrap_i64": (("i64",), ("i32",)),
-        "i64.extend_i32_s": (("i32",), ("i64",)),
-        "i64.extend_i32_u": (("i32",), ("i64",)),
-        "f32.demote_f64": (("f64",), ("f32",)),
-        "f64.promote_f32": (("f32",), ("f64",)),
-        "i32.reinterpret_f32": (("f32",), ("i32",)),
-        "i64.reinterpret_f64": (("f64",), ("i64",)),
-        "f32.reinterpret_i32": (("i32",), ("f32",)),
-        "f64.reinterpret_i64": (("i64",), ("f64",)),
-        "i32.extend8_s": (("i32",), ("i32",)),
-        "i32.extend16_s": (("i32",), ("i32",)),
-        "i64.extend8_s": (("i64",), ("i64",)),
-        "i64.extend16_s": (("i64",), ("i64",)),
-        "i64.extend32_s": (("i64",), ("i64",)),
-        "memory.size": ((), ("i32",)),
-        "memory.grow": (("i32",), ("i32",)),
-    }
-)
-for _i, _f in (("i32", "f32"), ("i32", "f64"), ("i64", "f32"), ("i64", "f64")):
-    for _s in ("s", "u"):
-        TYPE_RULES[f"{_i}.trunc_{_f}_{_s}"] = ((_f,), (_i,))
-        TYPE_RULES[f"{_i}.trunc_sat_{_f}_{_s}"] = ((_f,), (_i,))
-for _i in ("i32", "i64"):
-    for _f in ("f32", "f64"):
-        for _s in ("s", "u"):
-            TYPE_RULES[f"{_f}.convert_{_i}_{_s}"] = ((_i,), (_f,))
-
-# access width in bytes for every load/store, for alignment validation and
-# bounds-check emission
-MEM_ACCESS_WIDTH: dict[str, int] = {
-    "i32.load": 4, "i64.load": 8, "f32.load": 4, "f64.load": 8,
-    "i32.load8_s": 1, "i32.load8_u": 1, "i32.load16_s": 2, "i32.load16_u": 2,
-    "i64.load8_s": 1, "i64.load8_u": 1, "i64.load16_s": 2, "i64.load16_u": 2,
-    "i64.load32_s": 4, "i64.load32_u": 4,
-    "i32.store": 4, "i64.store": 8, "f32.store": 4, "f64.store": 8,
-    "i32.store8": 1, "i32.store16": 2,
-    "i64.store8": 1, "i64.store16": 2, "i64.store32": 4,
-}
-
-# value type stored/loaded by each memory access
-MEM_ACCESS_TYPE: dict[str, str] = {n: n.split(".")[0] for n in MEM_ACCESS_WIDTH}

@@ -92,25 +92,14 @@ class _FuncChecker:
     def check(self, instr: tuple):
         name = instr[0]
 
-        if name in op.TYPE_RULES:
-            params, results = op.TYPE_RULES[name]
-            self.pop_many(params)
-            self.push(*results)
-            return
-        if name in op.MEM_ACCESS_WIDTH:
-            if self.m.memory is None:
+        row = op.OPS[name]
+        if row.params is not None:
+            if row.memory and self.m.memory is None:
                 self.fail(f"{name} without memory")
-            width = op.MEM_ACCESS_WIDTH[name]
-            align = instr[1]
-            if (1 << align) > width:
-                self.fail(f"{name}: alignment 2**{align} exceeds natural alignment {width}")
-            vt = op.MEM_ACCESS_TYPE[name]
-            if name.count("store"):
-                self.pop(vt)
-                self.pop("i32")
-            else:
-                self.pop("i32")
-                self.push(vt)
+            if row.width and (1 << instr[1]) > row.width:
+                self.fail(f"{name}: alignment 2**{instr[1]} exceeds natural alignment {row.width}")
+            self.pop_many(row.params)
+            self.push(*row.results)
             return
 
         if name == "nop":
@@ -118,8 +107,6 @@ class _FuncChecker:
         if name == "unreachable":
             self.set_unreachable()
             return
-        if name in ("memory.size", "memory.grow"):  # pragma: no cover - in TYPE_RULES
-            raise AssertionError
         if name in ("block", "loop", "if"):
             if name == "if":
                 self.pop("i32")

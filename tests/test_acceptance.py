@@ -213,6 +213,9 @@ def _external_comparison(seam_report) -> str:
 
     class H(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # headers and body leave in two sends; with Nagle on, the second
+        # waits for the client's delayed ACK of the first
+        disable_nagle_algorithm = True
 
         def do_GET(self):
             body = b"x" * 64
@@ -231,6 +234,7 @@ def _external_comparison(seam_report) -> str:
                                   connections=16, duration_s=2))
     finally:
         srv.shutdown()
+        srv.server_close()
     ratio = seam_report.requests_per_sec / max(ref.requests_per_sec, 1.0)
     return (f"reported ratio vs python http.server: {ratio:.2f}x "
             f"({seam_report.requests_per_sec:.0f} vs {ref.requests_per_sec:.0f} req/s)")

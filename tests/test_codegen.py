@@ -303,20 +303,21 @@ def test_stack_exhaustion_traps(tmp_path):
 _ALIGN = {1: 0, 2: 1, 4: 2, 8: 3}
 _CONST = {"i32": ("i32.const", 7), "i64": ("i64.const", 7),
           "f32": ("f32.const", 7.0), "f64": ("f64.const", 7.0)}
-_LOADS = [n for n in op.MEM_ACCESS_WIDTH if ".load" in n]
+_WIDTH = {name: row.width for name, row in op.OPS.items() if row.width}
+_LOADS = [n for n in _WIDTH if ".load" in n]
 
 
 def _access(name: str, addr: int, offset: int = 0) -> list:
     """One memory access at addr+offset; a load leaves its value."""
-    width = op.MEM_ACCESS_WIDTH[name]
+    width = _WIDTH[name]
     body = [("i32.const", addr)]
     if ".store" in name:
-        body.append(_CONST[op.MEM_ACCESS_TYPE[name]])
+        body.append(_CONST[op.OPS[name].params[1]])
     return body + [(name, _ALIGN[width], offset)]
 
 
 def _access_sig(name: str) -> list:
-    return [] if ".store" in name else [op.MEM_ACCESS_TYPE[name]]
+    return list(op.OPS[name].results)
 
 
 def _guard_module():
@@ -325,7 +326,7 @@ def _guard_module():
     b = ModuleBuilder()
     b.set_memory(1, 2)
     grow = [("i32.const", 1), ("memory.grow",), ("drop",)]
-    for name, width in op.MEM_ACCESS_WIDTH.items():
+    for name, width in _WIDTH.items():
         res = _access_sig(name)
         b.add_func([], res, [], _access(name, 65536 - width), export=f"{name}/last")
         # the access straddles the end: its first byte is in bounds
@@ -349,13 +350,13 @@ def guard_exe(tmp_path_factory):
 
 
 def test_edge_accesses_of_every_width_trap(guard_exe):
-    for name in op.MEM_ACCESS_WIDTH:
+    for name in _WIDTH:
         assert run_exe_export(guard_exe, f"{name}/last")[0] == "value", name
         assert run_exe_export(guard_exe, f"{name}/edge") == ("trap", 1), name
 
 
 def test_edge_accesses_after_grow_trap(guard_exe):
-    for name in op.MEM_ACCESS_WIDTH:
+    for name in _WIDTH:
         assert run_exe_export(guard_exe, f"{name}/grown_last")[0] == "value", name
         assert run_exe_export(guard_exe, f"{name}/grown_edge") == ("trap", 1), name
 
@@ -379,7 +380,7 @@ def test_emitted_c_has_no_inline_checks_and_keeps_every_load():
     assert "sr_mem_bytes" not in src and "sr_depth" not in src
     lines = src.splitlines()
     loads = [i for i, l in enumerate(lines) if re.match(r"\s+\w+ t\d+ = .*\(mb \+ a\d+\)", l)]
-    n_loads = sum(".load" in name for name in op.MEM_ACCESS_WIDTH) * 4 + len(_LOADS) + 2
+    n_loads = sum(".load" in name for name in _WIDTH) * 4 + len(_LOADS) + 2
     assert len(loads) == n_loads
     for i in loads:
         var = re.match(r"\s+\w+ (t\d+) =", lines[i]).group(1)

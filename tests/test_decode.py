@@ -216,6 +216,26 @@ def test_threads_and_simd_opcodes_rejected():
     assert ei.value.name == "threads"
 
 
+@pytest.mark.parametrize("index", [b"\x01", b"\x81\x00", b"\x80\x80\x80\x80\x01"])
+def test_call_indirect_through_another_table_rejected(index):
+    b = ModuleBuilder()
+    t = b.type_index([], [])
+    b.set_table(1)
+    b.add_func([], [], [], [("i32.const", 0), ("raw", bytes([0x11, t]) + index)])
+    with pytest.raises(UnsupportedFeature) as ei:
+        decode_module(b.build())
+    assert ei.value.name == "reference-types"
+
+
+@pytest.mark.parametrize("index", [b"\x00", b"\x80\x00", b"\x80\x80\x80\x80\x00"])
+def test_call_indirect_table_index_is_a_u32(index):
+    b = ModuleBuilder()
+    t = b.type_index([], [])
+    b.set_table(1)
+    b.add_func([], [], [], [("i32.const", 0), ("raw", bytes([0x11, t]) + index)])
+    assert decode_module(b.build()).functions[0].body[1] == ("call_indirect", t)
+
+
 def test_bulk_memory_opcode_rejected():
     b = ModuleBuilder()
     b.set_memory(1)

@@ -13,7 +13,7 @@ from seam.wasm import opcodes as op
 from conftest import have_node
 from diffharness import build_module_exe, run_differential_module, run_exe_export, run_node_exports
 from genprograms import generate_corpus
-from wasmgen import ModuleBuilder
+from wasmgen import ModuleBuilder, uleb
 
 pytestmark = pytest.mark.skipif(not have_node(), reason="reference engine unavailable")
 
@@ -32,7 +32,7 @@ def test_generator_covers_instruction_set(corpus):
     """The differential corpus must exercise every numeric operator, every
     load/store variant, and the full control vocabulary."""
     seen = {ins[0] for data, _ in corpus for fb in decode_module(data).functions for ins in fb.body}
-    required = set(op.TYPE_RULES) | set(op.MEM_ACCESS_WIDTH) | {
+    required = {name for name, row in op.OPS.items() if row.params is not None} | {
         "block", "loop", "if", "br", "br_if", "br_table", "return",
         "call", "call_indirect", "drop", "select", "unreachable",
         "local.get", "local.set", "local.tee", "global.get", "global.set",
@@ -84,3 +84,25 @@ def test_instantiation_trap_matches_the_reference(what, trap, tmp_path):
     exe = build_module_exe(data, tmp_path, what)
     assert run_exe_export(exe, "run") == ("trap", trap)
     assert run_node_exports(tmp_path / f"{what}.wasm", [("run", "i")]) == {"run": ("trap", trap)}
+
+
+def padded_table_index_module(index: bytes) -> bytes:
+    """run() calls slot 1 (x * 3) on 14 through call_indirect whose table
+    index is encoded as `index`."""
+    b = ModuleBuilder()
+    t = b.type_index(["i32"], ["i32"])
+    f = b.add_func(["i32"], ["i32"], [], [("local.get", 0), ("i32.const", 3), ("i32.mul",)])
+    b.add_func([], ["i32"], [], [("i32.const", 14), ("i32.const", 1),
+                                 ("raw", b"\x11" + uleb(t) + index)], export="run")
+    b.set_table(2, 2)
+    b.add_elem(1, [f])
+    return b.build()
+
+
+@pytest.mark.parametrize("index", [b"\x80\x00", b"\x80\x80\x80\x80\x00"], ids=["2-byte", "5-byte"])
+def test_padded_call_indirect_table_index_matches_the_reference(index, tmp_path):
+    """The reference-types encoding writes call_indirect's table index as a
+    u32 LEB, which may be padded; table 0 in any encoding is the MVP call."""
+    exe = build_module_exe(padded_table_index_module(index), tmp_path, "padded")
+    ref = run_node_exports(tmp_path / "padded.wasm", [("run", "i")])
+    assert run_exe_export(exe, "run") == ref["run"] == ("value", "i32", 42)

@@ -183,6 +183,24 @@ def test_memory_op_without_memory_rejected():
         check(b)
 
 
+@pytest.mark.parametrize("body", [
+    [("memory.size",)],
+    [("i32.const", 1), ("memory.grow",)],
+], ids=["memory.size", "memory.grow"])
+def test_memory_size_and_grow_without_memory_rejected(body, tmp_path, capsys):
+    from seam.cli import main as cli_main
+
+    b = ModuleBuilder()
+    b.add_func([], ["i32"], [], body, export="f")
+    with pytest.raises(ValidationError) as ei:
+        check(b)
+    assert f"{body[-1][0]} without memory" in str(ei.value)
+    wasm = tmp_path / "nomem.wasm"
+    wasm.write_bytes(b.build())
+    assert cli_main(["build", str(wasm), "-o", str(tmp_path / "nomem")]) == 1
+    assert "without memory" in capsys.readouterr().err
+
+
 def test_duplicate_export_names_rejected():
     b = ModuleBuilder()
     f = b.add_func([], [], [], [("nop",)])
