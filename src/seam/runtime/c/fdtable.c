@@ -1,5 +1,18 @@
 /* The fd table, guest args/env, and the one path by which a WASI call moves
- * a guest iovec array through a host fd. */
+ * a guest iovec array through a host fd.
+ *
+ * That path holds small sends back, as a unikernel's TCP stack does until
+ * it next runs. A turn is the stretch between two flush points. A turn's
+ * first send to a blocking socket goes out at once and makes that socket
+ * the turn's; each later send to it in the turn that fits the free room of
+ * one static HOLD_MAX buffer is copied there and reports its full count. A
+ * send that does not fit goes out by sendmsg after the held bytes, and a
+ * non-blocking socket's sends are never held. Every other host I/O is a
+ * flush point (rt_flush_sends): reads, writes to another fd, poll_oneoff,
+ * sock_accept/connect/shutdown, closing a socket, switching O_NONBLOCK, and
+ * process exit. A failed flush drops the held bytes; the socket's error
+ * state answers the guest's next call on it, as it does for bytes the
+ * kernel took but could not deliver. */
 #include "rt.h"
 
 #include <errno.h>
@@ -13,6 +26,13 @@
 
 fd_entry rt_fdt[FD_TABLE_SIZE];
 
+#define HOLD_MAX (16 * 1024)
+
+static fd_entry *turn; /* the socket this turn has sent to, or NULL */
+static size_t held;    /* bytes held for it in hold_buf */
+/* static, not malloc'd: see trap.c's alt_stack */
+static uint8_t hold_buf[HOLD_MAX];
+
 int rt_argc;
 const char *rt_argv[RT_MAX_ARGS];
 int rt_envc;
@@ -20,7 +40,13 @@ const char *rt_envv[RT_MAX_ARGS];
 
 void rt_fd_init(void)
 {
-    memset(rt_fdt, 0, sizeof rt_fdt);
+    /* only entries in use: clearing free (zero) ones would fault in every
+     * page of the table */
+    for (int i = 0; i < FD_TABLE_SIZE; i++)
+        if (rt_fdt[i].kind != FK_FREE)
+            memset(&rt_fdt[i], 0, sizeof rt_fdt[i]);
+    turn = NULL;
+    held = 0;
     for (int i = 0; i < 3; i++) {
         rt_fdt[i].kind = FK_STDIO;
         rt_fdt[i].host_fd = i;
@@ -44,8 +70,33 @@ fd_entry *rt_fd_get(uint32_t fd)
     return &rt_fdt[fd];
 }
 
+/* the held bytes to the turn's socket, which stays the turn's */
+static void send_held(void)
+{
+    if (!held)
+        return;
+    int scoped = prof_push_inner(P_SOCKET);
+    for (size_t done = 0; done < held;) {
+        ssize_t r = send(turn->host_fd, hold_buf + done, held - done, MSG_NOSIGNAL);
+        if (r > 0)
+            done += (size_t)r;
+        else if (errno != EINTR)
+            break;
+    }
+    if (scoped)
+        prof_pop();
+    held = 0;
+}
+
+void rt_flush_sends(void)
+{
+    send_held();
+    turn = NULL;
+}
+
 int rt_fd_set_nonblock(fd_entry *e, int nonblock)
 {
+    rt_flush_sends();
     int fl = fcntl(e->host_fd, F_GETFL, 0);
     if (fl < 0)
         return -1;
@@ -81,6 +132,12 @@ uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int
     struct iovec iov[IOV_MAX];
     int nonblock = (e->fdflags & FDFLAG_NONBLOCK) != 0;
     uint64_t total = 0;
+    int later = out && e == turn; /* a later send of this turn */
+    if (!later) {
+        rt_flush_sends();
+        if (out && e->kind == FK_SOCKET && !nonblock)
+            turn = e;
+    }
     if (iovs_len > IOV_MAX) /* every bound is checked before the first byte moves */
         for (uint32_t i = 0; i < iovs_len; i++)
             lm_ptr(lm_get_u32(iovs + 8 * i), lm_get_u32(iovs + 8 * i + 4));
@@ -88,6 +145,18 @@ uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int
         uint32_t n = iovs_len - i < IOV_MAX ? iovs_len - i : IOV_MAX;
         size_t want = iov_gather(iov, iovs + 8 * i, n);
         i += n;
+        if (later) {
+            if (n == iovs_len && want <= HOLD_MAX - held) {
+                for (uint32_t k = 0; k < n; k++) {
+                    memcpy(hold_buf + held, iov[k].iov_base, iov[k].iov_len);
+                    held += iov[k].iov_len;
+                }
+                *moved = (uint32_t)want;
+                return W_SUCCESS;
+            }
+            send_held();
+            later = 0;
+        }
         struct iovec *cur = iov;
         size_t done = 0;
         while (done < want) {
@@ -95,6 +164,7 @@ uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int
             if (r < 0) {
                 if (errno == EINTR && !nonblock)
                     continue;
+                turn = NULL; /* a failed transfer ends the turn */
                 *moved = (uint32_t)total;
                 return total ? W_SUCCESS : rt_errno_to_wasi(errno);
             }

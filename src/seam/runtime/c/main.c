@@ -46,7 +46,7 @@ static void die(const char *msg)
 
 static void on_signal(int sig)
 {
-    /* exit() so the atexit profile report still flushes */
+    /* exit() so the atexit handlers still run: held sends, then the profile */
     exit(128 + sig);
 }
 
@@ -156,6 +156,7 @@ int main(void)
         die("linear memory reservation failed");
     mount_fs();
     rt_fd_init();
+    atexit(rt_flush_sends); /* runs before prof_init's report */
     rt_args_init();
 
     uint8_t *guard = mmap(NULL, GUEST_STACK_GUARD + GUEST_STACK_SIZE, PROT_NONE,

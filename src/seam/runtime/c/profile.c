@@ -11,9 +11,10 @@
  * memory_grow opens "memory". Inside a row scope a few inner scopes are
  * hand-placed: "hostio" around random_get's getrandom, stdio fd_read and
  * fd_write, and fd_close's close of a socket; "socket" around fd_read and
- * fd_write on a socket; and around poll_oneoff's poll(2) wait "timer"
- * (clocks only), "socket" (any socket) or "hostio" (other fds). Time in
- * the guest scope outside every runtime scope is "guest". The unikernel
+ * fd_write on a socket, and around the send of held bytes (fdtable.c)
+ * where an inner scope may open; and around poll_oneoff's poll(2) wait
+ * "timer" (clocks only), "socket" (any socket) or "hostio" (other fds).
+ * Time in the guest scope outside every runtime scope is "guest". The unikernel
  * analogy: "socket" stands in for lwIP packet processing, "hostio" for the
  * driver.
  *
@@ -99,6 +100,17 @@ void prof_push(int bucket)
         acc[stack[depth - 1]] += t - mark;
     mark = t;
     stack[depth++] = bucket;
+}
+
+/* Opens bucket as an inner scope only directly on guest or on a row
+ * scope. Elsewhere (inside another inner scope, or at exit once guest has
+ * closed) the time stays with the scope that is open. */
+int prof_push_inner(int bucket)
+{
+    if (!prof_on || depth < 1 || depth > 2)
+        return 0;
+    prof_push(bucket);
+    return 1;
 }
 
 void prof_pop(void)

@@ -140,11 +140,15 @@ extern fd_entry rt_fdt[FD_TABLE_SIZE];
 void rt_fd_init(void);
 int rt_fd_alloc(void); /* lowest free index >= 4, or -1 */
 fd_entry *rt_fd_get(uint32_t fd);
-int rt_fd_set_nonblock(fd_entry *e, int nonblock); /* on e's host fd; 0 or -1 with errno */
+/* on e's host fd, after rt_flush_sends; 0 or -1 with errno */
+int rt_fd_set_nonblock(fd_entry *e, int nonblock);
+/* ends the turn: sends the bytes rt_iov_xfer holds for the turn's socket */
+void rt_flush_sends(void);
 
 /* Moves bytes between e's host fd and the guest iovec array at iovs (out:
  * guest to host) with one sendmsg/recvmsg (sockets) or writev/readv (other
- * fds) per IOV_MAX iovecs, after every (buf, len) has passed lm_ptr. A
+ * fds) per IOV_MAX iovecs, after every (buf, len) has passed lm_ptr; a
+ * later small send of the turn is held instead (fdtable.c). A
  * blocking write continues after short writes until all is sent; reads and
  * non-blocking writes stop at the first short transfer; EINTR is retried
  * only on blocking fds. *moved gets the byte count, and once a byte has
@@ -169,6 +173,8 @@ enum { P_GUEST = 0, P_WASI, P_MEMORY, P_TIMER, P_SOCKET, P_HOSTIO, P_NBUCKETS };
 void prof_init(void);
 void prof_push(int bucket);
 void prof_pop(void);
+/* prof_push where the discipline lets an inner scope open; 1 if it did */
+int prof_push_inner(int bucket);
 /* hidden: read by every ABI entry, so one rip-relative load, not a GOT hop */
 extern int prof_on __attribute__((visibility("hidden")));
 

@@ -223,6 +223,7 @@ uint32_t wasi_fd_close(uint32_t fd)
     if (fd < 4) /* keep stdio and the preopen pinned */
         return fd <= 2 ? W_SUCCESS : W_BADF;
     if (e->kind == FK_SOCKET && e->host_fd >= 0) {
+        rt_flush_sends();
         prof_push(P_HOSTIO);
         close(e->host_fd);
         prof_pop();

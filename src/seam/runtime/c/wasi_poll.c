@@ -74,6 +74,7 @@ uint32_t wasi_poll_oneoff(uint32_t subs_addr, uint32_t events_addr, uint32_t nsu
     for (uint32_t i = 0; i < nsubscriptions; i++)
         parse_sub(subs_addr + 48 * i, &subs[i]);
 
+    rt_flush_sends(); /* the guest waits: what it sent leaves now */
     uint32_t n = 0;
     const uint64_t entry_mono = rt_now_ns(1); /* relative clock subs anchor here */
 

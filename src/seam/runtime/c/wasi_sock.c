@@ -136,6 +136,7 @@ uint32_t wasi_sock_accept(uint32_t fd, uint32_t flags, uint32_t fd_out)
     int nfd = rt_fd_alloc();
     if (nfd < 0)
         return W_NFILE;
+    rt_flush_sends();
     int hfd;
     do {
         hfd = accept(e->host_fd, NULL, NULL);
@@ -169,6 +170,7 @@ uint32_t wasi_sock_connect(uint32_t fd, uint32_t addr_rec, uint32_t port)
     err = read_addr_v4(addr_rec, &sa.sin_addr);
     if (err != W_SUCCESS)
         return err;
+    rt_flush_sends();
     int rc;
     do {
         rc = connect(e->host_fd, (struct sockaddr *)&sa, sizeof sa);
@@ -244,6 +246,7 @@ uint32_t wasi_sock_shutdown(uint32_t fd, uint32_t how)
         h = SHUT_RDWR;
     else
         return W_INVAL;
+    rt_flush_sends(); /* held bytes go ahead of the FIN */
     if (shutdown(e->host_fd, h) != 0)
         return rt_errno_to_wasi(errno);
     e->sstate = SS_SHUT;

@@ -1,6 +1,8 @@
-"""scripts/bench_pairs.py: the pair summary BENCH_<pr>.json files carry."""
+"""scripts/bench_pairs.py: the pair summary BENCH_<pr>.json files carry;
+scripts/bench_trajectory.py: those files chained across PRs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,69 @@ def test_directions_cover_every_benchmark_metric(bench_pairs):
     better = bench_pairs.directions()
     assert better["rps"] == "higher" and better["server_cpu_us_per_req"] == "lower"
     assert set(better.values()) == {"higher", "lower"}
+
+
+# ---- scripts/bench_trajectory.py: the committed files chained across PRs ----
+
+TRAJECTORY = SCRIPT.parent / "bench_trajectory.py"
+
+
+@pytest.fixture(scope="module")
+def trajectory():
+    spec = importlib.util.spec_from_file_location("bench_trajectory", TRAJECTORY)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def committed_docs(trajectory) -> dict:
+    return {pr: [json.loads(p.read_text()) for p in paths]
+            for pr, paths in trajectory.bench_files().items()}
+
+
+def test_trajectory_pools_each_prs_files_in_pr_order(trajectory):
+    files = trajectory.bench_files()
+    assert list(files) == sorted(files) and {7, 9, 10, 13, 14} <= set(files)
+    assert [p.name for p in files[9]] == ["BENCH_9.earlier-1.json", "BENCH_9.earlier-2.json",
+                                         "BENCH_9.json"]
+    docs = committed_docs(trajectory)
+    # the BENCH_9 files hold 10 serve_small pairs each, the two BENCH_14 files too
+    assert len(trajectory.pooled_pairs(docs[9], "serve_small")) == 30
+    assert len(trajectory.pooled_pairs(docs[14], "serve_small")) == 20
+    assert len(trajectory.pooled_pairs(docs[7], "serve_small")) == 10  # its trace-1 set is out
+
+
+def test_trajectory_product_chains_the_ratios(trajectory):
+    rows = trajectory.trajectory(committed_docs(trajectory), "serve_small", "rps", "higher")
+    assert [r["pr"] for r in rows][:5] == [7, 9, 10, 13, 14]
+    product = 1.0
+    for r in rows:
+        product *= r["ratio"]
+        assert r["product"] == pytest.approx(product)
+        assert 0 <= r["won"] <= r["pairs"]
+
+
+def test_trajectory_step_is_the_ratio_of_medians_and_the_wins(trajectory):
+    pairs = [{"parent": run(rps=p, lat=p), "change": run(rps=c, lat=c)}
+             for p, c in [(100, 150), (110, 120), (90, 80)]]
+    pairs.append({"parent": {"result": None}, "change": run(rps=1000, lat=1000)})
+    docs = [{"sets": [{"workload": "w", "trace": 0, "pairs": pairs},
+                      {"workload": "w", "trace": 1, "pairs": pairs[:1] * 5},
+                      {"workload": "other", "trace": 0, "pairs": pairs[:1]}]}]
+    pooled = trajectory.pooled_pairs(docs, "w")
+    assert len(pooled) == 3
+    assert trajectory.step(pooled, "rps", "higher") == {"pairs": 3, "won": 2, "ratio": 1.2}
+    assert trajectory.step(pooled, "lat", "lower")["won"] == 1
+    assert trajectory.step(pooled, "absent", "lower") is None
+
+
+def test_trajectory_prints_every_workload_and_writes_no_file(trajectory, capsys):
+    def bench_files():
+        return {p.name: p.stat().st_mtime_ns for p in SCRIPT.parent.parent.glob("BENCH*")}
+
+    before = bench_files()
+    assert trajectory.main([]) == 0
+    out = capsys.readouterr().out
+    for workload in ("serve_small", "serve_large", "kernels", "build"):
+        assert f"{workload} rps (higher is better)" in out
+    assert bench_files() == before

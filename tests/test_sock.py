@@ -1,7 +1,9 @@
 """WasmEdge-compatible socket layer: loopback behavior plus the exhaustive
 (state, operation) table. Python sockets play the remote peer."""
 
+import ctypes
 import json
+import os
 import socket
 import struct
 import subprocess
@@ -10,6 +12,10 @@ import threading
 import time
 
 import pytest
+
+from conftest import FdEntry, free_port
+from seam.driver import BuildPlan, cmd_build
+from wasmgen import ModuleBuilder
 
 W_SUCCESS, W_ADDRINUSE, W_AFNOSUPPORT, W_AGAIN, W_BADF, W_INVAL, W_ISCONN, W_NOTCONN = \
     0, 3, 5, 6, 8, 28, 30, 53
@@ -536,3 +542,302 @@ def test_wasmedge_abi_fixture_runs_unchanged(httpd_exe):
     finally:
         server.terminate()
         server.wait(timeout=10)
+
+
+# ---- held sends: a turn's later small sends leave together ----
+#
+# A turn runs between two flush points. Its first send to a blocking socket
+# leaves at once; later sends to that socket that fit the 16 KiB buffer are
+# held until the next flush point (docs/sock-abi.md, "When bytes reach the
+# host").
+
+W_CONNRESET, W_PIPE = 15, 64
+
+
+def wait_zero(rt):
+    """poll_oneoff on one relative 0 ns clock: a flush point that never blocks."""
+    from test_poll import poll, sub_clock  # test_poll imports this module
+    sub_clock(rt, 0, 1, 0)
+    assert len(poll(rt, 1)) == 1
+
+
+def assert_nothing_more(py):
+    py.settimeout(0.05)
+    with pytest.raises(socket.timeout):
+        py.recv(1)
+    py.settimeout(5)
+
+
+def test_later_sends_of_a_turn_leave_in_one_segment(rtb):
+    """8 sends of 100 B in one turn reach the peer in order as 2 data
+    segments: the first send, then the 7 held ones at the flush point."""
+    lfd, port = rt_listener(rtb)
+    py, cfd = accept_peer(rtb, lfd, port)
+    try:
+        msgs = [bytes([65 + i]) * 100 for i in range(8)]
+        before = data_segs_in(py)
+        for m in msgs:
+            assert send_bytes(rtb, cfd, m) == (W_SUCCESS, 100)
+        wait_zero(rtb)
+        assert recv_exactly(py, 800) == b"".join(msgs)
+        assert data_segs_in(py) - before == 2
+    finally:
+        py.close()
+
+
+def test_first_send_of_a_turn_leaves_at_once(rtb):
+    """The peer reads a turn's first send with no further runtime call, and
+    after a flush point the next send is a first send again."""
+    lfd, port = rt_listener(rtb)
+    py, cfd = accept_peer(rtb, lfd, port)
+    try:
+        assert send_bytes(rtb, cfd, b"first") == (W_SUCCESS, 5)
+        assert recv_exactly(py, 5) == b"first"
+        assert send_bytes(rtb, cfd, b"held") == (W_SUCCESS, 4)
+        assert_nothing_more(py)
+        wait_zero(rtb)
+        assert recv_exactly(py, 4) == b"held"
+        assert send_bytes(rtb, cfd, b"again") == (W_SUCCESS, 5)
+        assert recv_exactly(py, 5) == b"again"
+    finally:
+        py.close()
+
+
+def flush_by_recv_elsewhere(rt, lfd, port, cfd, capfd):
+    other, ofd = accept_peer(rt, lfd, port)
+    other.sendall(b"x")
+    assert recv_into(rt, ofd, 16) == (W_SUCCESS, 1)
+    other.close()
+
+
+def flush_by_accept(rt, lfd, port, cfd, capfd):
+    accept_peer(rt, lfd, port)[0].close()
+
+
+def flush_by_stdout(rt, lfd, port, cfd, capfd):
+    rt.write(DATA + 2048, b"ok\n")
+    rt.iovec(IOV + 24, DATA + 2048, 3)
+    assert rt.lib.fd_write(1, IOV + 24, 1, OUT + 8) == W_SUCCESS
+    assert capfd.readouterr().out == "ok\n"
+
+
+FLUSH_POINTS = {
+    "poll_oneoff": lambda rt, lfd, port, cfd, capfd: wait_zero(rt),
+    "sock_recv_on_another_socket": flush_by_recv_elsewhere,
+    "sock_accept": flush_by_accept,
+    "fd_write_to_stdout": flush_by_stdout,
+    "sock_shutdown_wr": lambda rt, lfd, port, cfd, capfd: rt.lib.sock_shutdown(cfd, 2),
+    "fd_close": lambda rt, lfd, port, cfd, capfd: rt.lib.fd_close(cfd),
+}
+
+
+@pytest.mark.parametrize("point", FLUSH_POINTS)
+def test_held_send_reaches_the_peer_at_each_flush_point(rtb, capfd, point):
+    lfd, port = rt_listener(rtb)
+    py, cfd = accept_peer(rtb, lfd, port)
+    try:
+        assert send_bytes(rtb, cfd, b"first") == (W_SUCCESS, 5)
+        assert send_bytes(rtb, cfd, b"held") == (W_SUCCESS, 4)
+        assert recv_exactly(py, 5) == b"first"
+        assert_nothing_more(py)
+        assert FLUSH_POINTS[point](rtb, lfd, port, cfd, capfd) in (None, W_SUCCESS)
+        assert recv_exactly(py, 4) == b"held"
+        if point in ("sock_shutdown_wr", "fd_close"):  # the held bytes go ahead of the FIN
+            assert py.recv(16) == b""
+    finally:
+        py.close()
+
+
+def test_two_sockets_in_one_turn_keep_their_own_order(rtb):
+    lfd, port = rt_listener(rtb)
+    pa, fa = accept_peer(rtb, lfd, port)
+    pb, fb = accept_peer(rtb, lfd, port)
+    try:
+        sent = {fa: b"", fb: b""}
+        for i, fd in enumerate([fa, fa, fb, fb, fa, fb, fa, fa, fb]):
+            msg = b"%d-%d;" % (fd, i)
+            assert send_bytes(rtb, fd, msg) == (W_SUCCESS, len(msg))
+            sent[fd] += msg
+        wait_zero(rtb)
+        assert recv_exactly(pa, len(sent[fa])) == sent[fa]
+        assert recv_exactly(pb, len(sent[fb])) == sent[fb]
+        assert_nothing_more(pa)
+        assert_nothing_more(pb)
+    finally:
+        pa.close()
+        pb.close()
+
+
+def test_send_bigger_than_the_free_room_arrives_after_the_held_bytes(rtb):
+    """10 KiB is held; the next 10 KiB does not fit the 16 KiB buffer, so the
+    held bytes leave first and it follows uncopied; 20 KiB is never held."""
+    lfd, port = rt_listener(rtb)
+    py, cfd = accept_peer(rtb, lfd, port)
+    try:
+        msgs = [b"first", bytes(i % 251 for i in range(10240)),
+                bytes(i % 241 for i in range(10240)), bytes(i % 239 for i in range(20480))]
+        for m in msgs:
+            assert send_bytes(rtb, cfd, m) == (W_SUCCESS, len(m))
+        assert recv_exactly(py, sum(map(len, msgs))) == b"".join(msgs)
+        wait_zero(rtb)
+        assert_nothing_more(py)
+    finally:
+        py.close()
+
+
+def test_nonblocking_socket_sends_are_never_held(rtb):
+    lfd, port = rt_listener(rtb)
+    py, cfd = accept_peer(rtb, lfd, port, flags=0x4)  # NONBLOCK
+    try:
+        for m in (b"one", b"two", b"three"):
+            assert send_bytes(rtb, cfd, m) == (W_SUCCESS, len(m))
+        assert recv_exactly(py, 11) == b"onetwothree"
+    finally:
+        py.close()
+
+
+@pytest.mark.parametrize("next_call", ["send", "recv"])
+def test_peer_reset_while_bytes_are_held(rtb, next_call):
+    """The peer resets with a send held; the flush at the next flush point
+    fails and drops it, and the guest's next call on the socket reports the
+    reset: an errno on a send, EOF on a recv. A failed send ends the turn,
+    so the send after it is not held either."""
+    lfd, port = rt_listener(rtb)
+    py, cfd = accept_peer(rtb, lfd, port)
+    assert send_bytes(rtb, cfd, b"first") == (W_SUCCESS, 5)
+    assert send_bytes(rtb, cfd, b"held") == (W_SUCCESS, 4)
+    py.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    py.close()  # unread bytes and linger 0: an RST
+    time.sleep(0.05)
+    wait_zero(rtb)
+    if next_call == "send":
+        for _ in range(2):
+            assert send_bytes(rtb, cfd, b"after")[0] in (W_PIPE, W_CONNRESET)
+    else:
+        assert recv_into(rtb, cfd, 16) == (W_SUCCESS, 0)
+
+
+def test_boot_frees_every_entry_and_drops_held_bytes(rt):
+    """A re-boot clears each fd entry in use, leaving every entry from 4 on
+    free and zero, and forgets the last turn: what it held is dropped, and
+    a socket put in the held socket's entry starts a turn of its own."""
+    rt.boot()
+    lfd, port = rt_listener(rt)
+    py, cfd = accept_peer(rt, lfd, port)
+    try:
+        for _ in range(3):
+            assert sock_open(rt)[0] == W_SUCCESS
+        assert send_bytes(rt, cfd, b"first") == (W_SUCCESS, 5)
+        assert send_bytes(rt, cfd, b"held") == (W_SUCCESS, 4)
+        rt.boot()
+        assert [e.kind for e in rt.fdt[:4]] == [1, 1, 1, 3]
+        free = bytes(ctypes.sizeof(FdEntry))
+        assert all(bytes(e) == free for e in rt.fdt[4:])
+        host, peer = socket.socketpair()
+        with host, peer:
+            rt.fdt[cfd] = FdEntry(kind=4, sstate=3, host_fd=host.fileno())  # connected socket
+            assert send_bytes(rt, cfd, b"new") == (W_SUCCESS, 3)
+            peer.settimeout(5)
+            assert recv_exactly(peer, 3) == b"new"
+            wait_zero(rt)
+            assert_nothing_more(peer)
+            rt.boot()
+        assert recv_exactly(py, 5) == b"first"
+        assert_nothing_more(py)
+    finally:
+        py.close()
+
+
+# ---- held sends at process exit ----
+
+EXIT_STATUS = {"return": 0, "proc_exit": 3, "trap": 128 + 4, "sigterm": 128 + 15}
+
+
+def two_sends_guest(tmp_path, port: int, how: str, ready_port: int):
+    """A guest that connects to 127.0.0.1:port and sends "hello " and
+    "world\\n" in one turn, so the second is held, then ends as `how` says:
+    _start returns, proc_exit(3), unreachable, or (for SIGTERM) it listens
+    on ready_port, which is no flush point, and spins."""
+    b = ModuleBuilder()
+    rows = [("sock_open", 3), ("sock_connect", 3), ("sock_send", 5), ("sock_bind", 3),
+            ("sock_listen", 2)]
+    fn = {name: b.add_import("wasi_snapshot_preview1", name, ["i32"] * n, ["i32"])
+          for name, n in rows}
+    fn["proc_exit"] = b.add_import("wasi_snapshot_preview1", "proc_exit", ["i32"], [])
+    b.set_memory(1, 1)
+    # 0: address record {16, 4}; 16: 127.0.0.1; 32, 40: iovecs; 64, 128: the
+    # two messages; 200: the connected socket's fd; 204: so_datalen; 208: the
+    # listener's fd
+    b.add_data(0, struct.pack("<II", 16, 4) + bytes(8) + socket.inet_aton("127.0.0.1"))
+    b.add_data(32, struct.pack("<IIII", 64, 6, 128, 6))
+    b.add_data(64, b"hello ")
+    b.add_data(128, b"world\n")
+
+    def call(name, *args):
+        return [*args, ("call", fn[name])] + ([("drop",)] if name != "proc_exit" else [])
+
+    def i32(*vs):
+        return [("i32.const", v) for v in vs]
+
+    fd, lfd = [("i32.const", 200), ("i32.load", 2, 0)], [("i32.const", 208), ("i32.load", 2, 0)]
+    tails = {
+        "return": [],
+        "proc_exit": call("proc_exit", *i32(3)),
+        "trap": [("unreachable",)],
+        "sigterm": [*call("sock_open", *i32(1, 2, 208)), *call("sock_bind", *lfd, *i32(0, ready_port)),
+                    *call("sock_listen", *lfd, *i32(1)), ("loop", None, [("br", 0)])],
+    }
+    b.add_func([], [], [], [
+        *call("sock_open", *i32(1, 2, 200)),
+        *call("sock_connect", *fd, *i32(0, port)),
+        *call("sock_send", *fd, *i32(32, 1, 0, 204)),
+        *call("sock_send", *fd, *i32(40, 1, 0, 204)),
+        *tails[how],
+    ], export="_start")
+    wasm = tmp_path / "two_sends.wasm"
+    wasm.write_bytes(b.build())
+    return wasm
+
+
+def wait_listening(port: int):
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+            return
+        except OSError:
+            assert time.monotonic() < deadline, f"nothing listens on {port}"
+            time.sleep(0.01)
+
+
+@pytest.mark.parametrize("how", EXIT_STATUS)
+def test_held_send_leaves_on_every_exit_path(tmp_path, how):
+    """Whether _start returns, calls proc_exit, traps or is stopped by
+    SIGTERM, the held send reaches the peer ahead of the FIN. With
+    SEAM_PROFILE=1 too: the flush at exit keeps the profiler's scope
+    discipline, or the run would abort."""
+    ready_port = free_port()
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(30)
+        exe = tmp_path / "two_sends"
+        wasm = two_sends_guest(tmp_path, listener.getsockname()[1], how, ready_port)
+        cmd_build(BuildPlan(wasm=wasm, output=exe))
+        for profile in ("0", "1"):
+            env = dict(os.environ, SEAM_PROFILE=profile,
+                       SEAM_PROFILE_OUT=str(tmp_path / "profile.json"))
+            child = subprocess.Popen([str(exe)], env=env, stderr=subprocess.PIPE)
+            try:
+                peer, _ = listener.accept()
+                with peer:
+                    peer.settimeout(30)
+                    assert recv_exactly(peer, 6) == b"hello "
+                    if how == "sigterm":
+                        wait_listening(ready_port)
+                        child.terminate()
+                    assert recv_exactly(peer, 6) == b"world\n"
+                    assert peer.recv(16) == b""
+            finally:
+                _, err = child.communicate(timeout=30)
+            assert child.returncode == EXIT_STATUS[how], (profile, err.decode())
