@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Chain the committed BENCH_<pr>*.json files into one trajectory per metric.
 
-    python3 scripts/bench_trajectory.py [--workload serve_small] [--metric rps]
+    python3 scripts/bench_trajectory.py
 
 Medians from different BENCH files do not compare: the host's speed drifts
 between the times they were measured. The ratio of a change to its parent,
@@ -16,19 +16,18 @@ end-to-end metric of BENCHMARK.json this prints, per PR in PR order:
 
 A PR's several files (BENCH_9.json, BENCH_9.earlier-1.json, ...) pool
 their pairs. Only sets run with --trace 0 count, since tracing slows the
-end-to-end numbers. Pairs with a failed run on either side are left out,
-as in bench_pairs.py. It reads files only and writes none.
+end-to-end numbers. Medians and wins are bench_pairs.summarize's, so a pair
+with a failed run on either side is left out as it is there. It reads files
+only and writes none.
 """
 
-import argparse
 import json
 import re
-import statistics
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import REPO, directions  # noqa: E402
+from bench_pairs import REPO, directions, summarize  # noqa: E402
 
 NAME = re.compile(r"BENCH_(\d+)(\.[^/]*)?\.json$")
 
@@ -44,55 +43,37 @@ def bench_files() -> dict[int, list[Path]]:
 
 
 def pooled_pairs(docs: list[dict], workload: str) -> list[dict]:
-    """The trace-0 pairs of workload in docs whose two runs both reported."""
+    """The trace-0 pairs of workload in docs."""
     return [p for doc in docs for s in doc["sets"]
-            if s["workload"] == workload and s["trace"] == 0
-            for p in s["pairs"] if p["parent"]["result"] and p["change"]["result"]]
-
-
-def step(pairs: list[dict], metric: str, better: str) -> dict | None:
-    """One PR's ratio and wins for metric, or None when no pair has it."""
-    vals = [(p["parent"]["result"]["metrics"][metric]["value"],
-             p["change"]["result"]["metrics"][metric]["value"])
-            for p in pairs if metric in p["parent"]["result"]["metrics"]]
-    if not vals:
-        return None
-    sign = 1 if better == "higher" else -1
-    parent = statistics.median(v for v, _ in vals)
-    change = statistics.median(v for _, v in vals)
-    return {"pairs": len(vals), "won": sum(sign * (c - p) > 0 for p, c in vals),
-            "ratio": change / parent if parent else None}
+            if s["workload"] == workload and s["trace"] == 0 for p in s["pairs"]]
 
 
 def trajectory(docs_by_pr: dict[int, list[dict]], workload: str, metric: str,
-               better: str) -> list[dict]:
-    """Per PR that measured metric on workload: its step and the running product."""
+               better: dict[str, str]) -> list[dict]:
+    """Per PR that measured metric on workload: its ratio, its wins and the
+    running product."""
     rows, product = [], 1.0
     for pr, docs in docs_by_pr.items():
-        s = step(pooled_pairs(docs, workload), metric, better)
+        s = summarize(pooled_pairs(docs, workload), better).get(metric)
         if s is None:
             continue
-        if s["ratio"] is not None and product is not None:
-            product *= s["ratio"]
-        else:
-            product = None
-        rows.append({"pr": pr, **s, "product": product})
+        parent = s["parent"]["median"]
+        ratio = s["change"]["median"] / parent if parent else None
+        product = product * ratio if ratio is not None and product is not None else None
+        rows.append({"pr": pr, "won": s["change_wins"], "pairs": s["pairs"],
+                     "ratio": ratio, "product": product})
     return rows
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", action="append", help="default: every workload")
-    ap.add_argument("--metric", action="append", help="default: every end-to-end metric")
-    args = ap.parse_args(argv)
+def main() -> int:
     docs_by_pr = {pr: [json.loads(p.read_text()) for p in paths]
                   for pr, paths in bench_files().items()}
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     better = directions()
     fmt = lambda x: "-" if x is None else f"{x:.3f}"  # noqa: E731
-    for workload in args.workload or [w["name"] for w in spec["workloads"]]:
-        for metric in args.metric or [m["name"] for m in spec["end_to_end"]]:
-            rows = trajectory(docs_by_pr, workload, metric, better[metric])
+    for workload in (w["name"] for w in spec["workloads"]):
+        for metric in (m["name"] for m in spec["end_to_end"]):
+            rows = trajectory(docs_by_pr, workload, metric, better)
             if not rows:
                 continue
             print(f"{workload} {metric} ({better[metric]} is better)")

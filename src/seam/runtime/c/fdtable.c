@@ -9,10 +9,10 @@
  * send that does not fit goes out by sendmsg after the held bytes, and a
  * non-blocking socket's sends are never held. Every other host I/O is a
  * flush point (rt_flush_sends): reads, writes to another fd, poll_oneoff,
- * sock_accept/connect/shutdown, closing a socket, switching O_NONBLOCK, and
- * process exit. A failed flush drops the held bytes; the socket's error
- * state answers the guest's next call on it, as it does for bytes the
- * kernel took but could not deliver. */
+ * sched_yield, sock_accept/connect/shutdown, closing a socket, switching
+ * O_NONBLOCK, and process exit. A failed flush drops the held bytes; the
+ * socket's error state answers the guest's next call on it, as it does for
+ * bytes the kernel took but could not deliver. */
 #include "rt.h"
 
 #include <errno.h>
@@ -73,11 +73,15 @@ fd_entry *rt_fd_get(uint32_t fd)
 /* the held bytes to the turn's socket, which stays the turn's */
 static void send_held(void)
 {
-    if (!held)
+    size_t n = held;
+    if (!n)
         return;
+    /* claimed before the send: an exit while it blocks finds nothing held,
+     * so the atexit flush neither repeats bytes nor blocks again */
+    held = 0;
     int scoped = prof_push_inner(P_SOCKET);
-    for (size_t done = 0; done < held;) {
-        ssize_t r = send(turn->host_fd, hold_buf + done, held - done, MSG_NOSIGNAL);
+    for (size_t done = 0; done < n;) {
+        ssize_t r = send(turn->host_fd, hold_buf + done, n - done, MSG_NOSIGNAL);
         if (r > 0)
             done += (size_t)r;
         else if (errno != EINTR)
@@ -85,7 +89,6 @@ static void send_held(void)
     }
     if (scoped)
         prof_pop();
-    held = 0;
 }
 
 void rt_flush_sends(void)

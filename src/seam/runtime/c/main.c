@@ -172,6 +172,13 @@ int main(void)
     pthread_attr_setstack(&attr, guard + GUEST_STACK_GUARD, GUEST_STACK_SIZE);
     if (pthread_create(&guest, &attr, guest_main, NULL) != 0)
         die("cannot start guest thread");
+    /* SIGTERM/SIGINT go to the guest thread, so their exit never runs the
+     * atexit handlers beside a guest call in progress */
+    sigset_t stop;
+    sigemptyset(&stop);
+    sigaddset(&stop, SIGTERM);
+    sigaddset(&stop, SIGINT);
+    pthread_sigmask(SIG_BLOCK, &stop, NULL);
     pthread_join(guest, NULL);
     fflush(NULL);
     return 0;

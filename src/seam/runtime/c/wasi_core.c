@@ -146,6 +146,7 @@ void proc_exit(uint32_t code)
 
 uint32_t wasi_sched_yield(void)
 {
+    rt_flush_sends(); /* the guest gives way: what it sent leaves now */
     return W_SUCCESS;
 }
 

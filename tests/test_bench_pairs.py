@@ -79,8 +79,9 @@ def test_trajectory_pools_each_prs_files_in_pr_order(trajectory):
     assert len(trajectory.pooled_pairs(docs[7], "serve_small")) == 10  # its trace-1 set is out
 
 
-def test_trajectory_product_chains_the_ratios(trajectory):
-    rows = trajectory.trajectory(committed_docs(trajectory), "serve_small", "rps", "higher")
+def test_trajectory_product_chains_the_ratios(trajectory, bench_pairs):
+    rows = trajectory.trajectory(committed_docs(trajectory), "serve_small", "rps",
+                                 bench_pairs.directions())
     assert [r["pr"] for r in rows][:5] == [7, 9, 10, 13, 14]
     product = 1.0
     for r in rows:
@@ -89,18 +90,22 @@ def test_trajectory_product_chains_the_ratios(trajectory):
         assert 0 <= r["won"] <= r["pairs"]
 
 
-def test_trajectory_step_is_the_ratio_of_medians_and_the_wins(trajectory):
+def test_trajectory_row_is_the_ratio_of_medians_and_the_wins(trajectory):
+    """Per PR: bench_pairs.summarize over its pooled trace-0 pairs, without
+    the pair whose parent run failed; the product runs across PRs."""
     pairs = [{"parent": run(rps=p, lat=p), "change": run(rps=c, lat=c)}
              for p, c in [(100, 150), (110, 120), (90, 80)]]
     pairs.append({"parent": {"result": None}, "change": run(rps=1000, lat=1000)})
     docs = [{"sets": [{"workload": "w", "trace": 0, "pairs": pairs},
                       {"workload": "w", "trace": 1, "pairs": pairs[:1] * 5},
                       {"workload": "other", "trace": 0, "pairs": pairs[:1]}]}]
-    pooled = trajectory.pooled_pairs(docs, "w")
-    assert len(pooled) == 3
-    assert trajectory.step(pooled, "rps", "higher") == {"pairs": 3, "won": 2, "ratio": 1.2}
-    assert trajectory.step(pooled, "lat", "lower")["won"] == 1
-    assert trajectory.step(pooled, "absent", "lower") is None
+    assert len(trajectory.pooled_pairs(docs, "w")) == 4
+    better = {"rps": "higher", "lat": "lower"}
+    rps = trajectory.trajectory({3: docs, 5: docs}, "w", "rps", better)
+    assert rps == [{"pr": 3, "won": 2, "pairs": 3, "ratio": 1.2, "product": 1.2},
+                   {"pr": 5, "won": 2, "pairs": 3, "ratio": 1.2, "product": pytest.approx(1.44)}]
+    assert trajectory.trajectory({3: docs}, "w", "lat", better)[0]["won"] == 1
+    assert trajectory.trajectory({3: docs}, "w", "absent", better) == []
 
 
 def test_trajectory_prints_every_workload_and_writes_no_file(trajectory, capsys):
@@ -108,7 +113,7 @@ def test_trajectory_prints_every_workload_and_writes_no_file(trajectory, capsys)
         return {p.name: p.stat().st_mtime_ns for p in SCRIPT.parent.parent.glob("BENCH*")}
 
     before = bench_files()
-    assert trajectory.main([]) == 0
+    assert trajectory.main() == 0
     out = capsys.readouterr().out
     for workload in ("serve_small", "serve_large", "kernels", "build"):
         assert f"{workload} rps (higher is better)" in out

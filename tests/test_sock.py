@@ -628,6 +628,7 @@ FLUSH_POINTS = {
     "fd_write_to_stdout": flush_by_stdout,
     "sock_shutdown_wr": lambda rt, lfd, port, cfd, capfd: rt.lib.sock_shutdown(cfd, 2),
     "fd_close": lambda rt, lfd, port, cfd, capfd: rt.lib.fd_close(cfd),
+    "sched_yield": lambda rt, lfd, port, cfd, capfd: rt.lib.sched_yield(),
 }
 
 
@@ -841,3 +842,101 @@ def test_held_send_leaves_on_every_exit_path(tmp_path, how):
             finally:
                 _, err = child.communicate(timeout=30)
             assert child.returncode == EXIT_STATUS[how], (profile, err.decode())
+
+
+def flood_guest(tmp_path, port: int):
+    """A guest that connects to 127.0.0.1:port and, turn after turn, sends
+    one 4-byte record, then three 4 KiB sends of records that are held, then
+    calls sched_yield, which flushes the 12 KiB. Record i is the u32 i, so
+    the stream shows any byte sent twice. Against a peer that does not read,
+    it ends up blocked in a flush."""
+    b = ModuleBuilder()
+    rows = [("sock_open", 3, 1), ("sock_connect", 3, 1), ("sock_send", 5, 1), ("sched_yield", 0, 1)]
+    fn = {name: b.add_import("wasi_snapshot_preview1", name, ["i32"] * n, ["i32"] * r)
+          for name, n, r in rows}
+    b.set_memory(1, 1)
+    # 0: address record; 16: 127.0.0.1; 32, 40: iovecs of 4 B and 4 KiB at
+    # 1024; 200: the socket's fd; 204: so_datalen
+    b.add_data(0, struct.pack("<II", 16, 4) + bytes(8) + socket.inet_aton("127.0.0.1"))
+    b.add_data(32, struct.pack("<IIII", 1024, 4, 1024, 4096))
+    seq, addr, k = 0, 1, 2
+
+    def call(name, *args):
+        return [*args, ("call", fn[name]), ("drop",)]
+
+    def i32(*vs):
+        return [("i32.const", v) for v in vs]
+
+    def fill(records):  # the next `records` sequence numbers at 1024
+        return [*i32(1024), ("local.set", addr), ("loop", None, [
+            ("local.get", addr), ("local.get", seq), ("i32.store", 2, 0),
+            ("local.get", seq), *i32(1), ("i32.add",), ("local.set", seq),
+            ("local.get", addr), *i32(4), ("i32.add",), ("local.tee", addr),
+            *i32(1024 + 4 * records), ("i32.lt_u",), ("br_if", 0)])]
+
+    fd = [("i32.const", 200), ("i32.load", 2, 0)]
+    b.add_func([], [], ["i32"] * 3, [
+        *call("sock_open", *i32(1, 2, 200)),
+        *call("sock_connect", *fd, *i32(0, port)),
+        ("loop", None, [
+            *fill(1), *call("sock_send", *fd, *i32(32, 1, 0, 204)),
+            *i32(3), ("local.set", k),
+            ("loop", None, [
+                *fill(1024), *call("sock_send", *fd, *i32(40, 1, 0, 204)),
+                ("local.get", k), *i32(1), ("i32.sub",), ("local.tee", k), ("br_if", 0)]),
+            *call("sched_yield"),
+            ("br", 0)]),
+    ], export="_start")
+    wasm = tmp_path / "flood.wasm"
+    wasm.write_bytes(b.build())
+    return wasm
+
+
+def wait_all_threads_sleep(pid: int):
+    """Until every thread of pid has slept on two looks 50 ms apart."""
+    deadline, still = time.monotonic() + 20, 0
+    while still < 2:
+        assert time.monotonic() < deadline, "the guest never blocked"
+        time.sleep(0.05)
+        tasks = os.listdir(f"/proc/{pid}/task")
+        states = [open(f"/proc/{pid}/task/{t}/stat").read().rsplit(")", 1)[1].split()[0]
+                  for t in tasks]
+        still = still + 1 if all(st == "S" for st in states) else 0
+
+
+def test_sigterm_while_a_flush_blocks_exits_and_repeats_no_byte(tmp_path):
+    """The peer stops reading, so the guest blocks inside a flush's send.
+    SIGTERM then exits with 143 at once; the exit's flush finds the bytes
+    already claimed, so it neither blocks again nor sends them twice: the
+    stream the peer reads is records 0, 1, 2, ... with none repeated."""
+    with socket.socket() as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(30)
+        exe = tmp_path / "flood"
+        cmd_build(BuildPlan(wasm=flood_guest(tmp_path, listener.getsockname()[1]), output=exe))
+        for profile in ("0", "1"):
+            env = dict(os.environ, SEAM_PROFILE=profile,
+                       SEAM_PROFILE_OUT=str(tmp_path / "profile.json"))
+            child = subprocess.Popen([str(exe)], env=env, stderr=subprocess.PIPE)
+            try:
+                peer, _ = listener.accept()
+                with peer:
+                    wait_all_threads_sleep(child.pid)
+                    child.terminate()
+                    try:
+                        child.wait(timeout=10)
+                    except subprocess.TimeoutExpired:
+                        pytest.fail("SIGTERM did not stop a guest blocked in a flush")
+                    peer.settimeout(30)
+                    stream = bytearray()
+                    while chunk := peer.recv(1 << 20):
+                        stream += chunk
+            finally:
+                child.kill()
+                _, err = child.communicate(timeout=30)
+            assert child.returncode == 128 + 15, (profile, err.decode())
+            n = len(stream) // 4
+            assert n > 4096, "the socket buffers held less than one turn"
+            assert list(struct.unpack(f"<{n}I", stream[:4 * n])) == list(range(n)), profile
