@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="run a built executable")
     r.add_argument("exe", type=Path)
-    r.add_argument("--fs", type=Path, default=None, help="tar image overriding the embedded one")
     r.add_argument("--invoke", default=None, help="call a nullary export instead of _start")
     r.add_argument("--env", action="append", default=[], help="guest env K=V (repeatable)")
 
@@ -74,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--connections", type=int, default=16,
                    help="keep-alive connections, each with one request in flight")
     f.add_argument("--duration", type=float, default=5.0)
-    f.add_argument("--fs", type=Path, default=None)
     f.add_argument("--json", type=Path, default=None)
     return p
 
@@ -108,8 +106,8 @@ def main(argv: list[str] | None = None) -> int:
                                   **{k: timings[k] for k in BUILD_TIMINGS_KEYS}}))
             return EXIT_OK
         if args.command == "run":
-            proc = cmd_run(args.exe, guest_args=guest_args, fs_override=args.fs,
-                           guest_env=args.env, invoke=args.invoke)
+            proc = cmd_run(args.exe, guest_args=guest_args, guest_env=args.env,
+                           invoke=args.invoke)
             return proc.returncode
         if args.command == "bench":
             cfg = LoadConfig(url=args.url, connections=args.connections, duration_s=args.duration)
@@ -123,8 +121,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.url:
                 load = LoadConfig(url=args.url, connections=args.connections,
                                   duration_s=args.duration)
-            report = profile_run(args.exe, load=load, guest_args=guest_args,
-                                 fs_override=args.fs)
+            report = profile_run(args.exe, load=load, guest_args=guest_args)
             print(report.render_table())
             if report.load is not None:
                 print()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..wasm.model import FuncType
 
-# the profile's six buckets, in the order of rt.h's P_* scopes; an ABI row
+# the profile's six buckets, in the order of rt.h's P_* buckets; an ABI row
 # charges its time to one of them
 BUCKETS = ("guest", "wasi", "memory", "timer", "socket", "hostio")
 

@@ -166,15 +166,13 @@ def guest_environ(exe: Path, guest_args: list[str] | None = None,
 
 
 def cmd_run(exe: str | Path, guest_args: list[str] | None = None,
-            fs_override: str | Path | None = None, guest_env: list[str] | None = None,
-            invoke: str | None = None, capture: bool = False) -> subprocess.CompletedProcess:
+            guest_env: list[str] | None = None, invoke: str | None = None,
+            capture: bool = False) -> subprocess.CompletedProcess:
     """Execute a built artifact, forwarding the guest's exit status."""
     exe = Path(exe)
     if not exe.is_file():
         raise SeamError(f"executable not found: {exe}")
     env = dict(os.environ, **guest_environ(exe, guest_args, guest_env))
-    if fs_override is not None:
-        env["SEAM_FS"] = str(fs_override)
     if invoke is not None:
         env["SEAM_INVOKE"] = invoke
     return subprocess.run([str(exe)], env=env, capture_output=capture, text=capture)

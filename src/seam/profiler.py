@@ -104,7 +104,6 @@ def _wait_for_port(host: str, port: int, timeout_s: float, proc: subprocess.Pope
 
 def profile_run(exe: str | Path, load: LoadConfig | None = None,
                 guest_args: list[str] | None = None,
-                fs_override: str | Path | None = None,
                 timeout_s: float = 120.0) -> ProfileReport:
     """Run an executable with profiling enabled; optionally drive HTTP load
     against it (server mode) while it runs."""
@@ -116,8 +115,6 @@ def profile_run(exe: str | Path, load: LoadConfig | None = None,
         env = dict(os.environ, **guest_environ(exe, guest_args))
         env["SEAM_PROFILE"] = "1"
         env["SEAM_PROFILE_OUT"] = str(report_path)
-        if fs_override is not None:
-            env["SEAM_FS"] = str(fs_override)
 
         if load is None:
             proc = subprocess.run([str(exe)], env=env, timeout=timeout_s,

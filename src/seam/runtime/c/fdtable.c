@@ -79,7 +79,7 @@ static void send_held(void)
     /* claimed before the send: an exit while it blocks finds nothing held,
      * so the atexit flush neither repeats bytes nor blocks again */
     held = 0;
-    int scoped = prof_push_inner(P_SOCKET);
+    int was = prof_enter(P_SOCKET);
     for (size_t done = 0; done < n;) {
         ssize_t r = send(turn->host_fd, hold_buf + done, n - done, MSG_NOSIGNAL);
         if (r > 0)
@@ -87,8 +87,7 @@ static void send_held(void)
         else if (errno != EINTR)
             break;
     }
-    if (scoped)
-        prof_pop();
+    prof_enter(was);
 }
 
 void rt_flush_sends(void)
@@ -129,8 +128,9 @@ static ssize_t iov_syscall(const fd_entry *e, int out, struct iovec *iov, uint32
     return out ? sendmsg(e->host_fd, &m, flags | MSG_NOSIGNAL) : recvmsg(e->host_fd, &m, flags);
 }
 
-uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int flags,
-                     uint32_t *moved)
+/* inlined into rt_iov_xfer, so that with profiling off its charge adds no call */
+static inline __attribute__((always_inline)) uint32_t
+iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int flags, uint32_t *moved)
 {
     struct iovec iov[IOV_MAX];
     int nonblock = (e->fdflags & FDFLAG_NONBLOCK) != 0;
@@ -187,6 +187,17 @@ uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int
     }
     *moved = (uint32_t)total;
     return W_SUCCESS;
+}
+
+/* the whole transfer, held sends and flush included, is host I/O: socket
+ * on a socket, hostio on any other fd */
+uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int flags,
+                     uint32_t *moved)
+{
+    int was = prof_enter(e->kind == FK_SOCKET ? P_SOCKET : P_HOSTIO);
+    uint32_t r = iov_xfer(e, out, iovs, iovs_len, flags, moved);
+    prof_enter(was);
+    return r;
 }
 
 /* Split the variable var at sep into out, keeping the pieces in buf; a

@@ -1,8 +1,8 @@
 /* Executable entry: boot the libOS pieces, then hand control to the linked
  * guest exactly once.
  *
- * Boot order: linear memory from wasm_memory_spec, tar filesystem (SEAM_FS
- * override or the embedded fs_image_* symbols), fd table with stdio and the
+ * Boot order: linear memory from wasm_memory_spec, tar filesystem (the
+ * embedded fs_image_* symbols, or an empty root), fd table with stdio and the
  * "/" preopen, guest args/env, then wasm_init and wasm__start on a dedicated
  * big-stack thread. SEAM_INVOKE=<export> calls a nullary export instead of
  * _start and prints its result bits.
@@ -52,22 +52,6 @@ static void on_signal(int sig)
 
 static void mount_fs(void)
 {
-    const char *override = getenv("SEAM_FS");
-    if (override && *override) {
-        FILE *f = fopen(override, "rb");
-        if (!f)
-            die("cannot open SEAM_FS tar image");
-        fseek(f, 0, SEEK_END);
-        long sz = ftell(f);
-        fseek(f, 0, SEEK_SET);
-        uint8_t *buf = malloc(sz > 0 ? (size_t)sz : 1);
-        if (!buf || (sz > 0 && fread(buf, 1, (size_t)sz, f) != (size_t)sz))
-            die("cannot read SEAM_FS tar image");
-        fclose(f);
-        if (rt_fs_mount(buf, (uint64_t)sz) != 0)
-            die("corrupt tar image (SEAM_FS)");
-        return;
-    }
     if (&fs_image_size != NULL && fs_image_start != NULL && fs_image_size > 0) {
         if (rt_fs_mount(fs_image_start, fs_image_size) != 0)
             die("corrupt embedded tar image");
@@ -124,7 +108,7 @@ static void *guest_main(void *arg)
     const char *invoke = getenv("SEAM_INVOKE");
     if (rt_fault_install() != 0)
         die("cannot install the trap handler");
-    prof_push(P_GUEST);
+    prof_enter(P_GUEST);
     wasm_init();
     if (invoke && *invoke) {
         if (!&wasm_exports_count)
@@ -132,7 +116,7 @@ static void *guest_main(void *arg)
         for (uint32_t i = 0; i < wasm_exports_count; i++) {
             if (strcmp(wasm_exports[i].name, invoke) == 0) {
                 print_result(wasm_exports[i].sig, wasm_exports[i].fn);
-                prof_pop();
+                prof_enter(P_NONE);
                 return NULL;
             }
         }
@@ -142,7 +126,7 @@ static void *guest_main(void *arg)
     if (!wasm__start)
         die("guest has no _start export; use SEAM_INVOKE=<export>");
     wasm__start();
-    prof_pop();
+    prof_enter(P_NONE);
     return NULL;
 }
 

@@ -58,7 +58,7 @@ uint8_t *memory_base(void)
 
 uint32_t memory_grow(uint32_t delta_pages)
 {
-    prof_push(P_MEMORY);
+    int was = prof_enter(P_MEMORY);
     uint32_t prev = (uint32_t)lm_committed;
     if (delta_pages != 0) {
         /* fresh anonymous pages read as zero once committed */
@@ -69,7 +69,7 @@ uint32_t memory_grow(uint32_t delta_pages)
         else
             prev = 0xffffffffu;
     }
-    prof_pop();
+    prof_enter(was);
     return prev;
 }
 

@@ -168,15 +168,21 @@ extern int rt_envc;
 extern const char *rt_envv[RT_MAX_ARGS];
 
 /* ---- profiling ---- */
-/* in the order of seam.codegen.symbols.BUCKETS; a row's scope is P_<its bucket> */
-enum { P_GUEST = 0, P_WASI, P_MEMORY, P_TIMER, P_SOCKET, P_HOSTIO, P_NBUCKETS };
+/* in the order of seam.codegen.symbols.BUCKETS; P_NONE, no bucket, is boot
+ * and teardown (profile.c) */
+enum { P_GUEST = 0, P_WASI, P_MEMORY, P_TIMER, P_SOCKET, P_HOSTIO, P_NBUCKETS,
+       P_NONE = P_NBUCKETS };
 void prof_init(void);
-void prof_push(int bucket);
-void prof_pop(void);
-/* prof_push where the discipline lets an inner scope open; 1 if it did */
-int prof_push_inner(int bucket);
+/* makes b the current bucket and returns the one it replaced */
+int prof_switch(int b);
 /* hidden: read by every ABI entry, so one rip-relative load, not a GOT hop */
 extern int prof_on __attribute__((visibility("hidden")));
+/* int was = prof_enter(P_X); ... prof_enter(was); charges the stretch to
+ * P_X; with profiling off it costs one load and one branch */
+static inline int prof_enter(int b)
+{
+    return __builtin_expect(prof_on, 0) ? prof_switch(b) : b;
+}
 
 /* ---- misc ---- */
 uint32_t rt_errno_to_wasi(int err);

@@ -10,7 +10,8 @@
  * (32 KiB, at most half full), probed linearly, each hit confirmed with
  * strcmp. So a lookup costs one hash and about one strcmp, and a mount is
  * linear in its entries. The table is cleared at the start of every mount,
- * because a process may mount more than once (SEAM_FS, the tests). */
+ * because a process may mount more than once (the tests, through the shared
+ * library). */
 #include "rt.h"
 
 #include <stdio.h>

@@ -124,7 +124,7 @@ uint32_t wasi_random_get(uint32_t buf, uint32_t len)
 {
     uint8_t *p = lm_ptr(buf, len);
     uint32_t r = W_SUCCESS;
-    prof_push(P_HOSTIO);
+    int was = prof_enter(P_HOSTIO);
     for (uint32_t done = 0; done < len;) {
         ssize_t n = getrandom(p + done, len - done, 0);
         if (n >= 0)
@@ -134,7 +134,7 @@ uint32_t wasi_random_get(uint32_t buf, uint32_t len)
             break;
         }
     }
-    prof_pop();
+    prof_enter(was);
     return r;
 }
 
@@ -157,9 +157,7 @@ static uint32_t stdio_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_le
                            uint32_t count_out)
 {
     uint32_t n;
-    prof_push(P_HOSTIO);
     uint32_t r = rt_iov_xfer(e, out, iovs, iovs_len, 0, &n);
-    prof_pop();
     if (r == W_SUCCESS)
         lm_set_u32(count_out, n);
     return r;
@@ -170,12 +168,8 @@ uint32_t wasi_fd_write(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t n
     fd_entry *e = rt_fd_get(fd);
     if (!e)
         return W_BADF;
-    if (e->kind == FK_SOCKET) {
-        prof_push(P_SOCKET);
-        uint32_t r = wasi_sock_send(fd, iovs, iovs_len, 0, nwritten);
-        prof_pop();
-        return r;
-    }
+    if (e->kind == FK_SOCKET)
+        return wasi_sock_send(fd, iovs, iovs_len, 0, nwritten);
     if (e->kind == FK_STDIO)
         return stdio_xfer(e, 1, iovs, iovs_len, nwritten);
     return e->kind == FK_TARFILE ? W_ROFS : W_ISDIR;
@@ -188,9 +182,7 @@ uint32_t wasi_fd_read(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nr
         return W_BADF;
     if (e->kind == FK_SOCKET) {
         uint32_t n;
-        prof_push(P_SOCKET);
         uint32_t r = rt_sock_recv(fd, iovs, iovs_len, 0, &n);
-        prof_pop();
         if (r == W_SUCCESS)
             lm_set_u32(nread, n);
         return r;
@@ -225,9 +217,9 @@ uint32_t wasi_fd_close(uint32_t fd)
         return fd <= 2 ? W_SUCCESS : W_BADF;
     if (e->kind == FK_SOCKET && e->host_fd >= 0) {
         rt_flush_sends();
-        prof_push(P_HOSTIO);
+        int was = prof_enter(P_HOSTIO);
         close(e->host_fd);
-        prof_pop();
+        prof_enter(was);
     }
     memset(e, 0, sizeof *e);
     return W_SUCCESS;

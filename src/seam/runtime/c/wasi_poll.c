@@ -152,11 +152,11 @@ uint32_t wasi_poll_oneoff(uint32_t subs_addr, uint32_t events_addr, uint32_t nsu
         int rc;
         /* waiting on socket readiness is packet-path time (the lwIP/RX
          * analog); a pure clock sleep is timer; other fds are host I/O */
-        prof_push(npfd == 0 ? P_TIMER : (any_socket ? P_SOCKET : P_HOSTIO));
+        int was = prof_enter(npfd == 0 ? P_TIMER : (any_socket ? P_SOCKET : P_HOSTIO));
         do {
             rc = poll(npfd ? pfds : NULL, (nfds_t)npfd, timeout_ms);
         } while (rc < 0 && errno == EINTR);
-        prof_pop();
+        prof_enter(was);
         if (rc < 0)
             return rt_errno_to_wasi(errno);
 

@@ -28,13 +28,13 @@ from seam.profiler import profile_run
 from seam.runtime import (
     C_DIR,
     CFLAGS,
+    SOURCES,
     abi_header,
     link_image,
     runtime_entry,
     runtime_image,
     runtime_objects,
 )
-from seam.tarfs import pack_dir
 from seam.wasm.model import FuncType
 
 from wasmgen import ModuleBuilder, empty_module
@@ -162,17 +162,6 @@ def test_build_with_fs_embeds_image(guest_wasm, www_dir, tmp_path, capfd):
     assert proc.stdout == (www_dir / "index.html").read_text()
 
 
-def test_run_fs_override(built, www_dir, tmp_path):
-    alt = tmp_path / "alt"
-    alt.mkdir()
-    (alt / "index.html").write_text("override wins\n")
-    tar = tmp_path / "alt.tar"
-    tar.write_bytes(pack_dir(alt))
-    proc = cmd_run(built["readfile"], fs_override=tar, capture=True)
-    assert proc.returncode == 0
-    assert proc.stdout == "override wins\n"
-
-
 def cat_guest(tmp_path, name: str):
     """A guest that prints the first 64 bytes of the tar file `name`, or exits
     with path_open's errno."""
@@ -216,22 +205,19 @@ def test_fs_build_keeps_intermediates_at_any_output_path(www_dir, tmp_path, name
     assert proc.stdout == (www_dir / "index.html").read_text()
 
 
-def test_seam_fs_overrides_the_embedded_image_at_boot(www_dir, tmp_path):
+def test_corrupt_embedded_image_exits_1_at_boot(www_dir, tmp_path):
     exe = tmp_path / "cat"
-    cmd_build(BuildPlan(wasm=cat_guest(tmp_path, "index.html"), output=exe, fs_dir=www_dir))
-    alt = tmp_path / "alt"
-    alt.mkdir()
-    (alt / "index.html").write_text("override wins\n")
-    tar = tmp_path / "alt.tar"
-    tar.write_bytes(pack_dir(alt))
-    proc = cmd_run(exe, fs_override=tar, capture=True)
-    assert (proc.returncode, proc.stdout) == (0, "override wins\n")
-    image = bytearray(tar.read_bytes())
-    image[0] ^= 0xFF  # the header checksum no longer matches
-    tar.write_bytes(image)
-    proc = cmd_run(exe, fs_override=tar, capture=True)
+    cmd_build(BuildPlan(wasm=cat_guest(tmp_path, "index.html"), output=exe, fs_dir=www_dir,
+                        keep_intermediates=True))
+    image = (tmp_path / "cat.build" / "fs.tar").read_bytes()
+    data = bytearray(exe.read_bytes())
+    at = data.find(image)
+    assert at >= 0
+    data[at] ^= 0xFF  # the first header's checksum no longer matches
+    exe.write_bytes(data)
+    proc = cmd_run(exe, capture=True)
     assert proc.returncode == 1
-    assert "seam-rt: corrupt tar image (SEAM_FS)" in proc.stderr
+    assert "seam-rt: corrupt embedded tar image" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -362,6 +348,14 @@ def test_cc_checks_each_body_against_its_row(tmp_path, monkeypatch):
     proc = syntax_check()
     assert proc.returncode != 0
     assert "conflicting types" in proc.stderr and "wasi_fd_write" in proc.stderr
+
+
+def test_runtime_builds_without_a_warning(tmp_path):
+    (tmp_path / "abi.h").write_text(abi_header())
+    proc = subprocess.run(["cc", *CFLAGS, "-Werror", f"-I{tmp_path}", "-c",
+                           *(str(C_DIR / name) for name in SOURCES)],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_warm_runtime_objects_start_no_subprocess(monkeypatch):

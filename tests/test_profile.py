@@ -94,10 +94,11 @@ def test_profiling_overhead_documented(built, capsys):
 
 
 def test_every_scope_kind_keeps_the_discipline(tmp_path):
-    """A guest built without clang opens every kind of scope: row scopes of
-    each bucket (wasi, timer, socket), hostio inside random_get and stdio
-    fd_write, timer inside poll_oneoff's clock sleep, and memory. A scope
-    out of discipline aborts the run, and then no report is written."""
+    """A guest built without clang enters every bucket: the rows of each
+    bucket (wasi, timer, socket), hostio in random_get and in rt_iov_xfer's
+    stdio fd_write, timer in poll_oneoff's clock sleep, and memory. Every
+    nanosecond of the run is charged to exactly one bucket or to
+    unattributed, so they sum to the total exactly."""
     b = ModuleBuilder()
     wasi = {name: b.add_import("wasi_snapshot_preview1", name, params, ["i32"])
             for name, params in [("random_get", ["i32"] * 2), ("fd_write", ["i32"] * 4),
@@ -123,3 +124,4 @@ def test_every_scope_kind_keeps_the_discipline(tmp_path):
     report = profile_run(tmp_path / "scopes")
     assert report.buckets["timer"] >= 2_000_000
     assert all(report.buckets[k] > 0 for k in BUCKETS), report.buckets
+    assert sum(report.buckets.values()) + report.unattributed_ns == report.total_ns
