@@ -50,6 +50,22 @@ GLOBAL_CTYPE = {"i32": "uint32_t", "i64": "uint64_t", "f32": "uint32_t", "f64": 
 _GLOBAL_GET = {"i32": "{}", "i64": "{}", "f32": "sr_f32_frombits({})", "f64": "sr_f64_frombits({})"}
 _GLOBAL_SET = {"i32": "{}", "i64": "{}", "f32": "sr_f32_tobits({})", "f64": "sr_f64_tobits({})"}
 
+
+def c_params(sig: FuncType, arg: str | None = "a", budget: bool = False) -> str:
+    """The C parameter list of a Wasm signature: parameter j is named
+    {arg}{j}, or unnamed when arg is None; budget puts the call-depth
+    budget (uint32_t sr_d) first; no parameters is (void)."""
+    params = [CTYPE[t] + (f" {arg}{j}" if arg else "") for j, t in enumerate(sig.params)]
+    if budget:
+        params.insert(0, "uint32_t sr_d" if arg else "uint32_t")
+    return f"({', '.join(params) or 'void'})"
+
+
+def c_decl(sig: FuncType, name: str, arg: str | None = "a", budget: bool = False) -> str:
+    """`rett name(params)` for a Wasm signature, the parameters as c_params gives them."""
+    return f"{CTYPE[sig.results[0]] if sig.results else 'void'} {name}{c_params(sig, arg, budget)}"
+
+
 TRAP_OOB = 1
 TRAP_UNREACHABLE = 4
 TRAP_CALL_TYPE = 5
@@ -569,13 +585,11 @@ class _FuncEmitter:
     # -- whole function -----------------------------------------------------
 
     def emit_func(self) -> str:
-        params = ", ".join(["uint32_t sr_d", *(f"{CTYPE[t]} l{i}" for i, t in enumerate(self.ftype.params))])
-        rett = CTYPE[self.ftype.results[0]] if self.ftype.results else "void"
         # each call_indirect target starts its own 32-byte fetch window:
         # small table functions packed at 16-byte offsets ran an indirect-call
         # loop ~10% slower on x86_64
         align = "__attribute__((aligned(32))) " if self.func_index in self.gen.table_funcs else ""
-        head = f"{align}static {rett} wf{self.func_index}({params}) {{"
+        head = f"{align}static {c_decl(self.ftype, f'wf{self.func_index}', 'l', budget=True)} {{"
         self.line(f"if (sr_d == 0u) runtime_trap({TRAP_STACK}u);")
         if self.uses_mem:
             self.line("uint8_t *const mb = memory_base();")
@@ -675,10 +689,7 @@ class CGen:
             if imp.name in declared:
                 continue
             declared.append(imp.name)
-            sig = m.types[imp.type_index]
-            rett = CTYPE[sig.results[0]] if sig.results else "void"
-            args = ", ".join(CTYPE[p] for p in sig.params) or "void"
-            parts.append(f"extern {rett} {imp.name}({args});")
+            parts.append(f"extern {c_decl(m.types[imp.type_index], imp.name, None)};")
         if declared:
             refs = ", ".join(f"(void *)&{n}" for n in declared)
             parts.append(
@@ -690,10 +701,8 @@ class CGen:
         thunks = {self.table_fn(fi): fi for fi in sorted(self.table_funcs) if fi < m.num_imported_funcs}
         for thunk, fi in thunks.items():
             sig = m.func_type(fi)
-            rett = CTYPE[sig.results[0]] if sig.results else "void"
-            params = ", ".join(["uint32_t sr_d", *(f"{CTYPE[p]} a{j}" for j, p in enumerate(sig.params))])
             call = self.call_expr(fi, "", [f"a{j}" for j in range(len(sig.params))])
-            parts.append(f"static {rett} {thunk}({params}) "
+            parts.append(f"static {c_decl(sig, thunk, budget=True)} "
                          f"{{ (void)sr_d; {'return ' if sig.results else ''}{call}; }}")
 
         for i, g in enumerate(m.globals):
@@ -701,10 +710,7 @@ class CGen:
             parts.append(f"{qual}{GLOBAL_CTYPE[g.valtype]} g{i} = {_const_bits(g.init)};")
         for i in range(len(m.functions)):
             fi = m.num_imported_funcs + i
-            ftype = m.func_type(fi)
-            rett = CTYPE[ftype.results[0]] if ftype.results else "void"
-            args = ", ".join(["uint32_t", *(CTYPE[p] for p in ftype.params)])
-            parts.append(f"static {rett} wf{fi}({args});")
+            parts.append(f"static {c_decl(m.func_type(fi), f'wf{fi}', None, budget=True)};")
 
         funcs = [_FuncEmitter(self, m.num_imported_funcs + i).emit_func() for i in range(len(m.functions))]
         parts.extend(self._emit_tables())
@@ -723,15 +729,13 @@ class CGen:
         sigs = {tid: sig for sig, tid in self.vm.type_ids.items()}
         for tid in sorted(self.indirect_tids):
             sig = sigs[tid]
-            rett = CTYPE[sig.results[0]] if sig.results else "void"
-            params = ", ".join(["uint32_t sr_d", *(f"{CTYPE[p]} a{j}" for j, p in enumerate(sig.params))])
-            argts = ", ".join(["uint32_t", *(CTYPE[p] for p in sig.params)])
-            parts.append(f"__attribute__((cold)) static {rett} sr_nofn{tid}({params}) "
+            parts.append(f"__attribute__((cold)) static {c_decl(sig, f'sr_nofn{tid}', budget=True)} "
                          f"{{ (void)sr_d; runtime_trap({TRAP_CALL_TYPE}u); }}")
             fill = [self.table_fn(fi) if fi is not None and self.vm.type_ids[self.m.func_type(fi)] == tid
                     else f"sr_nofn{tid}" for fi in self.slots] or [f"sr_nofn{tid}"]
             rows = ",\n    ".join(", ".join(fill[k:k + 8]) for k in range(0, len(fill), 8))
-            parts.append(f"static {rett} (*const sr_tab{tid}[{len(fill)}])({argts}) = {{\n    {rows},\n}};")
+            table = c_decl(sig, f"(*const sr_tab{tid}[{len(fill)}])", None, budget=True)
+            parts.append(f"static {table} = {{\n    {rows},\n}};")
         return parts
 
     def _emit_data(self) -> list[str]:
@@ -792,16 +796,15 @@ class CGen:
             if "\0" in name:
                 raise CodegenError(f"export {name!r} holds U+0000, which no ELF symbol name can")
             sig = m.func_type(idx)
-            rett = CTYPE[sig.results[0]] if sig.results else "void"
-            argdecl = ", ".join(f"{CTYPE[p]} a{j}" for j, p in enumerate(sig.params)) or "void"
             call = self.call_expr(idx, f"{CALL_DEPTH_LIMIT}u", [f"a{j}" for j in range(len(sig.params))])
             alias = f"sr_exp_{_mangle(name)}"
             # exotic export names need GAS quoted-symbol syntax in the label:
             # escaped for the assembler first, then for the C string around it
             gas = sym.replace("\\", "\\\\").replace('"', '\\"')
             label = sym if _is_c_ident(sym) else f'\\"{_c_string(gas)[1:-1]}\\"'
-            parts.append(f'{rett} {alias}({argdecl}) __asm__("{label}");')
-            parts.append(f"{rett} {alias}({argdecl}) {{ {'return ' if sig.results else ''}{call}; }}")
+            decl = c_decl(sig, alias)
+            parts.append(f'{decl} __asm__("{label}");')
+            parts.append(f"{decl} {{ {'return ' if sig.results else ''}{call}; }}")
             entries.append(f"{{{_c_string(name)}, {_c_string(_sig_string(sig))}, (void (*)(void)){alias}}}")
         if entries:
             parts.append("const struct sr_export wasm_exports[] = {\n    " + ",\n    ".join(entries) + ",\n};")

@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 from ..codegen.compile import CC
-from ..codegen.ctext import CTYPE
+from ..codegen.ctext import c_decl, c_params
 from ..codegen.symbols import ABI, BUCKET, NOSYS
 from ..errors import LinkError, SeamError, ToolchainMissing
 
@@ -76,26 +76,20 @@ def abi_header() -> str:
     X(name, bucket, (params), (args)) per row with a bucket. Only abi.c and
     the wasi_*.c units include it: libc declares `int sched_yield(void)`,
     which clashes with the row."""
-    def params(sig) -> str:
-        return "(" + (", ".join(f"{CTYPE[t]} a{i}" for i, t in enumerate(sig.params)) or "void") + ")"
-
     def args(sig) -> str:
         return "(" + ", ".join(f"a{i}" for i in range(len(sig.params))) + ")"
-
-    def proto(name, sig) -> str:
-        return f"{CTYPE[sig.results[0]] if sig.results else 'void'} {name}{params(sig)};"
 
     def xmacro(name, rows) -> list[str]:
         return [f"#define {name}(X) \\", " \\\n".join(f"    X({row})" for row in rows)]
 
-    stubs = [f"{name}, {params(sig)}" for name, sig in ABI.items() if name in NOSYS]
-    entries = [f"{name}, P_{bucket.upper()}, {params(ABI[name])}, {args(ABI[name])}"
+    stubs = [f"{name}, {c_params(sig)}" for name, sig in ABI.items() if name in NOSYS]
+    entries = [f"{name}, P_{bucket.upper()}, {c_params(ABI[name])}, {args(ABI[name])}"
                for name, bucket in BUCKET.items()]
     return "\n".join([
         "/* generated from seam.codegen.symbols.ABI */",
         "#ifndef SEAM_ABI_H", "#define SEAM_ABI_H", "#include <stdint.h>",
-        *(proto(name, sig) for name, sig in ABI.items()),
-        *(proto(f"wasi_{name}", ABI[name]) for name in BUCKET),
+        *(f"{c_decl(sig, name)};" for name, sig in ABI.items()),
+        *(f"{c_decl(ABI[name], f'wasi_{name}')};" for name in BUCKET),
         *xmacro("SEAM_ABI_NOSYS", stubs), *xmacro("SEAM_ABI_ENTRIES", entries),
         "#endif", "",
     ])

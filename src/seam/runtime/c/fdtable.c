@@ -1,5 +1,5 @@
 /* The fd table, guest args/env, and the one path by which a WASI call moves
- * a guest iovec array through a host fd.
+ * a guest iovec array through an fd of any kind.
  *
  * That path holds small sends back, as a unikernel's TCP stack does until
  * it next runs. A turn is the stretch between two flush points. A turn's
@@ -189,14 +189,48 @@ iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int flags, uint
     return W_SUCCESS;
 }
 
-/* the whole transfer, held sends and flush included, is host I/O: socket
- * on a socket, hostio on any other fd */
-uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int flags,
-                     uint32_t *moved)
+/* a tar file's next bytes into the guest iovecs, up to the first one left
+ * short; no host I/O, so neither charged nor a flush point */
+static uint32_t tar_read(fd_entry *e, uint32_t iovs, uint32_t iovs_len)
 {
-    int was = prof_enter(e->kind == FK_SOCKET ? P_SOCKET : P_HOSTIO);
-    uint32_t r = iov_xfer(e, out, iovs, iovs_len, flags, moved);
-    prof_enter(was);
+    uint64_t total = 0;
+    for (uint32_t i = 0; i < iovs_len; i++) {
+        uint32_t buf = lm_get_u32(iovs + 8 * i);
+        uint32_t len = lm_get_u32(iovs + 8 * i + 4);
+        uint8_t *p = lm_ptr(buf, len);
+        uint64_t avail = e->node->size - e->cursor;
+        uint64_t take = len < avail ? len : avail;
+        memcpy(p, e->node->content + e->cursor, (size_t)take);
+        e->cursor += take;
+        total += take;
+        if (take < len)
+            break;
+    }
+    return (uint32_t)total;
+}
+
+uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int flags,
+                     uint32_t count_out)
+{
+    uint32_t r = W_SUCCESS, n;
+    if (e->kind == FK_TARDIR)
+        return W_ISDIR;
+    if (e->kind == FK_TARFILE) {
+        if (out)
+            return W_ROFS;
+        n = tar_read(e, iovs, iovs_len);
+    } else if (e->kind == FK_SOCKET && e->sstate != SS_CONNECTED
+               && (out || e->sstate != SS_SHUT)) {
+        return W_NOTCONN;
+    } else {
+        /* the whole transfer, held sends and flush included, is host I/O:
+         * socket on a socket, hostio on stdio */
+        int was = prof_enter(e->kind == FK_SOCKET ? P_SOCKET : P_HOSTIO);
+        r = iov_xfer(e, out, iovs, iovs_len, flags, &n);
+        prof_enter(was);
+    }
+    if (r == W_SUCCESS)
+        lm_set_u32(count_out, n);
     return r;
 }
 

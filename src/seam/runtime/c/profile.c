@@ -16,8 +16,9 @@
  * (wasi, timer or socket) in the row's generated entry in abi.c;
  * memory_grow enters "memory". Host I/O is charged where it happens:
  * rt_iov_xfer charges a whole transfer to "socket" on a socket and to
- * "hostio" on any other fd, and the send of held bytes (fdtable.c) is
- * "socket" wherever it runs. random_get's getrandom and fd_close's close of
+ * "hostio" on stdio, and the send of held bytes (fdtable.c) is "socket"
+ * wherever it runs. A tar file read does no host I/O: its copy stays with
+ * the calling row's bucket, "wasi". random_get's getrandom and fd_close's close of
  * a socket are "hostio"; poll_oneoff's poll(2) wait is "timer" (clocks
  * only), "socket" (any socket) or "hostio" (other fds). The unikernel
  * analogy: "socket" stands in for lwIP packet processing, "hostio" for the

@@ -145,19 +145,20 @@ int rt_fd_set_nonblock(fd_entry *e, int nonblock);
 /* ends the turn: sends the bytes rt_iov_xfer holds for the turn's socket */
 void rt_flush_sends(void);
 
-/* Moves bytes between e's host fd and the guest iovec array at iovs (out:
- * guest to host) with one sendmsg/recvmsg (sockets) or writev/readv (other
- * fds) per IOV_MAX iovecs, after every (buf, len) has passed lm_ptr; a
- * later small send of the turn is held instead (fdtable.c). A
- * blocking write continues after short writes until all is sent; reads and
- * non-blocking writes stop at the first short transfer; EINTR is retried
- * only on blocking fds. *moved gets the byte count, and once a byte has
- * moved the result is W_SUCCESS, never an errno. */
+/* The one transfer between the guest iovec array at iovs and an fd of any
+ * kind (out: guest to host); on W_SUCCESS the byte count goes to the guest
+ * u32 at count_out. A directory answers ISDIR and a tar file ROFS to a
+ * write; a socket sends only when connected, and receives when connected
+ * or shut down, else NOTCONN. A tar file read is a copy from the image, and
+ * neither charged to a bucket nor a flush point. Any other fd moves bytes
+ * by one sendmsg/recvmsg (sockets) or writev/readv (stdio) per IOV_MAX
+ * iovecs, after every (buf, len) has passed lm_ptr; a later small send of
+ * the turn is held instead (fdtable.c). A blocking write continues after
+ * short writes until all is sent; reads and non-blocking writes stop at the
+ * first short transfer; EINTR is retried only on blocking fds. Once a byte
+ * has moved the result is W_SUCCESS, never an errno. */
 uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int flags,
-                     uint32_t *moved);
-uint32_t rt_sock_recv(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t ri_flags,
-                      uint32_t *nread); /* sock_recv without its out-cells */
-uint64_t rt_sock_readable_bytes(fd_entry *e); /* bytes buffered for reading */
+                     uint32_t count_out);
 
 /* ---- guest args/env ---- */
 #define RT_MAX_ARGS 64

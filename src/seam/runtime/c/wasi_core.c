@@ -152,60 +152,16 @@ uint32_t wasi_sched_yield(void)
 
 /* ---- fd operations ---- */
 
-/* fd_read/fd_write on a stdio fd; out: guest to host */
-static uint32_t stdio_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len,
-                           uint32_t count_out)
-{
-    uint32_t n;
-    uint32_t r = rt_iov_xfer(e, out, iovs, iovs_len, 0, &n);
-    if (r == W_SUCCESS)
-        lm_set_u32(count_out, n);
-    return r;
-}
-
 uint32_t wasi_fd_write(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nwritten)
 {
     fd_entry *e = rt_fd_get(fd);
-    if (!e)
-        return W_BADF;
-    if (e->kind == FK_SOCKET)
-        return wasi_sock_send(fd, iovs, iovs_len, 0, nwritten);
-    if (e->kind == FK_STDIO)
-        return stdio_xfer(e, 1, iovs, iovs_len, nwritten);
-    return e->kind == FK_TARFILE ? W_ROFS : W_ISDIR;
+    return e ? rt_iov_xfer(e, 1, iovs, iovs_len, 0, nwritten) : W_BADF;
 }
 
 uint32_t wasi_fd_read(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t nread)
 {
     fd_entry *e = rt_fd_get(fd);
-    if (!e)
-        return W_BADF;
-    if (e->kind == FK_SOCKET) {
-        uint32_t n;
-        uint32_t r = rt_sock_recv(fd, iovs, iovs_len, 0, &n);
-        if (r == W_SUCCESS)
-            lm_set_u32(nread, n);
-        return r;
-    }
-    if (e->kind == FK_STDIO)
-        return stdio_xfer(e, 0, iovs, iovs_len, nread);
-    if (e->kind == FK_TARDIR)
-        return W_ISDIR;
-    uint64_t total = 0;
-    for (uint32_t i = 0; i < iovs_len; i++) {
-        uint32_t buf = lm_get_u32(iovs + 8 * i);
-        uint32_t len = lm_get_u32(iovs + 8 * i + 4);
-        uint8_t *p = lm_ptr(buf, len);
-        uint64_t avail = e->node->size - e->cursor;
-        uint64_t take = len < avail ? len : avail;
-        memcpy(p, e->node->content + e->cursor, (size_t)take);
-        e->cursor += take;
-        total += take;
-        if (take < len)
-            break;
-    }
-    lm_set_u32(nread, (uint32_t)total);
-    return W_SUCCESS;
+    return e ? rt_iov_xfer(e, 0, iovs, iovs_len, 0, nread) : W_BADF;
 }
 
 uint32_t wasi_fd_close(uint32_t fd)

@@ -3,156 +3,124 @@
  *
  * Per-subscription failures (bad fd, unsupported clock) become events with
  * that errno rather than failing the call, per the preview1 ABI. Regular
- * tar files are always ready, like POSIX poll on regular files. */
+ * tar files are always ready, like POSIX poll on regular files.
+ *
+ * One pass over the subscriptions, before the wait, writes every event
+ * known at entry (bad clock id or tag, bad fd, tar file, tar directory),
+ * turns each clock into a monotonic deadline (a relative one counts from
+ * entry, an absolute one is converted at entry) and fills the pollfd
+ * array. Each wait then polls once and writes the fds that fired and every
+ * clock that is due, until there is an event. So events come in this
+ * order: those known at entry, then fds, then due clocks, each in
+ * subscription order. Events are written while subscriptions are still
+ * read, so the two arrays must not overlap. */
 #include "rt.h"
 #include "abi.h"
 
 #include <errno.h>
+#include <limits.h>
 #include <poll.h>
 #include <string.h>
+#include <sys/ioctl.h>
 
 #define EVT_CLOCK 0
 #define EVT_FD_READ 1
 #define EVT_FD_WRITE 2
 #define SUBCLOCK_ABSTIME 1
 #define EVTRW_HANGUP 1
+#define MAX_SUBS 128
 
-struct sub {
-    uint64_t userdata;
-    uint8_t tag;
-    uint32_t clock_id;
-    uint64_t timeout;
-    uint16_t clock_flags;
-    uint32_t fd;
-};
-
-static void parse_sub(uint32_t addr, struct sub *s)
+/* the 32-byte event at ev for the 48-byte subscription at sub: its
+ * userdata, and its tag as the event type */
+static void put_event(uint8_t *ev, const uint8_t *sub, uint16_t werrno, uint64_t nbytes,
+                      uint16_t flags)
 {
-    const uint8_t *p = lm_ptr(addr, 48);
-    memcpy(&s->userdata, p, 8);
-    s->tag = p[8];
-    if (s->tag == EVT_CLOCK) {
-        memcpy(&s->clock_id, p + 16, 4);
-        memcpy(&s->timeout, p + 24, 8);
-        memcpy(&s->clock_flags, p + 40, 2);
-    } else {
-        memcpy(&s->fd, p + 16, 4);
-    }
+    memset(ev, 0, 32);
+    memcpy(ev, sub, 8);
+    memcpy(ev + 8, &werrno, 2);
+    ev[10] = sub[8];
+    memcpy(ev + 16, &nbytes, 8);
+    memcpy(ev + 24, &flags, 2);
 }
 
-static uint32_t put_event(uint32_t events, uint32_t n, uint64_t userdata, uint16_t werrno,
-                          uint8_t type, uint64_t nbytes, uint16_t flags)
+/* bytes buffered for reading on a socket */
+static uint64_t readable_bytes(const fd_entry *e)
 {
-    uint8_t *p = lm_ptr(events + 32 * n, 32);
-    memset(p, 0, 32);
-    memcpy(p, &userdata, 8);
-    memcpy(p + 8, &werrno, 2);
-    p[10] = type;
-    memcpy(p + 16, &nbytes, 8);
-    memcpy(p + 24, &flags, 2);
-    return n + 1;
-}
-
-/* the monotonic-ns deadline of a clock subscription on clock 0 or 1: a
- * relative timeout counts from entry_mono, an absolute one from now_mono */
-static uint64_t clock_deadline(const struct sub *s, uint64_t entry_mono, uint64_t now_mono)
-{
-    if (!(s->clock_flags & SUBCLOCK_ABSTIME))
-        return entry_mono + s->timeout;
-    uint64_t now_clk = rt_now_ns((int)s->clock_id);
-    return now_mono + (s->timeout > now_clk ? s->timeout - now_clk : 0);
+    int avail = 0;
+    if (ioctl(e->host_fd, FIONREAD, &avail) != 0 || avail < 0)
+        return 0;
+    return (uint64_t)avail;
 }
 
 uint32_t wasi_poll_oneoff(uint32_t subs_addr, uint32_t events_addr, uint32_t nsubscriptions,
                           uint32_t nevents_out)
 {
-    if (nsubscriptions == 0 || nsubscriptions > 128)
+    if (nsubscriptions == 0 || nsubscriptions > MAX_SUBS)
         return W_INVAL;
-    lm_ptr(events_addr, 32 * nsubscriptions); /* trap early if out of range */
-
-    struct sub subs[128];
-    for (uint32_t i = 0; i < nsubscriptions; i++)
-        parse_sub(subs_addr + 48 * i, &subs[i]);
+    const uint8_t *subs = lm_ptr(subs_addr, 48 * nsubscriptions);
+    uint8_t *events = lm_ptr(events_addr, 32 * nsubscriptions);
 
     rt_flush_sends(); /* the guest waits: what it sent leaves now */
+    uint64_t now = rt_now_ns(1);
+    uint64_t deadline[MAX_SUBS], earliest = UINT64_MAX; /* monotonic ns */
+    const uint8_t *clock_sub[MAX_SUBS], *pfd_sub[MAX_SUBS];
+    fd_entry *pfd_e[MAX_SUBS];
+    struct pollfd pfds[MAX_SUBS];
     uint32_t n = 0;
-    const uint64_t entry_mono = rt_now_ns(1); /* relative clock subs anchor here */
+    int nclock = 0, npfd = 0, any_socket = 0;
 
-    for (;;) {
-        n = 0;
-        struct pollfd pfds[128];
-        int pfd_sub[128];
-        int fired[128] = {0};
-        int npfd = 0;
-        int any_socket = 0;
-        int have_immediate = 0;
-        uint64_t earliest = UINT64_MAX; /* monotonic-ns deadline */
-        uint64_t now_mono = rt_now_ns(1);
-
-        for (uint32_t i = 0; i < nsubscriptions; i++) {
-            struct sub *s = &subs[i];
-            if (s->tag == EVT_CLOCK) {
-                if (s->clock_id > 1) {
-                    n = put_event(events_addr, n, s->userdata, W_INVAL, EVT_CLOCK, 0, 0);
-                    fired[i] = 1;
-                    have_immediate = 1;
-                    continue;
-                }
-                uint64_t deadline_mono = clock_deadline(s, entry_mono, now_mono);
-                if (deadline_mono <= now_mono) {
-                    n = put_event(events_addr, n, s->userdata, W_SUCCESS, EVT_CLOCK, 0, 0);
-                    fired[i] = 1;
-                    have_immediate = 1;
-                } else if (deadline_mono < earliest) {
-                    earliest = deadline_mono;
-                }
-                continue;
+    for (uint32_t i = 0; i < nsubscriptions; i++) {
+        const uint8_t *s = subs + 48 * i;
+        uint8_t tag = s[8];
+        uint32_t id; /* clock id or fd */
+        memcpy(&id, s + 16, 4);
+        if (tag == EVT_CLOCK && id <= 1) {
+            uint64_t timeout;
+            uint16_t clock_flags;
+            memcpy(&timeout, s + 24, 8);
+            memcpy(&clock_flags, s + 40, 2);
+            if (clock_flags & SUBCLOCK_ABSTIME) {
+                uint64_t now_clk = rt_now_ns((int)id);
+                timeout = timeout > now_clk ? timeout - now_clk : 0;
             }
-            if (s->tag != EVT_FD_READ && s->tag != EVT_FD_WRITE) {
-                n = put_event(events_addr, n, s->userdata, W_INVAL, s->tag, 0, 0);
-                have_immediate = 1;
-                continue;
-            }
-            fd_entry *e = rt_fd_get(s->fd);
-            if (!e) {
-                n = put_event(events_addr, n, s->userdata, W_BADF, s->tag, 0, 0);
-                have_immediate = 1;
-                continue;
-            }
-            if (e->kind == FK_TARFILE) {
-                uint64_t avail = e->node->size - e->cursor;
-                n = put_event(events_addr, n, s->userdata, W_SUCCESS, s->tag, avail, 0);
-                have_immediate = 1;
-                continue;
-            }
-            if (e->kind == FK_TARDIR) {
-                n = put_event(events_addr, n, s->userdata, W_NOTSUP, s->tag, 0, 0);
-                have_immediate = 1;
-                continue;
-            }
-            pfds[npfd].fd = e->host_fd;
-            pfds[npfd].events = (short)(s->tag == EVT_FD_READ ? POLLIN : POLLOUT);
-            pfds[npfd].revents = 0;
-            pfd_sub[npfd] = (int)i;
-            npfd++;
-            if (e->kind == FK_SOCKET)
-                any_socket = 1;
+            clock_sub[nclock] = s;
+            /* saturated: a deadline past the clock's range never comes */
+            deadline[nclock] = timeout < UINT64_MAX - now ? now + timeout : UINT64_MAX;
+            if (deadline[nclock] < earliest)
+                earliest = deadline[nclock];
+            nclock++;
+            continue;
         }
-
-        int timeout_ms;
-        if (have_immediate)
-            timeout_ms = 0;
-        else if (earliest == UINT64_MAX)
-            timeout_ms = -1;
+        fd_entry *e = rt_fd_get(id);
+        if (tag != EVT_FD_READ && tag != EVT_FD_WRITE)
+            put_event(events + 32 * n++, s, W_INVAL, 0, 0);
+        else if (!e)
+            put_event(events + 32 * n++, s, W_BADF, 0, 0);
+        else if (e->kind == FK_TARFILE)
+            put_event(events + 32 * n++, s, W_SUCCESS, e->node->size - e->cursor, 0);
+        else if (e->kind == FK_TARDIR)
+            put_event(events + 32 * n++, s, W_NOTSUP, 0, 0);
         else {
-            uint64_t delta = earliest - now_mono;
-            timeout_ms = (int)((delta + 999999ull) / 1000000ull);
+            pfds[npfd] = (struct pollfd){e->host_fd, tag == EVT_FD_READ ? POLLIN : POLLOUT, 0};
+            pfd_sub[npfd] = s;
+            pfd_e[npfd++] = e;
+            any_socket |= e->kind == FK_SOCKET;
         }
+    }
+    /* waiting on socket readiness is packet-path time (the lwIP/RX analog);
+     * a pure clock sleep is timer; other fds are host I/O */
+    int bucket = npfd == 0 ? P_TIMER : any_socket ? P_SOCKET : P_HOSTIO;
 
+    do {
+        int timeout_ms = -1; /* 0 with events at hand, else to the earliest deadline */
+        if (n)
+            timeout_ms = 0;
+        else if (earliest != UINT64_MAX) {
+            uint64_t ms = earliest > now ? (earliest - now + 999999ull) / 1000000ull : 0;
+            timeout_ms = ms < INT_MAX ? (int)ms : INT_MAX;
+        }
         int rc;
-        /* waiting on socket readiness is packet-path time (the lwIP/RX
-         * analog); a pure clock sleep is timer; other fds are host I/O */
-        int was = prof_enter(npfd == 0 ? P_TIMER : (any_socket ? P_SOCKET : P_HOSTIO));
+        int was = prof_enter(bucket);
         do {
             rc = poll(npfd ? pfds : NULL, (nfds_t)npfd, timeout_ms);
         } while (rc < 0 && errno == EINTR);
@@ -161,42 +129,29 @@ uint32_t wasi_poll_oneoff(uint32_t subs_addr, uint32_t events_addr, uint32_t nsu
             return rt_errno_to_wasi(errno);
 
         for (int k = 0; k < npfd; k++) {
-            if (!pfds[k].revents)
+            short rev = pfds[k].revents;
+            if (!rev)
                 continue;
-            struct sub *s = &subs[pfd_sub[k]];
-            fd_entry *e = rt_fd_get(s->fd);
-            uint16_t flags = 0;
+            if (rev & POLLNVAL) {
+                put_event(events + 32 * n++, pfd_sub[k], W_BADF, 0, 0);
+                continue;
+            }
             uint64_t nbytes = 0;
-            uint16_t werrno = W_SUCCESS;
-            if (pfds[k].revents & POLLNVAL) {
-                werrno = W_BADF;
-            } else {
-                if (pfds[k].revents & (POLLHUP | POLLERR))
-                    flags |= EVTRW_HANGUP;
-                if (s->tag == EVT_FD_READ && e && e->kind == FK_SOCKET)
-                    nbytes = rt_sock_readable_bytes(e);
-                else if (s->tag == EVT_FD_WRITE)
-                    nbytes = 65536;
-            }
-            n = put_event(events_addr, n, s->userdata, werrno, s->tag, nbytes, flags);
+            if (pfds[k].events == POLLOUT)
+                nbytes = 65536;
+            else if (pfd_e[k]->kind == FK_SOCKET)
+                nbytes = readable_bytes(pfd_e[k]);
+            put_event(events + 32 * n++, pfd_sub[k], W_SUCCESS, nbytes,
+                      rev & (POLLHUP | POLLERR) ? EVTRW_HANGUP : 0);
         }
-
-        /* clocks that fired while we slept */
-        if (n == 0 || rc == 0) {
-            uint64_t now2 = rt_now_ns(1);
-            for (uint32_t i = 0; i < nsubscriptions; i++) {
-                struct sub *s = &subs[i];
-                if (s->tag != EVT_CLOCK || s->clock_id > 1 || fired[i])
-                    continue;
-                if (clock_deadline(s, entry_mono, now2) <= now2)
-                    n = put_event(events_addr, n, s->userdata, W_SUCCESS, EVT_CLOCK, 0, 0);
-            }
+        if (nclock) {
+            now = rt_now_ns(1);
+            for (int c = 0; c < nclock; c++)
+                if (deadline[c] <= now)
+                    put_event(events + 32 * n++, clock_sub[c], W_SUCCESS, 0, 0);
         }
-
-        if (n > 0)
-            break;
-        /* spurious wake (poll timeout rounding): loop and wait again */
-    }
+        /* none yet: a spurious wake (poll timeout rounding); wait again */
+    } while (n == 0);
 
     lm_set_u32(nevents_out, n);
     return W_SUCCESS;

@@ -7,7 +7,9 @@
  *
  * The explicit state machine (created -> bound -> listening, or
  * created/bound -> connected) is stricter than POSIX: operations from a
- * wrong state return a defined errno instead of relying on host behavior. */
+ * wrong state return a defined errno instead of relying on host behavior.
+ * sock_send and sock_recv share rt_iov_xfer, and its state rules, with
+ * fd_write and fd_read. */
 #include "rt.h"
 #include "abi.h"
 
@@ -16,7 +18,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
-#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -183,32 +184,21 @@ uint32_t wasi_sock_connect(uint32_t fd, uint32_t addr_rec, uint32_t port)
     return W_SUCCESS;
 }
 
-uint32_t rt_sock_recv(uint32_t fd, uint32_t iovs, uint32_t iovs_len, uint32_t ri_flags,
-                      uint32_t *nread)
+uint32_t wasi_sock_recv(uint32_t fd, uint32_t ri_data, uint32_t ri_data_len, uint32_t ri_flags,
+                        uint32_t ro_datalen, uint32_t ro_flags)
 {
     uint32_t err;
     fd_entry *e = get_sock(fd, &err);
     if (!e)
         return err;
-    if (e->sstate != SS_CONNECTED && e->sstate != SS_SHUT)
-        return W_NOTCONN;
     int flags = 0;
     if (ri_flags & RIFLAG_RECV_PEEK)
         flags |= MSG_PEEK;
     if (ri_flags & RIFLAG_RECV_WAITALL)
         flags |= MSG_WAITALL;
-    return rt_iov_xfer(e, 0, iovs, iovs_len, flags, nread);
-}
-
-uint32_t wasi_sock_recv(uint32_t fd, uint32_t ri_data, uint32_t ri_data_len, uint32_t ri_flags,
-                        uint32_t ro_datalen, uint32_t ro_flags)
-{
-    uint32_t n;
-    uint32_t err = rt_sock_recv(fd, ri_data, ri_data_len, ri_flags, &n);
-    if (err == W_SUCCESS) {
-        lm_set_u32(ro_datalen, n);
+    err = rt_iov_xfer(e, 0, ri_data, ri_data_len, flags, ro_datalen);
+    if (err == W_SUCCESS)
         memset(lm_ptr(ro_flags, 2), 0, 2); /* u16 roflags: stream sockets never truncate */
-    }
     return err;
 }
 
@@ -218,15 +208,7 @@ uint32_t wasi_sock_send(uint32_t fd, uint32_t si_data, uint32_t si_data_len, uin
     (void)si_flags;
     uint32_t err;
     fd_entry *e = get_sock(fd, &err);
-    if (!e)
-        return err;
-    if (e->sstate != SS_CONNECTED)
-        return W_NOTCONN;
-    uint32_t n;
-    err = rt_iov_xfer(e, 1, si_data, si_data_len, 0, &n);
-    if (err == W_SUCCESS)
-        lm_set_u32(so_datalen, n);
-    return err;
+    return e ? rt_iov_xfer(e, 1, si_data, si_data_len, 0, so_datalen) : err;
 }
 
 uint32_t wasi_sock_shutdown(uint32_t fd, uint32_t how)
@@ -284,13 +266,4 @@ uint32_t wasi_sock_getpeeraddr(uint32_t fd, uint32_t addr_rec, uint32_t type_out
                               uint32_t port_out)
 {
     return getaddr_common(fd, addr_rec, type_out, port_out, 1);
-}
-
-/* bytes buffered for reading, for poll_oneoff's nbytes report */
-uint64_t rt_sock_readable_bytes(fd_entry *e)
-{
-    int avail = 0;
-    if (ioctl(e->host_fd, FIONREAD, &avail) != 0 || avail < 0)
-        return 0;
-    return (uint64_t)avail;
 }

@@ -700,6 +700,7 @@ def test_cli_bench_against_reference_server(tmp_path, capsys):
                       "--json", out])
     finally:
         srv.shutdown()
+        srv.server_close()
     assert rc == 0
     assert "requests/sec" in capsys.readouterr().out
     report = json.loads(out.read_text())

@@ -407,3 +407,57 @@ def test_readdir_cookie_resumes(rtfs):
 def test_readdir_on_file_is_notdir(rtfs):
     rc, fd = open_path(rtfs, "index.html")
     assert rtfs.lib.fd_readdir(fd, 0, 4096, 0, 8192) == W_NOTDIR
+
+
+# ---- poll_oneoff edges (its 20-case table is tests/test_poll.py) ----
+
+EVT_CLOCK, EVT_FD_READ, EVT_FD_WRITE = 0, 1, 2
+# apart from each other for 128 subscriptions, which test_poll.py's layout
+# is not: its events start inside the 43rd subscription
+POLL_SUBS, POLL_EVENTS, POLL_NEVENTS = 16384, 32768, 40960
+
+
+def poll_subs(rt, subs: list) -> list:
+    """poll_oneoff over (userdata, tag, fd or clock id, timeout ns, flags)
+    subscriptions; the events as (userdata, errno, type, nbytes) in order."""
+    for i, (userdata, tag, ident, timeout, flags) in enumerate(subs):
+        rt.write(POLL_SUBS + 48 * i,
+                 struct.pack("<QB7xI4xQQH6x", userdata, tag, ident, timeout, 0, flags))
+    assert rt.lib.poll_oneoff(POLL_SUBS, POLL_EVENTS, len(subs), POLL_NEVENTS) == W_SUCCESS
+    return [struct.unpack_from("<QHB5xQ", rt.read(POLL_EVENTS + 32 * k, 32))
+            for k in range(rt.u32(POLL_NEVENTS))]
+
+
+def test_poll_answers_128_mixed_subscriptions(rtfs):
+    """128, the most one call takes: a write-ready socket, then tar files,
+    bad fds and due clocks in turn. Each gets exactly its one event."""
+    from test_poll import connected_pair
+    _, fd = open_path(rtfs, "www/b.txt")
+    cfd, py = connected_pair(rtfs)
+    try:
+        subs = [(0, EVT_FD_WRITE, cfd, 0, 0)]
+        want = [(0, W_SUCCESS, EVT_FD_WRITE, 65536)]
+        for i in range(1, 128):
+            sub, event = [((EVT_FD_READ, fd), (W_SUCCESS, EVT_FD_READ, 700)),
+                          ((EVT_FD_READ, 1000 + i), (W_BADF, EVT_FD_READ, 0)),
+                          ((EVT_CLOCK, 1), (W_SUCCESS, EVT_CLOCK, 0))][i % 3]
+            subs.append((i, *sub, 0, 0))
+            want.append((i, *event))
+        assert sorted(poll_subs(rtfs, subs)) == want
+    finally:
+        py.close()
+
+
+def test_poll_reports_due_clock_with_ready_tar_file(rtfs):
+    """An absolute monotonic clock already past and a ready tar file: both
+    are reported, the file first (events known at entry precede clocks)."""
+    _, fd = open_path(rtfs, "www/a.txt")
+    evs = poll_subs(rtfs, [(1, EVT_CLOCK, 1, 1, 1), (2, EVT_FD_READ, fd, 0, 0)])
+    assert evs == [(2, W_SUCCESS, EVT_FD_READ, 3), (1, W_SUCCESS, EVT_CLOCK, 0)]
+
+
+def test_poll_clock_past_the_range_never_fires(rtfs):
+    """A relative timeout of 2^64-1 ns never comes, rather than wrapping
+    around to now: the 1 ms clock beside it fires alone."""
+    evs = poll_subs(rtfs, [(1, EVT_CLOCK, 1, 2**64 - 1, 0), (2, EVT_CLOCK, 1, 1_000_000, 0)])
+    assert evs == [(2, W_SUCCESS, EVT_CLOCK, 0)]

@@ -463,6 +463,9 @@ OPS = {
     "send": lambda rt, fd: send_bytes(rt, fd, b"x")[0],
     "recv": lambda rt, fd: recv_into(rt, fd, 4)[0],
     "shutdown": lambda rt, fd: rt.lib.sock_shutdown(fd, 3),
+    "fd_write": lambda rt, fd: (rt.iovec(IOV + 16, DATA + 4096, 1),
+                                rt.lib.fd_write(fd, IOV + 16, 1, OUT))[1],
+    "fd_read": lambda rt, fd: (rt.iovec(IOV, DATA, 4), rt.lib.fd_read(fd, IOV, 1, OUT))[1],
 }
 
 # expected errno for every (operation, state); None marks blocking/successful
@@ -484,6 +487,9 @@ EXPECTED = {
     "shutdown": {"created": W_NOTCONN, "bound": W_NOTCONN, "listening": W_NOTCONN,
                  "connected": W_SUCCESS, "shut": W_NOTCONN},
 }
+# preview1 fd_write/fd_read on a socket follow sock_send/sock_recv's rules
+EXPECTED["fd_write"] = EXPECTED["send"]
+EXPECTED["fd_read"] = EXPECTED["recv"]
 
 
 def test_state_machine_table(rtb):
@@ -511,7 +517,10 @@ def test_ops_on_non_socket_fds(rtb):
     assert rtb.lib.sock_listen(3, 4) == 57  # NOTSOCK
     assert rtb.lib.sock_listen(99, 4) == W_BADF
     assert rtb.lib.sock_send(3, 0, 0, 0, OUT) == 57
+    assert rtb.lib.sock_recv(3, IOV, 0, 0, OUT, OUT + 4) == 57
     assert rtb.lib.sock_shutdown(99, 3) == W_BADF
+    assert rtb.lib.fd_read(3, IOV, 0, OUT) == 31  # ISDIR
+    assert rtb.lib.fd_write(3, IOV, 0, OUT) == 31
 
 
 def test_wasmedge_abi_fixture_runs_unchanged(httpd_exe):
