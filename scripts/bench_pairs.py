@@ -7,9 +7,10 @@
 Each side is exported with `git archive` into its own directory under
 --work, so both run the committed files of their commit, like a fresh
 checkout, with identical benchmark settings. `--change index` exports the
-staged tree (`git write-tree`) instead of a commit. Pair i runs seed
---seed + i on both sides; even pairs run the parent first, odd pairs the
-change first. After every run the output file is rewritten, so an
+staged tree (`git write-tree`) instead of a commit, less the output
+file, so that staging that file does not change the id. --work is created
+if it does not exist. Pair i runs seed --seed + i on both sides; even
+pairs run the parent first, odd pairs the change first. After every run the output file is rewritten, so an
 interrupted session keeps what it measured. An existing output file for
 the same two revisions gains the new set of pairs.
 
@@ -35,14 +36,23 @@ REPO = Path(__file__).resolve().parent.parent
 SCHEMA = 1
 
 
-def git(*args: str) -> str:
+def git(*args: str, env: dict | None = None) -> str:
     return subprocess.run(["git", *args], cwd=REPO, check=True, capture_output=True,
-                          text=True).stdout.strip()
+                          text=True, env=env).stdout.strip()
 
 
-def resolve(rev: str) -> str:
-    """A tree-ish id: the staged tree for "index", else the commit rev names."""
-    return git("write-tree") if rev == "index" else git("rev-parse", "--verify", rev + "^{commit}")
+def resolve(rev: str, out: Path) -> str:
+    """A tree-ish id: for "index" the staged tree without out, else the
+    commit rev names."""
+    if rev != "index":
+        return git("rev-parse", "--verify", rev + "^{commit}")
+    with tempfile.TemporaryDirectory() as tmp:
+        # a throwaway index holding the staged tree, less out
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        git("read-tree", git("write-tree"), env=env)
+        if out.resolve().is_relative_to(REPO):
+            git("update-index", "--force-remove", "--", str(out.resolve().relative_to(REPO)), env=env)
+        return git("write-tree", env=env)
 
 
 def export(treeish: str, dest: Path):
@@ -119,7 +129,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     out = args.out or REPO / f"BENCH_{args.pr}.json"
-    revs = {"parent": resolve(args.parent), "change": resolve(args.change)}
+    revs = {"parent": resolve(args.parent, out), "change": resolve(args.change, out)}
     doc = {"schema": SCHEMA, "pr": args.pr, "parent": revs["parent"], "change": revs["change"],
            "change_is": f"tree staged on {git('rev-parse', 'HEAD')}" if args.change == "index"
            else "commit",
@@ -138,6 +148,8 @@ def main(argv=None) -> int:
     doc["sets"].append(entry)
     better = directions()
 
+    if args.work:
+        args.work.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.work))
     try:
         trees = {side: work / side for side in revs}

@@ -318,24 +318,15 @@ static inline uint64_t sr_i64_trunc_sat_u(double d) {
 """
 
 
-def _c_string(s: str) -> str:
-    out = []
-    for ch in s:
-        o = ord(ch)
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif 32 <= o < 127:
-            out.append(ch)
-        else:
-            for b in ch.encode("utf-8"):
-                out.append(f"\\{b:03o}")
-    return '"' + "".join(out) + '"'
-
-
 # each byte as it stands in a C string: printable ASCII as itself, any
 # other byte as a three-digit octal escape, which cannot run into the next
 # character; '?' is escaped too, so no trigraph can form
 _C_BYTE = [chr(b) if 32 <= b < 127 and chr(b) not in '"\\?' else f"\\{b:03o}" for b in range(256)]
+
+
+def _c_string(s: str) -> str:
+    """A C string literal of the UTF-8 bytes of s, on one line."""
+    return '"' + "".join([_C_BYTE[b] for b in s.encode("utf-8")]) + '"'
 
 
 def _c_bytes(data: bytes) -> str:
@@ -507,13 +498,20 @@ class _FuncEmitter:
         if name == "call_indirect":
             # the slot's type is checked at build time: the call goes through
             # the table of this signature, whose slots that hold a function of
-            # any other type (or none) point at a stub that traps 5
+            # any other type (or none) point at a stub that traps 5; the
+            # table ends at its last function, and an index past that end
+            # traps 6 past the Wasm table and 5 within it
             sig = self.m.types[ins[1]]
             tid = gen.vm.type_ids[sig]
             gen.indirect_tids.add(tid)
             iv, _ = self.pop()
             args = [self.pop()[0] for _ in sig.params][::-1]
-            self.line(f"if ({iv} >= {gen.table_size}u) runtime_trap({TRAP_TABLE_OOB}u);")
+            end = gen.table_ends.get(tid, 0)
+            if end == gen.table_size:
+                self.line(f"if ({iv} >= {end}u) runtime_trap({TRAP_TABLE_OOB}u);")
+            else:
+                self.line(f"if ({iv} >= {end}u) runtime_trap({iv} >= {gen.table_size}u ? "
+                          f"{TRAP_TABLE_OOB}u : {TRAP_CALL_TYPE}u);")
             callexpr = f"sr_tab{tid}[{iv}]({', '.join(['sr_d - 1u', *args])})"
             if sig.results:
                 self.push_expr(sig.results[0], callexpr)
@@ -636,6 +634,9 @@ class CGen:
         self._check_imports()
         self.slots, self.elems_fit = self._apply_elements()
         self.table_funcs = {fi for fi in self.slots if fi is not None}
+        # per signature, one past the last slot that holds a function of it
+        self.table_ends = {vm.type_ids[self.m.func_type(fi)]: k + 1
+                           for k, fi in enumerate(self.slots) if fi is not None}
         self.indirect_tids: set[int] = set()  # filled while functions are emitted
 
     def _apply_elements(self) -> tuple[list[int | None], bool]:
@@ -722,7 +723,8 @@ class CGen:
         return "\n\n".join(parts) + "\n"
 
     def _emit_tables(self) -> list[str]:
-        """One constant table per signature that a call_indirect names. A
+        """One constant table per signature that a call_indirect names, cut
+        after its last function of that signature (at least one slot). A
         slot holds its function when the function has that signature, and
         otherwise the signature's stub, which traps 5 (null slots too)."""
         parts: list[str] = []
@@ -732,7 +734,8 @@ class CGen:
             parts.append(f"__attribute__((cold)) static {c_decl(sig, f'sr_nofn{tid}', budget=True)} "
                          f"{{ (void)sr_d; runtime_trap({TRAP_CALL_TYPE}u); }}")
             fill = [self.table_fn(fi) if fi is not None and self.vm.type_ids[self.m.func_type(fi)] == tid
-                    else f"sr_nofn{tid}" for fi in self.slots] or [f"sr_nofn{tid}"]
+                    else f"sr_nofn{tid}" for fi in self.slots[:self.table_ends.get(tid, 0)]]
+            fill = fill or [f"sr_nofn{tid}"]
             rows = ",\n    ".join(", ".join(fill[k:k + 8]) for k in range(0, len(fill), 8))
             table = c_decl(sig, f"(*const sr_tab{tid}[{len(fill)}])", None, budget=True)
             parts.append(f"static {table} = {{\n    {rows},\n}};")

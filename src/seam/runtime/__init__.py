@@ -47,7 +47,7 @@ SOURCES = [
 # one set of objects serves the static-PIE image and the shared library:
 # -fPIC for the library, and no semantic interposition, so that calls
 # within a unit still inline and bind locally as under -fPIE
-CFLAGS = ["-O2", "-g0", "-std=c11", "-D_GNU_SOURCE", "-Wall", "-Wextra", "-pthread",
+CFLAGS = ["-O2", "-g0", "-std=c11", "-D_GNU_SOURCE", "-Wall", "-Wextra",
           "-fno-strict-aliasing", "-fPIC", "-fno-semantic-interposition"]
 
 # image.o's inputs around the runtime objects, in link order: the start
@@ -178,7 +178,7 @@ def runtime_objects() -> list[Path]:
         _run([CC, *CFLAGS, f"-I{tmp}", "-c", *(str(C_DIR / s) for s in SOURCES)],
              SeamError, "runtime compile", cwd=tmp)
         link_image([tmp / o for o in objects], tmp / _IMAGE)
-        _run([CC, "-shared", "-pthread", "-o", _SHARED, *objects[1:]],
+        _run([CC, "-shared", "-o", _SHARED, *objects[1:]],
              SeamError, "runtime shared link", cwd=tmp)
         _publish(tmp, out_dir)
     return [out_dir / o for o in objects]

@@ -30,7 +30,8 @@ fd_entry rt_fdt[FD_TABLE_SIZE];
 
 static fd_entry *turn; /* the socket this turn has sent to, or NULL */
 static size_t held;    /* bytes held for it in hold_buf */
-/* static, not malloc'd: see trap.c's alt_stack */
+/* static, not malloc'd: it needs no allocation that can fail, and its .bss
+ * pages stay untouched until a turn holds bytes */
 static uint8_t hold_buf[HOLD_MAX];
 
 int rt_argc;

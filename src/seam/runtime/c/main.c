@@ -3,26 +3,28 @@
  *
  * Boot order: linear memory from wasm_memory_spec, tar filesystem (the
  * embedded fs_image_* symbols, or an empty root), fd table with stdio and the
- * "/" preopen, guest args/env, then wasm_init and wasm__start on a dedicated
- * big-stack thread. SEAM_INVOKE=<export> calls a nullary export instead of
- * _start and prints its result bits.
+ * "/" preopen, guest args/env, the fault handler, then wasm_init and
+ * wasm__start on a big stack. SEAM_INVOKE=<export> calls a nullary export
+ * instead of _start and prints its result bits.
  *
- * The guest thread's stack is mapped here, with a PROT_NONE guard region
- * under it. Generated code bounds call depth with a budget argument, not
- * with the stack, but frames can be large enough (thousands of spilled
- * locals) to use up GUEST_STACK_SIZE before the budget runs out; such a
- * frame then faults in the guard, which trap.c maps to trap 7 rather than
- * a crash. The guest object is compiled with -fstack-clash-protection, so
- * no frame can step over the guard. The guest thread installs the fault
- * handler and its alternate signal stack before it runs any guest code. */
+ * The process has one thread. The guest stack is mapped here, with a
+ * PROT_NONE guard region under it, and main switches to it with
+ * swapcontext; the guest's return switches back. Signals, traps, proc_exit
+ * and the atexit handlers therefore never run beside a guest call. Generated
+ * code bounds call depth with a budget argument, not with the stack, but
+ * frames can be large enough (thousands of spilled locals) to use up
+ * GUEST_STACK_SIZE before the budget runs out; such a frame then faults in
+ * the guard, which trap.c maps to trap 7 rather than a crash. The guest
+ * object is compiled with -fstack-clash-protection, so no frame can step
+ * over the guard. */
 #include "rt.h"
 
-#include <pthread.h>
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
+#include <ucontext.h>
 
 extern void wasm_init(void);
 extern void wasm__start(void) __attribute__((weak));
@@ -102,12 +104,9 @@ static void print_result(const char *sig, void (*fn)(void))
     fflush(stdout);
 }
 
-static void *guest_main(void *arg)
+static void guest_main(void)
 {
-    (void)arg;
     const char *invoke = getenv("SEAM_INVOKE");
-    if (rt_fault_install() != 0)
-        die("cannot install the trap handler");
     prof_enter(P_GUEST);
     wasm_init();
     if (invoke && *invoke) {
@@ -117,7 +116,7 @@ static void *guest_main(void *arg)
             if (strcmp(wasm_exports[i].name, invoke) == 0) {
                 print_result(wasm_exports[i].sig, wasm_exports[i].fn);
                 prof_enter(P_NONE);
-                return NULL;
+                return;
             }
         }
         fprintf(stderr, "seam-rt: no export named %s\n", invoke);
@@ -127,7 +126,6 @@ static void *guest_main(void *arg)
         die("guest has no _start export; use SEAM_INVOKE=<export>");
     wasm__start();
     prof_enter(P_NONE);
-    return NULL;
 }
 
 int main(void)
@@ -149,21 +147,19 @@ int main(void)
         mprotect(guard + GUEST_STACK_GUARD, GUEST_STACK_SIZE, PROT_READ | PROT_WRITE) != 0)
         die("cannot map the guest stack");
     rt_fault_region(TRAP_STACK_EXHAUSTED, guard, GUEST_STACK_GUARD);
+    if (rt_fault_install() != 0)
+        die("cannot install the trap handler");
 
-    pthread_t guest;
-    pthread_attr_t attr;
-    pthread_attr_init(&attr);
-    pthread_attr_setstack(&attr, guard + GUEST_STACK_GUARD, GUEST_STACK_SIZE);
-    if (pthread_create(&guest, &attr, guest_main, NULL) != 0)
-        die("cannot start guest thread");
-    /* SIGTERM/SIGINT go to the guest thread, so their exit never runs the
-     * atexit handlers beside a guest call in progress */
-    sigset_t stop;
-    sigemptyset(&stop);
-    sigaddset(&stop, SIGTERM);
-    sigaddset(&stop, SIGINT);
-    pthread_sigmask(SIG_BLOCK, &stop, NULL);
-    pthread_join(guest, NULL);
+    /* locals, not static: two static contexts would dirty two .bss pages */
+    ucontext_t boot, guest;
+    if (getcontext(&guest) != 0)
+        die("cannot switch to the guest stack");
+    guest.uc_stack.ss_sp = guard + GUEST_STACK_GUARD;
+    guest.uc_stack.ss_size = GUEST_STACK_SIZE;
+    guest.uc_link = &boot;
+    makecontext(&guest, guest_main, 0);
+    if (swapcontext(&boot, &guest) != 0)
+        die("cannot switch to the guest stack");
     fflush(NULL);
     return 0;
 }

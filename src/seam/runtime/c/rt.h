@@ -1,5 +1,5 @@
 /* Shared declarations for the libOS runtime that gets statically linked
- * with compiled Wasm objects. Single guest thread by contract. */
+ * with compiled Wasm objects. The process runs on one thread. */
 #ifndef SEAM_RT_H
 #define SEAM_RT_H
 
@@ -86,8 +86,8 @@ enum {
 void runtime_trap(uint32_t code) __attribute__((noreturn));
 
 /* a fault at an address in [lo, lo + len) is trap `code` (one region per
- * code); rt_fault_install sets the calling thread's alternate signal stack
- * and the process's SIGSEGV/SIGBUS handler */
+ * code); rt_fault_install sets the alternate signal stack and the
+ * SIGSEGV/SIGBUS handler */
 void rt_fault_region(uint32_t code, const void *lo, size_t len);
 int rt_fault_install(void);
 

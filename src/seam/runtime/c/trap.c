@@ -37,11 +37,11 @@ void runtime_trap(uint32_t code)
     exit(128 + (int)code);
 }
 
-/* [lo, hi) per trap code; written before the guest thread starts */
+/* [lo, hi) per trap code; written at boot, before any guest code runs */
 static struct { uintptr_t lo, hi; } fault_regions[TRAP_STACK_EXHAUSTED + 1];
 
-/* static, not malloc'd: a malloc on the guest thread would create a new
- * glibc arena and raise the server's resident set */
+/* static, not malloc'd: it lives as long as the process, so it needs no
+ * allocation that can fail, and its .bss pages stay untouched until a fault */
 static uint8_t alt_stack[64 * 1024] __attribute__((aligned(16)));
 
 void rt_fault_region(uint32_t code, const void *lo, size_t len)

@@ -3,6 +3,8 @@ scripts/bench_trajectory.py: those files chained across PRs."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,45 @@ def test_directions_cover_every_benchmark_metric(bench_pairs):
     better = bench_pairs.directions()
     assert better["rps"] == "higher" and better["server_cpu_us_per_req"] == "lower"
     assert set(better.values()) == {"higher", "lower"}
+
+
+def git_repo(path: Path) -> Path:
+    """A throwaway repository whose one commit holds BENCHMARK.json."""
+    path.mkdir()
+    shutil.copy(SCRIPT.parent.parent / "BENCHMARK.json", path)
+    for args in (["init", "-q"], ["add", "BENCHMARK.json"],
+                 ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+                  "commit", "-q", "-m", "init"]):
+        subprocess.run(["git", *args], cwd=path, check=True, capture_output=True)
+    return path.resolve()
+
+
+def test_work_dir_is_made_with_its_parents(bench_pairs, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "REPO", git_repo(tmp_path / "repo"))
+    work = tmp_path / "a" / "b" / "work"
+    # no pairs: both trees are exported into --work, and no perfbench runs
+    assert bench_pairs.main(["--pr", "0", "--parent", "HEAD", "--change", "HEAD",
+                             "--workload", "w", "--pairs", "0", "--seed", "1",
+                             "--seconds", "1", "--work", str(work)]) == 0
+    assert work.is_dir() and list(work.iterdir()) == []
+
+
+def test_staging_the_output_file_keeps_the_index_id(bench_pairs, tmp_path, monkeypatch):
+    repo = git_repo(tmp_path / "repo")
+    monkeypatch.setattr(bench_pairs, "REPO", repo)
+    out = repo / "BENCH_0.json"
+
+    def stage(name: str, text: str):
+        (repo / name).write_text(text)
+        bench_pairs.git("add", name)
+
+    stage("src.txt", "change\n")
+    before = bench_pairs.resolve("index", out)
+    stage(out.name, "{}\n")
+    assert bench_pairs.resolve("index", out) == before
+    assert out.name in bench_pairs.git("diff", "--cached", "--name-only").split()
+    stage("src.txt", "another change\n")
+    assert bench_pairs.resolve("index", out) != before
 
 
 # ---- scripts/bench_trajectory.py: the committed files chained across PRs ----

@@ -7,6 +7,7 @@ classes are observed end to end.
 
 import json
 import re
+import struct
 
 import pytest
 
@@ -248,8 +249,6 @@ def test_float_result_bits_exact(tmp_path):
         ("f64.const", -1.0), ("i64.reinterpret_f64",),
     ], export="negbits")
     exe = build_module_exe(b.build(), tmp_path, "floats")
-    import struct
-
     assert run_exe_export(exe, "addf") == ("value", "f32", struct.unpack("<I", struct.pack("<f", 1.75))[0])
     assert run_exe_export(exe, "minzero") == ("value", "f64", 0x8000000000000000)
     assert run_exe_export(exe, "negbits") == ("value", "i64", 0xBFF0000000000000)
@@ -466,6 +465,40 @@ def test_slot_called_under_its_own_and_another_signature(tmp_path):
     exe = build_module_exe(b.build(), tmp_path, "sigs")
     assert run_exe_export(exe, "own") == ("value", "i32", 42)
     assert run_exe_export(exe, "other") == ("trap", 5)
+
+
+def test_table_ends_at_its_last_function(tmp_path):
+    """Each signature's table stops after its last function, so the empty
+    tail of a 65536-slot table costs neither slots nor relocations; an
+    index past the cut traps 5 inside the Wasm table and 6 past it."""
+    def module(size: int) -> bytes:
+        b = ModuleBuilder()
+        f0 = b.add_func([], ["i32"], [], [("i32.const", 11)])
+        f1 = b.add_func(["i32"], ["i32"], [], [("local.get", 0), ("i32.const", 1), ("i32.add",)])
+        b.set_table(size, size)
+        b.add_elem(0, [f0, f1])
+        ta, tb = b.type_index([], ["i32"]), b.type_index(["i32"], ["i32"])
+        # each index is loaded from memory, so cc cannot fold the call away
+        # and drop the table with it
+        b.set_memory(1, 1)
+        slots = (0, 1, 2, 65535, 65536)
+        b.add_data(0, struct.pack(f"<{len(slots)}I", *slots))
+        for k, slot in enumerate(slots):
+            index = [("i32.const", 4 * k), ("i32.load", 2, 0)]
+            b.add_func([], ["i32"], [], [*index, ("call_indirect", ta)], export=f"a{slot}")
+            b.add_func([], ["i32"], [], [("i32.const", 41), *index, ("call_indirect", tb)],
+                       export=f"b{slot}")
+        return b.build()
+
+    big = build_module_exe(module(65536), tmp_path, "big")
+    small = build_module_exe(module(4), tmp_path, "small")
+    assert big.stat().st_size <= 1.1 * small.stat().st_size
+    assert run_exe_export(big, "a0") == ("value", "i32", 11)
+    assert run_exe_export(big, "b1") == ("value", "i32", 42)
+    for export, trap in [("a1", 5), ("b0", 5), ("a2", 5), ("b2", 5), ("a65535", 5), ("b65535", 5),
+                         ("a65536", 6), ("b65536", 6)]:
+        assert run_exe_export(big, export) == ("trap", trap), export
+    assert [run_exe_export(small, e) for e in ("a2", "b2", "a65535")] == [("trap", 5), ("trap", 5), ("trap", 6)]
 
 
 def test_later_data_segment_overwrites_earlier(tmp_path):

@@ -640,6 +640,42 @@ def test_fault_outside_guard_regions_still_kills(tmp_path):
         proc.stdout.close()
 
 
+def test_executable_runs_on_one_thread(tmp_path):
+    # the guest announces itself, then waits in poll_oneoff on a 5 s clock;
+    # it runs on the process's only thread, and SIGTERM's exit ends it
+    b = ModuleBuilder()
+    fd_write = b.add_import("wasi_snapshot_preview1", "fd_write",
+                            ["i32", "i32", "i32", "i32"], ["i32"])
+    poll_oneoff = b.add_import("wasi_snapshot_preview1", "poll_oneoff",
+                               ["i32", "i32", "i32", "i32"], ["i32"])
+    b.set_memory(1, 1)
+    b.add_data(0, struct.pack("<II", 16, 6) + b"\0" * 8 + b"ready\n")
+    # 64: one subscription {userdata 0, tag clock, id monotonic, 5 s, relative}
+    b.add_data(64, struct.pack("<QB7xIxxxxQQH", 0, 0, 1, 5 * 10**9, 0, 0))
+    b.add_func([], [], [], [
+        ("i32.const", 1), ("i32.const", 0), ("i32.const", 1), ("i32.const", 8),
+        ("call", fd_write), ("drop",),
+        ("i32.const", 64), ("i32.const", 128), ("i32.const", 1), ("i32.const", 160),
+        ("call", poll_oneoff), ("drop",),
+    ], export="_start")
+    wasm = tmp_path / "wait.wasm"
+    wasm.write_bytes(b.build())
+    exe = tmp_path / "wait"
+    cmd_build(BuildPlan(wasm=wasm, output=exe))
+    assert "pthread_create" not in elf.symbols(exe)[0]
+    proc = subprocess.Popen([str(exe)], stdout=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"ready\n"
+        status = Path(f"/proc/{proc.pid}/status").read_text()
+        assert "Threads:\t1\n" in status
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=4) == 143
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+
 def test_fd_read_on_closed_stdin_reports_eof(tmp_path):
     # guest exits with the byte count fd_read(0) produced; /dev/null -> 0
     b = ModuleBuilder()
