@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .bench import LoadConfig, run_load
 from .driver import BuildPlan, cmd_build, cmd_compile, cmd_pack, cmd_run
-from .errors import LinkError, SeamError, TargetUnreachable, ToolchainMissing
+from .errors import LinkError, SeamError, TargetUnreachable
 from .profiler import profile_run
 
 EXIT_OK = 0
@@ -130,9 +130,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.json.write_text(report.to_json() + "\n")
             return EXIT_OK
         parser.error(f"unknown command {args.command}")
-    except ToolchainMissing as e:
-        print(f"seam: error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except LinkError as e:
         print(f"seam: link error: {e}", file=sys.stderr)
         return EXIT_LINK

@@ -2,8 +2,8 @@
 
 cmd_build is the unikernel-style pipeline: Wasm -> relocatable object with
 unresolved WASI/memory symbols -> static-PIE link against the runtime image,
-the runtime pre-linked with libc (plus an optional tar image object) -> one
-self-contained executable that loads no shared library. The symbol audit
+the runtime pre-linked with its start file (plus an optional tar image
+object) -> one self-contained executable that loads no shared library. The symbol audit
 that makes the seam mechanically checkable is written next to the
 executable as <out>.audit.json.
 """
@@ -81,9 +81,9 @@ def _fs_image_asm(image_size: int) -> str:
 
 
 def link_executable(output: Path, inputs: list[Path]):
-    """Link a static PIE from inputs that carry their own start files and
-    libc, the runtime image last; the guest object goes first, so its
-    .text follows only the image's cold and startup code."""
+    """Link a static PIE from inputs that carry their own start file, the
+    runtime image last; the guest object goes first, so its .text follows
+    only the image's cold and startup code."""
     proc = subprocess.run([CC, "-static-pie", "-nostdlib", "-o", str(output), *map(str, inputs)],
                           capture_output=True, text=True)
     if proc.returncode != 0:

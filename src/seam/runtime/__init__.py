@@ -3,13 +3,14 @@
 The runtime sources ship as package data. `runtime_objects` compiles them
 once per cache key, in one `cc -c`, into a cache entry and returns the
 object list. From those same objects the entry gets two links before it is
-published: `image.o`, the objects pre-linked (`cc -r`) with the C library's
-static-PIE start files, libgcc and libc.a, so that linking a guest into a
-self-contained static PIE only has to place the guest and resolve its few
-ABI symbols; and `libseamrt.so`, every unit but the executable entry,
-which the test suite loads with ctypes to drive WASI functions directly
-(`test_shared_lib`). The entry also holds `abi.h`, generated from the ABI
-table, which abi.c and the wasi_*.c units include.
+published: `image.o`, the start file and the objects pre-linked (`cc -r`)
+into one relocatable object, so that linking a guest into a self-contained
+static PIE only has to place the guest and resolve its few ABI symbols; and
+`libseamrt.so`, every unit but the executable entry, which the test suite
+loads with ctypes to drive WASI functions directly (`test_shared_lib`). No
+C library is linked into either: the runtime makes its own system calls
+(sys.h). The entry also holds `abi.h`, generated from the ABI table, which
+abi.c and the wasi_*.c units include.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 from ..codegen.compile import CC
 from ..codegen.ctext import c_decl, c_params
 from ..codegen.symbols import ABI, BUCKET, NOSYS
-from ..errors import LinkError, SeamError, ToolchainMissing
+from ..errors import LinkError, SeamError
 
 C_DIR = Path(__file__).parent / "c"
 
@@ -33,7 +34,6 @@ C_DIR = Path(__file__).parent / "c"
 # linked into the shared library for the ctypes tests
 SOURCES = [
     "main.c",
-    "trap.c",
     "mem.c",
     "fdtable.c",
     "tarfs.c",
@@ -42,21 +42,24 @@ SOURCES = [
     "wasi_poll.c",
     "wasi_sock.c",
     "abi.c",
+    "sys.c",
 ]
+# the process entry, _start, which only image.o holds: a link of the
+# objects against a C library takes that library's start files instead
+START = "start.c"
 
 # one set of objects serves the static-PIE image and the shared library:
 # -fPIC for the library, and no semantic interposition, so that calls
-# within a unit still inline and bind locally as under -fPIE
-CFLAGS = ["-O2", "-g0", "-std=c11", "-D_GNU_SOURCE", "-Wall", "-Wextra",
-          "-fno-strict-aliasing", "-fPIC", "-fno-semantic-interposition"]
+# within a unit still inline and bind locally as under -fPIE. The process
+# has no thread-local storage, so no stack protector, which reads its
+# canary there; no unwinder, so no unwind tables; and sys.c's string
+# functions must not become calls to themselves
+CFLAGS = ["-O2", "-g0", "-std=c11", "-Wall", "-Wextra", "-fno-strict-aliasing", "-fPIC",
+          "-fno-semantic-interposition", "-fno-stack-protector", "-fno-asynchronous-unwind-tables",
+          "-fno-tree-loop-distribute-patterns"]
 
-# image.o's inputs around the runtime objects, in link order: the start
-# files ahead, the archives as one group, the end files last
 _IMAGE = "image.o"
 _SHARED = "libseamrt.so"
-START_FILES = ["rcrt1.o", "crti.o", "crtbeginS.o"]
-ARCHIVES = ["libgcc.a", "libgcc_eh.a", "libc.a"]
-END_FILES = ["crtendS.o", "crtn.o"]
 
 
 def cache_dir() -> Path:
@@ -74,8 +77,7 @@ def abi_header() -> str:
     every WASI definition against its row. SEAM_ABI_NOSYS(X) expands
     X(name, (params)) per NOSYS row; SEAM_ABI_ENTRIES(X) expands
     X(name, bucket, (params), (args)) per row with a bucket. Only abi.c and
-    the wasi_*.c units include it: libc declares `int sched_yield(void)`,
-    which clashes with the row."""
+    the wasi_*.c units include it."""
     def args(sig) -> str:
         return "(" + ", ".join(f"a{i}" for i in range(len(sig.params))) + ")"
 
@@ -96,26 +98,12 @@ def abi_header() -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _ask_cc(arg: str) -> str:
-    """cc's answer to one query, asked once per process: its identity
-    (--version), or where it finds one start file or archive
-    (-print-file-name=X, answered with the bare name when it has none)."""
+def _cc_version() -> str:
+    """cc's identity, asked once per process."""
     try:
-        return subprocess.run([CC, arg], capture_output=True, text=True).stdout.strip()
+        return subprocess.run([CC, "--version"], capture_output=True, text=True).stdout.strip()
     except OSError as e:
         raise SeamError(f"C compiler {CC!r} not runnable: {e}") from e
-
-
-def _link_files() -> dict[str, Path]:
-    """The image's start files and archives; a static PIE has no fallback."""
-    files = {}
-    for name in [*START_FILES, *ARCHIVES, *END_FILES]:
-        path = Path(_ask_cc(f"-print-file-name={name}"))
-        if not path.is_absolute() or not path.is_file():
-            raise ToolchainMissing(f"{name} not found: install the C library's static archive "
-                                   "(libc6-dev, or glibc-static on Fedora)")
-        files[name] = path
-    return files
 
 
 def _run(argv: list[str], error: type[SeamError], what: str, cwd: Path | None = None):
@@ -136,33 +124,24 @@ def _publish(tmp: Path, final: Path):
 
 
 def link_image(objects: list[Path], out: Path):
-    """Pre-link objects with the static-PIE start files, libgcc and libc.a
-    into one relocatable object."""
-    files = _link_files()
-
-    def paths(names: list[str]) -> list[str]:
-        return [str(files[name]) for name in names]
-
-    _run([CC, "-r", "-nostdlib", "-o", str(out), *paths(START_FILES), *map(str, objects),
-          "-Wl,--start-group", *paths(ARCHIVES), "-Wl,--end-group", *paths(END_FILES)],
+    """Pre-link the start file that runtime_objects places beside
+    objects[0], and the objects, into one relocatable object."""
+    start = objects[0].parent / (Path(START).stem + ".o")
+    _run([CC, "-r", "-nostdlib", "-o", str(out), str(start), *map(str, objects)],
          LinkError, "runtime image link")
 
 
 def runtime_entry() -> Path:
-    """The cache directory of the runtime built with CC and its libc: the
-    key covers the sources, the flags, the compiler's identity and each
-    start file's and archive's path, size and mtime."""
+    """The cache directory of the runtime built with CC: the key covers the
+    sources, the flags and the compiler's identity."""
     h = hashlib.sha256()
-    for name in SOURCES + ["rt.h"]:
+    for name in [*SOURCES, START, "rt.h", "sys.h"]:
         h.update(name.encode())
         h.update((C_DIR / name).read_bytes())
     h.update(abi_header().encode())
     h.update(" ".join(CFLAGS).encode())
     h.update(CC.encode())
-    h.update(_ask_cc("--version").encode())
-    for p in _link_files().values():
-        st = p.stat()
-        h.update(f"{p}:{st.st_size}:{st.st_mtime_ns}".encode())
+    h.update(_cc_version().encode())
     return cache_dir() / f"rt-{h.hexdigest()[:16]}"
 
 
@@ -175,7 +154,7 @@ def runtime_objects() -> list[Path]:
         tmp = Path(tempfile.mkdtemp(prefix=f"{out_dir.name}.", dir=cache_dir()))
         (tmp / "abi.h").write_text(abi_header())
         # without -o, cc writes each unit's object into its working directory
-        _run([CC, *CFLAGS, f"-I{tmp}", "-c", *(str(C_DIR / s) for s in SOURCES)],
+        _run([CC, *CFLAGS, f"-I{tmp}", "-c", *(str(C_DIR / s) for s in [*SOURCES, START])],
              SeamError, "runtime compile", cwd=tmp)
         link_image([tmp / o for o in objects], tmp / _IMAGE)
         _run([CC, "-shared", "-o", _SHARED, *objects[1:]],

@@ -8,8 +8,6 @@
 #include "rt.h"
 #include "abi.h"
 
-#include <stdio.h>
-
 #pragma GCC diagnostic ignored "-Wunused-parameter"
 
 /* The profiled path is noinline. It may as well be cold: the linker places
@@ -36,8 +34,8 @@
         static int warned;                                                  \
         if (!warned) {                                                      \
             warned = 1;                                                     \
-            fprintf(stderr, "seam-rt: WASI %s not implemented (NOSYS)\n",   \
-                    #name);                                                 \
+            rt_print(2, "seam-rt: WASI %s not implemented (NOSYS)\n",       \
+                     #name);                                                \
         }                                                                   \
         return W_NOSYS;                                                     \
     }

@@ -15,14 +15,7 @@
  * bytes the kernel took but could not deliver. */
 #include "rt.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <limits.h>
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <sys/uio.h>
+#define IOV_MAX UIO_MAXIOV
 
 fd_entry rt_fdt[FD_TABLE_SIZE];
 
@@ -78,14 +71,14 @@ static void send_held(void)
     if (!n)
         return;
     /* claimed before the send: an exit while it blocks finds nothing held,
-     * so the atexit flush neither repeats bytes nor blocks again */
+     * so the exit path's flush neither repeats bytes nor blocks again */
     held = 0;
     int was = prof_enter(P_SOCKET);
     for (size_t done = 0; done < n;) {
-        ssize_t r = send(turn->host_fd, hold_buf + done, n - done, MSG_NOSIGNAL);
+        long r = sys_sendto(turn->host_fd, hold_buf + done, n - done, MSG_NOSIGNAL);
         if (r > 0)
             done += (size_t)r;
-        else if (errno != EINTR)
+        else if (r != -EINTR)
             break;
     }
     prof_enter(was);
@@ -100,10 +93,10 @@ void rt_flush_sends(void)
 int rt_fd_set_nonblock(fd_entry *e, int nonblock)
 {
     rt_flush_sends();
-    int fl = fcntl(e->host_fd, F_GETFL, 0);
+    long fl = sys_fcntl(e->host_fd, F_GETFL, 0);
     if (fl < 0)
-        return -1;
-    return fcntl(e->host_fd, F_SETFL, nonblock ? (fl | O_NONBLOCK) : (fl & ~O_NONBLOCK));
+        return (int)fl;
+    return (int)sys_fcntl(e->host_fd, F_SETFL, nonblock ? (fl | O_NONBLOCK) : (fl & ~O_NONBLOCK));
 }
 
 /* the next n (<= IOV_MAX) guest iovecs {buf: u32, len: u32} at iovs as host
@@ -121,12 +114,13 @@ static size_t iov_gather(struct iovec *out, uint32_t iovs, uint32_t n)
     return want;
 }
 
-static ssize_t iov_syscall(const fd_entry *e, int out, struct iovec *iov, uint32_t n, int flags)
+static long iov_syscall(const fd_entry *e, int out, struct iovec *iov, uint32_t n, int flags)
 {
     if (e->kind != FK_SOCKET)
-        return out ? writev(e->host_fd, iov, (int)n) : readv(e->host_fd, iov, (int)n);
+        return out ? sys_writev(e->host_fd, iov, (int)n) : sys_readv(e->host_fd, iov, (int)n);
     struct msghdr m = {.msg_iov = iov, .msg_iovlen = n};
-    return out ? sendmsg(e->host_fd, &m, flags | MSG_NOSIGNAL) : recvmsg(e->host_fd, &m, flags);
+    return out ? sys_sendmsg(e->host_fd, &m, flags | MSG_NOSIGNAL)
+               : sys_recvmsg(e->host_fd, &m, flags);
 }
 
 /* inlined into rt_iov_xfer, so that with profiling off its charge adds no call */
@@ -164,13 +158,13 @@ iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int flags, uint
         struct iovec *cur = iov;
         size_t done = 0;
         while (done < want) {
-            ssize_t r = iov_syscall(e, out, cur, n - (uint32_t)(cur - iov), flags);
+            long r = iov_syscall(e, out, cur, n - (uint32_t)(cur - iov), flags);
             if (r < 0) {
-                if (errno == EINTR && !nonblock)
+                if (r == -EINTR && !nonblock)
                     continue;
                 turn = NULL; /* a failed transfer ends the turn */
                 *moved = (uint32_t)total;
-                return total ? W_SUCCESS : rt_errno_to_wasi(errno);
+                return total ? W_SUCCESS : rt_errno_to_wasi(r);
             }
             done += (size_t)r;
             total += (uint64_t)r;
@@ -178,7 +172,7 @@ iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int flags, uint
                 break; /* reads and non-blocking writes report the partial count */
             /* a blocking write resumes after its short write */
             for (; (size_t)r >= cur->iov_len; cur++)
-                r -= (ssize_t)cur->iov_len;
+                r -= (long)cur->iov_len;
             cur->iov_base = (uint8_t *)cur->iov_base + r;
             cur->iov_len -= (size_t)r;
         }
@@ -235,27 +229,32 @@ uint32_t rt_iov_xfer(fd_entry *e, int out, uint32_t iovs, uint32_t iovs_len, int
     return r;
 }
 
-/* Split the variable var at sep into out, keeping the pieces in buf; a
- * value that does not fit buf or out ends the process rather than reach
- * the guest cut short. */
-static int split_var(const char *var, char *buf, size_t size, const char *sep, const char **out)
+/* Split the variable var at sep into out, keeping the pieces in buf; empty
+ * pieces are skipped. A value that does not fit buf or out ends the process
+ * rather than reach the guest cut short. */
+static int split_var(const char *var, char *buf, size_t size, char sep, const char **out)
 {
     const char *v = getenv(var);
     int count = 0;
     if (!v)
         return 0;
     if (strlen(v) >= size) {
-        fprintf(stderr, "seam-rt: %s is %zu bytes, more than %zu\n", var, strlen(v), size - 1);
-        exit(1);
+        rt_print(2, "seam-rt: %s is %zu bytes, more than %zu\n", var, strlen(v), size - 1);
+        rt_exit(1);
     }
     strcpy(buf, v);
-    char *save = NULL;
-    for (char *tok = strtok_r(buf, sep, &save); tok; tok = strtok_r(NULL, sep, &save)) {
-        if (count == RT_MAX_ARGS) {
-            fprintf(stderr, "seam-rt: %s holds more than %d entries\n", var, RT_MAX_ARGS);
-            exit(1);
+    for (char *p = buf; *p;) {
+        if (*p == sep) {
+            *p++ = 0;
+            continue;
         }
-        out[count++] = tok;
+        if (count == RT_MAX_ARGS) {
+            rt_print(2, "seam-rt: %s holds more than %d entries\n", var, RT_MAX_ARGS);
+            rt_exit(1);
+        }
+        out[count++] = p;
+        while (*p && *p != sep)
+            p++;
     }
     return count;
 }
@@ -264,6 +263,6 @@ void rt_args_init(void)
 {
     static char args_buf[4096];
     static char env_buf[4096];
-    rt_argc = split_var("GUEST_ARGS", args_buf, sizeof args_buf, " ", rt_argv);
-    rt_envc = split_var("GUEST_ENV", env_buf, sizeof env_buf, ",", rt_envv);
+    rt_argc = split_var("GUEST_ARGS", args_buf, sizeof args_buf, ' ', rt_argv);
+    rt_envc = split_var("GUEST_ENV", env_buf, sizeof env_buf, ',', rt_envv);
 }

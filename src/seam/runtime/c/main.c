@@ -1,30 +1,26 @@
 /* Executable entry: boot the libOS pieces, then hand control to the linked
  * guest exactly once.
  *
- * Boot order: linear memory from wasm_memory_spec, tar filesystem (the
- * embedded fs_image_* symbols, or an empty root), fd table with stdio and the
- * "/" preopen, guest args/env, the fault handler, then wasm_init and
+ * start.c's _start relocates the executable and calls main with argc, argv
+ * and envp; the auxiliary vector follows envp, and gives main the vDSO's
+ * clock. Boot order: the environment, the signal handlers, the profiler,
+ * linear memory from wasm_memory_spec, tar filesystem (the embedded
+ * fs_image_* symbols, or an empty root), fd table with stdio and the "/"
+ * preopen, guest args/env, the fault handler, then wasm_init and
  * wasm__start on a big stack. SEAM_INVOKE=<export> calls a nullary export
  * instead of _start and prints its result bits.
  *
  * The process has one thread. The guest stack is mapped here, with a
- * PROT_NONE guard region under it, and main switches to it with
- * swapcontext; the guest's return switches back. Signals, traps, proc_exit
- * and the atexit handlers therefore never run beside a guest call. Generated
- * code bounds call depth with a budget argument, not with the stack, but
- * frames can be large enough (thousands of spilled locals) to use up
- * GUEST_STACK_SIZE before the budget runs out; such a frame then faults in
- * the guard, which trap.c maps to trap 7 rather than a crash. The guest
- * object is compiled with -fstack-clash-protection, so no frame can step
- * over the guard. */
+ * PROT_NONE guard region under it, and main runs the guest on it with
+ * rt_run_on; whatever ends the guest takes rt_exit, which switches back, and
+ * main returns the exit status. Signals, traps and proc_exit therefore
+ * never run beside a guest call. Generated code bounds call depth with a
+ * budget argument, not with the stack, but frames can be large enough
+ * (thousands of spilled locals) to use up GUEST_STACK_SIZE before the
+ * budget runs out; such a frame then faults in the guard, which mem.c maps
+ * to trap 7 rather than a crash. The guest object is compiled with
+ * -fstack-clash-protection, so no frame can step over the guard. */
 #include "rt.h"
-
-#include <signal.h>
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
-#include <sys/mman.h>
-#include <ucontext.h>
 
 extern void wasm_init(void);
 extern void wasm__start(void) __attribute__((weak));
@@ -42,14 +38,13 @@ extern const uint64_t fs_image_size __attribute__((weak));
 
 static void die(const char *msg)
 {
-    fprintf(stderr, "seam-rt: %s\n", msg);
-    exit(1);
+    rt_print(2, "seam-rt: %s\n", msg);
+    rt_exit(1);
 }
 
 static void on_signal(int sig)
 {
-    /* exit() so the atexit handlers still run: held sends, then the profile */
-    exit(128 + sig);
+    rt_exit(128 + sig);
 }
 
 static void mount_fs(void)
@@ -71,37 +66,36 @@ static void print_result(const char *sig, void (*fn)(void))
     switch (res) {
     case 0: {
         ((void (*)(void))fn)();
-        printf("void\n");
+        rt_print(1, "void\n");
         break;
     }
     case 'i': {
         uint32_t v = ((uint32_t (*)(void))fn)();
-        printf("i32:0x%08x\n", v);
+        rt_print(1, "i32:0x%08x\n", v);
         break;
     }
     case 'I': {
         uint64_t v = ((uint64_t (*)(void))fn)();
-        printf("i64:0x%016llx\n", (unsigned long long)v);
+        rt_print(1, "i64:0x%016llx\n", (unsigned long long)v);
         break;
     }
     case 'f': {
         float v = ((float (*)(void))fn)();
         union { float f; uint32_t i; } u;
         u.f = v;
-        printf("f32:0x%08x\n", u.i);
+        rt_print(1, "f32:0x%08x\n", u.i);
         break;
     }
     case 'F': {
         double v = ((double (*)(void))fn)();
         union { double f; uint64_t i; } u;
         u.f = v;
-        printf("f64:0x%016llx\n", (unsigned long long)u.i);
+        rt_print(1, "f64:0x%016llx\n", (unsigned long long)u.i);
         break;
     }
     default:
         die("unknown export signature");
     }
-    fflush(stdout);
 }
 
 static void guest_main(void)
@@ -116,50 +110,45 @@ static void guest_main(void)
             if (strcmp(wasm_exports[i].name, invoke) == 0) {
                 print_result(wasm_exports[i].sig, wasm_exports[i].fn);
                 prof_enter(P_NONE);
-                return;
+                rt_exit(0);
             }
         }
-        fprintf(stderr, "seam-rt: no export named %s\n", invoke);
-        exit(1);
+        rt_print(2, "seam-rt: no export named %s\n", invoke);
+        rt_exit(1);
     }
     if (!wasm__start)
         die("guest has no _start export; use SEAM_INVOKE=<export>");
     wasm__start();
     prof_enter(P_NONE);
+    rt_exit(0);
 }
 
-int main(void)
+int main(int argc, char **argv, char **envp)
 {
-    signal(SIGPIPE, SIG_IGN);
-    signal(SIGTERM, on_signal);
-    signal(SIGINT, on_signal);
+    (void)argc;
+    (void)argv;
+    char **auxv = envp;
+    while (*auxv)
+        auxv++;
+    rt_set_environ(envp);
+    rt_vdso_init((const uintptr_t *)(auxv + 1));
+    rt_sigaction(SIGPIPE, SIG_IGN, 0);
+    rt_sigaction(SIGTERM, on_signal, 0);
+    rt_sigaction(SIGINT, on_signal, 0);
     prof_init();
     if (rt_mem_init(wasm_memory_spec[0], wasm_memory_spec[1]) != 0)
         die("linear memory reservation failed");
     mount_fs();
     rt_fd_init();
-    atexit(rt_flush_sends); /* runs before prof_init's report */
     rt_args_init();
 
-    uint8_t *guard = mmap(NULL, GUEST_STACK_GUARD + GUEST_STACK_SIZE, PROT_NONE,
-                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
-    if (guard == MAP_FAILED ||
-        mprotect(guard + GUEST_STACK_GUARD, GUEST_STACK_SIZE, PROT_READ | PROT_WRITE) != 0)
+    long guard = sys_mmap(NULL, GUEST_STACK_GUARD + GUEST_STACK_SIZE, PROT_NONE,
+                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK);
+    if (guard < 0 || sys_mprotect((uint8_t *)guard + GUEST_STACK_GUARD, GUEST_STACK_SIZE,
+                                  PROT_READ | PROT_WRITE) != 0)
         die("cannot map the guest stack");
-    rt_fault_region(TRAP_STACK_EXHAUSTED, guard, GUEST_STACK_GUARD);
+    rt_fault_region(TRAP_STACK_EXHAUSTED, (void *)guard, GUEST_STACK_GUARD);
     if (rt_fault_install() != 0)
         die("cannot install the trap handler");
-
-    /* locals, not static: two static contexts would dirty two .bss pages */
-    ucontext_t boot, guest;
-    if (getcontext(&guest) != 0)
-        die("cannot switch to the guest stack");
-    guest.uc_stack.ss_sp = guard + GUEST_STACK_GUARD;
-    guest.uc_stack.ss_size = GUEST_STACK_SIZE;
-    guest.uc_link = &boot;
-    makecontext(&guest, guest_main, 0);
-    if (swapcontext(&boot, &guest) != 0)
-        die("cannot switch to the guest stack");
-    fflush(NULL);
-    return 0;
+    return rt_run_on((uint8_t *)guard + GUEST_STACK_GUARD + GUEST_STACK_SIZE, guest_main);
 }

@@ -19,19 +19,14 @@
  * "hostio" on stdio, and the send of held bytes (fdtable.c) is "socket"
  * wherever it runs. A tar file read does no host I/O: its copy stays with
  * the calling row's bucket, "wasi". random_get's getrandom and fd_close's close of
- * a socket are "hostio"; poll_oneoff's poll(2) wait is "timer" (clocks
+ * a socket are "hostio"; poll_oneoff's ppoll(2) wait is "timer" (clocks
  * only), "socket" (any socket) or "hostio" (other fds). The unikernel
  * analogy: "socket" stands in for lwIP packet processing, "hostio" for the
  * driver.
  *
- * Activated by SEAM_PROFILE=1; the report is written at exit as JSON to
- * SEAM_PROFILE_OUT (or stderr). */
+ * Activated by SEAM_PROFILE=1; the exit path (rt_exit) writes the report
+ * as JSON to SEAM_PROFILE_OUT (or stderr). */
 #include "rt.h"
-
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
-#include <time.h>
 
 int prof_on;
 static uint64_t acc[P_NONE + 1];
@@ -39,20 +34,9 @@ static int cur = P_NONE;
 static uint64_t mark;
 static uint64_t t_start;
 
-static const char *bucket_names[P_NBUCKETS] = {
-    "guest", "wasi", "memory", "timer", "socket", "hostio",
-};
-
-static uint64_t now_ns(void)
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (uint64_t)ts.tv_sec * 1000000000ull + (uint64_t)ts.tv_nsec;
-}
-
 int prof_switch(int b)
 {
-    uint64_t t = now_ns();
+    uint64_t t = rt_now_ns(1);
     int was = cur;
     acc[was] += t - mark;
     mark = t;
@@ -60,23 +44,28 @@ int prof_switch(int b)
     return was;
 }
 
-static void prof_report(void)
+void prof_report(void)
 {
+    if (!prof_on)
+        return;
     prof_switch(P_NONE);
     const char *path = getenv("SEAM_PROFILE_OUT");
-    FILE *out = stderr;
+    long fd = 2;
     if (path && *path) {
-        FILE *f = fopen(path, "w");
-        if (f)
-            out = f;
+        fd = sys_openat(AT_FDCWD, path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+        if (fd < 0)
+            fd = 2;
     }
-    fprintf(out, "{\"total_ns\": %llu, \"buckets\": {", (unsigned long long)(mark - t_start));
-    for (int i = 0; i < P_NBUCKETS; i++)
-        fprintf(out, "%s\"%s\": %llu", i ? ", " : "", bucket_names[i],
-                (unsigned long long)acc[i]);
-    fprintf(out, "}, \"unattributed_ns\": %llu}\n", (unsigned long long)acc[P_NONE]);
-    if (out != stderr)
-        fclose(out);
+    /* the buckets in the order of seam.codegen.symbols.BUCKETS */
+    rt_print((int)fd, "{\"total_ns\": %llu, \"buckets\": {\"guest\": %llu, \"wasi\": %llu, "
+             "\"memory\": %llu, \"timer\": %llu, \"socket\": %llu, \"hostio\": %llu}, "
+             "\"unattributed_ns\": %llu}\n",
+             (unsigned long long)(mark - t_start), (unsigned long long)acc[P_GUEST],
+             (unsigned long long)acc[P_WASI], (unsigned long long)acc[P_MEMORY],
+             (unsigned long long)acc[P_TIMER], (unsigned long long)acc[P_SOCKET],
+             (unsigned long long)acc[P_HOSTIO], (unsigned long long)acc[P_NONE]);
+    if (fd != 2)
+        sys_close((int)fd);
 }
 
 void prof_init(void)
@@ -85,7 +74,6 @@ void prof_init(void)
     prof_on = v && *v && strcmp(v, "0") != 0;
     if (!prof_on)
         return;
-    t_start = now_ns();
+    t_start = rt_now_ns(1);
     mark = t_start;
-    atexit(prof_report);
 }

@@ -1,10 +1,10 @@
 /* Shared declarations for the libOS runtime that gets statically linked
- * with compiled Wasm objects. The process runs on one thread. */
+ * with compiled Wasm objects, and with nothing else: the runtime reaches the
+ * host only through sys.h. The process runs on one thread. */
 #ifndef SEAM_RT_H
 #define SEAM_RT_H
 
-#include <stddef.h>
-#include <stdint.h>
+#include "sys.h"
 
 /* ---- WASI preview1 errno values (ABI) ---- */
 enum {
@@ -83,6 +83,7 @@ enum {
     TRAP_STACK_EXHAUSTED = 7,
 };
 
+/* prints the trap's seam-rt: line and takes the exit path with 128 + code */
 void runtime_trap(uint32_t code) __attribute__((noreturn));
 
 /* a fault at an address in [lo, lo + len) is trap `code` (one region per
@@ -90,6 +91,15 @@ void runtime_trap(uint32_t code) __attribute__((noreturn));
  * SIGSEGV/SIGBUS handler */
 void rt_fault_region(uint32_t code, const void *lo, size_t len);
 int rt_fault_install(void);
+
+/* ---- the exit path (sys.c) ---- */
+/* runs entry, which must end in rt_exit, on the stack below stack_top, and
+ * returns the status rt_exit was given */
+int rt_run_on(void *stack_top, void (*entry)(void));
+/* flushes held sends, writes the profile, and ends the process with
+ * status: by returning it from rt_run_on when its entry is running, else
+ * by exit_group */
+void rt_exit(int status) __attribute__((noreturn));
 
 /* ---- linear memory ---- */
 int rt_mem_init(uint32_t initial_pages, uint32_t max_pages);
@@ -140,7 +150,7 @@ extern fd_entry rt_fdt[FD_TABLE_SIZE];
 void rt_fd_init(void);
 int rt_fd_alloc(void); /* lowest free index >= 4, or -1 */
 fd_entry *rt_fd_get(uint32_t fd);
-/* on e's host fd, after rt_flush_sends; 0 or -1 with errno */
+/* on e's host fd, after rt_flush_sends; 0 or -errno */
 int rt_fd_set_nonblock(fd_entry *e, int nonblock);
 /* ends the turn: sends the bytes rt_iov_xfer holds for the turn's socket */
 void rt_flush_sends(void);
@@ -174,6 +184,8 @@ extern const char *rt_envv[RT_MAX_ARGS];
 enum { P_GUEST = 0, P_WASI, P_MEMORY, P_TIMER, P_SOCKET, P_HOSTIO, P_NBUCKETS,
        P_NONE = P_NBUCKETS };
 void prof_init(void);
+/* the report, when profiling is on: JSON to SEAM_PROFILE_OUT or stderr */
+void prof_report(void);
 /* makes b the current bucket and returns the one it replaced */
 int prof_switch(int b);
 /* hidden: read by every ABI entry, so one rip-relative load, not a GOT hop */
@@ -186,8 +198,8 @@ static inline int prof_enter(int b)
 }
 
 /* ---- misc ---- */
-uint32_t rt_errno_to_wasi(int err);
-uint64_t rt_now_ns(int clock_id); /* 0 = realtime, 1 = monotonic */
+/* the WASI errno for a failed system call's return, -errno */
+uint32_t rt_errno_to_wasi(long r);
 
 /* the WASI rows and their bodies wasi_<name> are declared in the generated
  * abi.h (abi.c and wasi_*.c only) */

@@ -14,9 +14,6 @@
  * library). */
 #include "rt.h"
 
-#include <stdio.h>
-#include <string.h>
-
 #define MAX_NODES 8192
 #define MAX_PATH 255
 
@@ -145,7 +142,7 @@ static int checksum_ok(const uint8_t *hdr)
 
 static int corrupt(const char *what, uint64_t off)
 {
-    fprintf(stderr, "seam-rt: tarfs: %s at block %llu\n", what, (unsigned long long)(off / 512));
+    rt_print(2, "seam-rt: tarfs: %s at block %llu\n", what, (unsigned long long)(off / 512));
     return -1;
 }
 

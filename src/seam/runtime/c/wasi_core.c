@@ -6,17 +6,9 @@
 #include "rt.h"
 #include "abi.h"
 
-#include <errno.h>
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
-#include <sys/random.h>
-#include <time.h>
-#include <unistd.h>
-
-uint32_t rt_errno_to_wasi(int err)
+uint32_t rt_errno_to_wasi(long r)
 {
-    switch (err) {
+    switch (-r) {
     case 0: return W_SUCCESS;
     case EACCES: return W_ACCES;
     case EADDRINUSE: return W_ADDRINUSE;
@@ -44,13 +36,6 @@ uint32_t rt_errno_to_wasi(int err)
     case ETIMEDOUT: return W_TIMEDOUT;
     default: return W_IO;
     }
-}
-
-uint64_t rt_now_ns(int clock_id)
-{
-    struct timespec ts;
-    clock_gettime(clock_id == 0 ? CLOCK_REALTIME : CLOCK_MONOTONIC, &ts);
-    return (uint64_t)ts.tv_sec * 1000000000ull + (uint64_t)ts.tv_nsec;
 }
 
 /* ---- args / environ ---- */
@@ -106,7 +91,7 @@ uint32_t wasi_clock_res_get(uint32_t id, uint32_t res_out)
     if (id > 1)
         return W_INVAL;
     struct timespec ts;
-    clock_getres(id == 0 ? CLOCK_REALTIME : CLOCK_MONOTONIC, &ts);
+    sys_clock_getres((int)id, &ts); /* WASI's clock ids 0 and 1 are Linux's */
     lm_set_u64(res_out, (uint64_t)ts.tv_sec * 1000000000ull + (uint64_t)ts.tv_nsec);
     return W_SUCCESS;
 }
@@ -126,11 +111,11 @@ uint32_t wasi_random_get(uint32_t buf, uint32_t len)
     uint32_t r = W_SUCCESS;
     int was = prof_enter(P_HOSTIO);
     for (uint32_t done = 0; done < len;) {
-        ssize_t n = getrandom(p + done, len - done, 0);
+        long n = sys_getrandom(p + done, len - done);
         if (n >= 0)
             done += (uint32_t)n;
-        else if (errno != EINTR) {
-            r = rt_errno_to_wasi(errno);
+        else if (n != -EINTR) {
+            r = rt_errno_to_wasi(n);
             break;
         }
     }
@@ -140,8 +125,7 @@ uint32_t wasi_random_get(uint32_t buf, uint32_t len)
 
 void proc_exit(uint32_t code)
 {
-    fflush(NULL);
-    exit((int)code);
+    rt_exit((int)code);
 }
 
 uint32_t wasi_sched_yield(void)
@@ -174,7 +158,7 @@ uint32_t wasi_fd_close(uint32_t fd)
     if (e->kind == FK_SOCKET && e->host_fd >= 0) {
         rt_flush_sends();
         int was = prof_enter(P_HOSTIO);
-        close(e->host_fd);
+        sys_close(e->host_fd);
         prof_enter(was);
     }
     memset(e, 0, sizeof *e);
@@ -250,9 +234,8 @@ uint32_t wasi_fd_fdstat_set_flags(uint32_t fd, uint32_t flags)
     if (flags & ~(uint32_t)(FDFLAG_APPEND | FDFLAG_NONBLOCK))
         return W_INVAL;
     e->fdflags = (uint16_t)flags;
-    if ((e->kind == FK_STDIO || e->kind == FK_SOCKET)
-        && rt_fd_set_nonblock(e, (flags & FDFLAG_NONBLOCK) != 0) != 0)
-        return rt_errno_to_wasi(errno);
+    if (e->kind == FK_STDIO || e->kind == FK_SOCKET)
+        return rt_errno_to_wasi(rt_fd_set_nonblock(e, (flags & FDFLAG_NONBLOCK) != 0));
     return W_SUCCESS;
 }
 

@@ -17,12 +17,6 @@
 #include "rt.h"
 #include "abi.h"
 
-#include <errno.h>
-#include <limits.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/ioctl.h>
-
 #define EVT_CLOCK 0
 #define EVT_FD_READ 1
 #define EVT_FD_WRITE 2
@@ -47,7 +41,7 @@ static void put_event(uint8_t *ev, const uint8_t *sub, uint16_t werrno, uint64_t
 static uint64_t readable_bytes(const fd_entry *e)
 {
     int avail = 0;
-    if (ioctl(e->host_fd, FIONREAD, &avail) != 0 || avail < 0)
+    if (sys_ioctl(e->host_fd, FIONREAD, &avail) != 0 || avail < 0)
         return 0;
     return (uint64_t)avail;
 }
@@ -112,21 +106,21 @@ uint32_t wasi_poll_oneoff(uint32_t subs_addr, uint32_t events_addr, uint32_t nsu
     int bucket = npfd == 0 ? P_TIMER : any_socket ? P_SOCKET : P_HOSTIO;
 
     do {
-        int timeout_ms = -1; /* 0 with events at hand, else to the earliest deadline */
-        if (n)
-            timeout_ms = 0;
-        else if (earliest != UINT64_MAX) {
-            uint64_t ms = earliest > now ? (earliest - now + 999999ull) / 1000000ull : 0;
-            timeout_ms = ms < INT_MAX ? (int)ms : INT_MAX;
-        }
-        int rc;
+        /* none with events at hand, else to the earliest deadline, if any */
+        struct timespec wait = {0, 0}, *timeout = &wait;
+        if (!n && earliest == UINT64_MAX)
+            timeout = NULL;
+        else if (!n && earliest > now)
+            wait = (struct timespec){(long)((earliest - now) / 1000000000ull),
+                                     (long)((earliest - now) % 1000000000ull)};
+        long rc;
         int was = prof_enter(bucket);
         do {
-            rc = poll(npfd ? pfds : NULL, (nfds_t)npfd, timeout_ms);
-        } while (rc < 0 && errno == EINTR);
+            rc = sys_ppoll(npfd ? pfds : NULL, (unsigned)npfd, timeout);
+        } while (rc == -EINTR);
         prof_enter(was);
         if (rc < 0)
-            return rt_errno_to_wasi(errno);
+            return rt_errno_to_wasi(rc);
 
         for (int k = 0; k < npfd; k++) {
             short rev = pfds[k].revents;
@@ -150,7 +144,7 @@ uint32_t wasi_poll_oneoff(uint32_t subs_addr, uint32_t events_addr, uint32_t nsu
                 if (deadline[c] <= now)
                     put_event(events + 32 * n++, clock_sub[c], W_SUCCESS, 0, 0);
         }
-        /* none yet: a spurious wake (poll timeout rounding); wait again */
+        /* none yet: a spurious wake; wait again */
     } while (n == 0);
 
     lm_set_u32(nevents_out, n);

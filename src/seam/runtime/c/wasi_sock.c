@@ -13,14 +13,6 @@
 #include "rt.h"
 #include "abi.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #define AF_W_UNSPEC 0u
 #define AF_W_INET4 1u
 #define AF_W_INET6 2u
@@ -63,12 +55,12 @@ uint32_t wasi_sock_open(uint32_t af, uint32_t socktype, uint32_t fd_out)
     int nfd = rt_fd_alloc();
     if (nfd < 0)
         return W_NFILE;
-    int hfd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    long hfd = sys_socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (hfd < 0)
-        return rt_errno_to_wasi(errno);
+        return rt_errno_to_wasi(hfd);
     rt_fdt[nfd].kind = FK_SOCKET;
     rt_fdt[nfd].sstate = SS_CREATED;
-    rt_fdt[nfd].host_fd = hfd;
+    rt_fdt[nfd].host_fd = (int)hfd;
     rt_fdt[nfd].fdflags = 0;
     lm_set_u32(fd_out, (uint32_t)nfd);
     return W_SUCCESS;
@@ -100,14 +92,15 @@ uint32_t wasi_sock_bind(uint32_t fd, uint32_t addr_rec, uint32_t port)
     struct sockaddr_in sa;
     memset(&sa, 0, sizeof sa);
     sa.sin_family = AF_INET;
-    sa.sin_port = htons((uint16_t)port);
+    sa.sin_port = __cpu_to_be16((uint16_t)port);
     err = read_addr_v4(addr_rec, &sa.sin_addr);
     if (err != W_SUCCESS)
         return err;
     int one = 1;
-    setsockopt(e->host_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    if (bind(e->host_fd, (struct sockaddr *)&sa, sizeof sa) != 0)
-        return rt_errno_to_wasi(errno);
+    sys_setsockopt(e->host_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    long rc = sys_bind(e->host_fd, &sa, sizeof sa);
+    if (rc != 0)
+        return rt_errno_to_wasi(rc);
     e->sstate = SS_BOUND;
     return W_SUCCESS;
 }
@@ -120,8 +113,9 @@ uint32_t wasi_sock_listen(uint32_t fd, uint32_t backlog)
         return err;
     if (e->sstate != SS_BOUND) /* listen before bind is a state error here */
         return W_INVAL;
-    if (listen(e->host_fd, (int)(backlog ? backlog : 16)) != 0)
-        return rt_errno_to_wasi(errno);
+    long rc = sys_listen(e->host_fd, (int)(backlog ? backlog : 16));
+    if (rc != 0)
+        return rt_errno_to_wasi(rc);
     e->sstate = SS_LISTENING;
     return W_SUCCESS;
 }
@@ -138,18 +132,18 @@ uint32_t wasi_sock_accept(uint32_t fd, uint32_t flags, uint32_t fd_out)
     if (nfd < 0)
         return W_NFILE;
     rt_flush_sends();
-    int hfd;
+    long hfd;
     do {
-        hfd = accept(e->host_fd, NULL, NULL);
-    } while (hfd < 0 && errno == EINTR && !(e->fdflags & FDFLAG_NONBLOCK));
+        hfd = sys_accept4(e->host_fd, 0);
+    } while (hfd == -EINTR && !(e->fdflags & FDFLAG_NONBLOCK));
     if (hfd < 0)
-        return rt_errno_to_wasi(errno);
+        return rt_errno_to_wasi(hfd);
     rt_fdt[nfd].kind = FK_SOCKET;
     rt_fdt[nfd].sstate = SS_CONNECTED;
-    rt_fdt[nfd].host_fd = hfd;
+    rt_fdt[nfd].host_fd = (int)hfd;
     rt_fdt[nfd].fdflags = (uint16_t)flags;
     int one = 1;
-    setsockopt(hfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    sys_setsockopt((int)hfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     if (flags & FDFLAG_NONBLOCK)
         rt_fd_set_nonblock(&rt_fdt[nfd], 1);
     lm_set_u32(fd_out, (uint32_t)nfd);
@@ -167,20 +161,20 @@ uint32_t wasi_sock_connect(uint32_t fd, uint32_t addr_rec, uint32_t port)
     struct sockaddr_in sa;
     memset(&sa, 0, sizeof sa);
     sa.sin_family = AF_INET;
-    sa.sin_port = htons((uint16_t)port);
+    sa.sin_port = __cpu_to_be16((uint16_t)port);
     err = read_addr_v4(addr_rec, &sa.sin_addr);
     if (err != W_SUCCESS)
         return err;
     rt_flush_sends();
-    int rc;
+    long rc;
     do {
-        rc = connect(e->host_fd, (struct sockaddr *)&sa, sizeof sa);
-    } while (rc != 0 && errno == EINTR);
+        rc = sys_connect(e->host_fd, &sa, sizeof sa);
+    } while (rc == -EINTR);
     if (rc != 0)
-        return rt_errno_to_wasi(errno);
+        return rt_errno_to_wasi(rc);
     e->sstate = SS_CONNECTED;
     int one = 1;
-    setsockopt(e->host_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    sys_setsockopt(e->host_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     return W_SUCCESS;
 }
 
@@ -229,8 +223,9 @@ uint32_t wasi_sock_shutdown(uint32_t fd, uint32_t how)
     else
         return W_INVAL;
     rt_flush_sends(); /* held bytes go ahead of the FIN */
-    if (shutdown(e->host_fd, h) != 0)
-        return rt_errno_to_wasi(errno);
+    long rc = sys_shutdown(e->host_fd, h);
+    if (rc != 0)
+        return rt_errno_to_wasi(rc);
     e->sstate = SS_SHUT;
     return W_SUCCESS;
 }
@@ -243,15 +238,15 @@ static uint32_t getaddr_common(uint32_t fd, uint32_t addr_rec, uint32_t type_out
     if (!e)
         return err;
     struct sockaddr_in sa;
-    socklen_t slen = sizeof sa;
-    int rc = peer ? getpeername(e->host_fd, (struct sockaddr *)&sa, &slen)
-                  : getsockname(e->host_fd, (struct sockaddr *)&sa, &slen);
+    unsigned slen = sizeof sa;
+    long rc = peer ? sys_getpeername(e->host_fd, &sa, &slen)
+                   : sys_getsockname(e->host_fd, &sa, &slen);
     if (rc != 0)
-        return rt_errno_to_wasi(errno);
+        return rt_errno_to_wasi(rc);
     err = write_addr_v4(addr_rec, &sa.sin_addr);
     if (err == W_SUCCESS) {
         lm_set_u32(type_out, 4); /* address type: IPv4 */
-        lm_set_u32(port_out, ntohs(sa.sin_port));
+        lm_set_u32(port_out, __be16_to_cpu(sa.sin_port));
     }
     return err;
 }

@@ -134,6 +134,7 @@ class RuntimeLib:
         self.fs_nodes = ctypes.pointer(TarNode.in_dll(lib, "rt_fs_nodes"))
         self.fs_count = ctypes.c_int.in_dll(lib, "rt_fs_count")
         self.tar_image = None  # the buffer the mounted nodes point into
+        self.environ = None  # the block the runtime's getenv reads
 
     def boot(self, initial_pages=4, max_pages=16, tar: bytes | None = None,
              args: str = "", env: str = ""):
@@ -143,16 +144,17 @@ class RuntimeLib:
             assert self.mount(tar) == 0
         else:
             self.lib.rt_fs_mount(None, 0)
-        if args:
-            os.environ["GUEST_ARGS"] = args
-        else:
-            os.environ.pop("GUEST_ARGS", None)
-        if env:
-            os.environ["GUEST_ENV"] = env
-        else:
-            os.environ.pop("GUEST_ENV", None)
+        self.set_environ({"GUEST_ARGS": args, "GUEST_ENV": env})
         self.lib.rt_fd_init()
         self.lib.rt_args_init()
+
+    def set_environ(self, variables: dict[str, str]):
+        """Hand the runtime an environment block, as main hands it the
+        process's own; its getenv reads nothing else. Empty values are left
+        out, and the block lives until the next call."""
+        entries = [f"{k}={v}".encode() for k, v in variables.items() if v]
+        self.environ = (ctypes.c_char_p * (len(entries) + 1))(*entries, None)
+        self.lib.rt_set_environ(self.environ)
 
     # tar filesystem helpers
     def mount(self, image: bytes) -> int:

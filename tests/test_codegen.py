@@ -8,12 +8,14 @@ classes are observed end to end.
 import json
 import re
 import struct
+import subprocess
 
 import pytest
 
 from seam import elf
 from seam.codegen import ALLOWED_UNRESOLVED, compile_module, write_artifact
 from seam.codegen.ctext import CALL_DEPTH_LIMIT
+from seam.driver import BuildPlan, cmd_build
 from seam.errors import CodegenError, UnsupportedImportModule
 from seam.wasm import decode_module, validate_module
 from seam.wasm import opcodes as op
@@ -276,6 +278,45 @@ def test_call_indirect_dispatch(tmp_path):
     assert run_exe_export(exe, "wrong_type") == ("trap", 5)
 
 
+def loaded_index(slots: list[int], b: ModuleBuilder) -> list:
+    """Memory 0 holds slots as u32s; the k-th entry's load is the operand
+    sequence returned for each slot, so cc cannot fold the call_indirect
+    that takes it, and the table array stays in the guest object."""
+    b.set_memory(1, 1)
+    b.add_data(0, struct.pack(f"<{len(slots)}I", *slots))
+    return [[("i32.const", 4 * k), ("i32.load", 2, 0)] for k in range(len(slots))]
+
+
+def build_with_tables(wasm: bytes, tmp_path, name: str) -> tuple:
+    """The executable, and the sr_tab arrays its guest object defines."""
+    (tmp_path / f"{name}.wasm").write_bytes(wasm)
+    exe = tmp_path / name
+    cmd_build(BuildPlan(wasm=tmp_path / f"{name}.wasm", output=exe, keep_intermediates=True))
+    nm = subprocess.run(["nm", str(tmp_path / f"{name}.build" / "guest.o")],
+                        capture_output=True, text=True, check=True).stdout
+    return exe, {line.split()[-1] for line in nm.splitlines() if " sr_tab" in line}
+
+
+def test_call_indirect_dispatch_through_a_loaded_index(tmp_path):
+    b = ModuleBuilder()
+    f1 = b.add_func([], ["i32"], [], [("i32.const", 11)])
+    f2 = b.add_func([], ["i32"], [], [("i32.const", 22)])
+    b.set_table(4, 4)
+    b.add_elem(0, [f1, f2])
+    t, t64 = b.type_index([], ["i32"]), b.type_index([], ["i64"])
+    index = loaded_index([0, 1, 2, 9, 0], b)
+    for k, name in enumerate(["slot0", "slot1", "null_slot", "oob_slot"]):
+        b.add_func([], ["i32"], [], [*index[k], ("call_indirect", t)], export=name)
+    b.add_func([], ["i64"], [], [*index[4], ("call_indirect", t64)], export="wrong_type")
+    exe, tables = build_with_tables(b.build(), tmp_path, "indirect")
+    assert tables
+    assert run_exe_export(exe, "slot0") == ("value", "i32", 11)
+    assert run_exe_export(exe, "slot1") == ("value", "i32", 22)
+    assert run_exe_export(exe, "null_slot") == ("trap", 5)
+    assert run_exe_export(exe, "oob_slot") == ("trap", 6)
+    assert run_exe_export(exe, "wrong_type") == ("trap", 5)
+
+
 def test_start_function_runs_before_start_export(tmp_path):
     b = ModuleBuilder()
     b.set_memory(1, 1)
@@ -465,6 +506,47 @@ def test_slot_called_under_its_own_and_another_signature(tmp_path):
     exe = build_module_exe(b.build(), tmp_path, "sigs")
     assert run_exe_export(exe, "own") == ("value", "i32", 42)
     assert run_exe_export(exe, "other") == ("trap", 5)
+
+
+def test_later_element_segment_overwrites_earlier_through_a_loaded_index(tmp_path):
+    b = ModuleBuilder()
+    fs = [b.add_func([], ["i32"], [], [("i32.const", v)]) for v in (11, 22, 33, 44)]
+    b.set_table(4, 4)
+    b.add_elem(0, fs[:3])
+    b.add_elem(1, [fs[3]])
+    t = b.type_index([], ["i32"])
+    index = loaded_index([0, 1, 2, 3], b)
+    for slot in range(4):
+        b.add_func([], ["i32"], [], [*index[slot], ("call_indirect", t)], export=f"slot{slot}")
+    exe, tables = build_with_tables(b.build(), tmp_path, "elemover")
+    assert tables
+    assert [run_exe_export(exe, f"slot{s}") for s in range(3)] == [
+        ("value", "i32", 11), ("value", "i32", 44), ("value", "i32", 33)]
+    assert run_exe_export(exe, "slot3") == ("trap", 5)
+
+
+def test_slot_called_under_its_own_and_another_signature_through_a_loaded_index(tmp_path):
+    # a one-slot table leaves one possible index, which cc folds like a
+    # constant, so slot 1 holds a function of the other signature
+    b = ModuleBuilder()
+    add = b.add_func(["i32", "i32"], ["i32"], [], [("local.get", 0), ("local.get", 1), ("i32.add",)])
+    dbl = b.add_func(["i32"], ["i32"], [], [("local.get", 0), ("i32.const", 1), ("i32.shl",)])
+    b.set_table(2, 2)
+    b.add_elem(0, [add, dbl])
+    own = b.type_index(["i32", "i32"], ["i32"])
+    other = b.type_index(["i32"], ["i32"])
+    index = loaded_index([0, 0, 1], b)
+    b.add_func([], ["i32"], [], [("i32.const", 40), ("i32.const", 2), *index[0],
+                                 ("call_indirect", own)], export="own")
+    b.add_func([], ["i32"], [], [("i32.const", 40), *index[1],
+                                 ("call_indirect", other)], export="other")
+    b.add_func([], ["i32"], [], [("i32.const", 40), *index[2],
+                                 ("call_indirect", other)], export="other1")
+    exe, tables = build_with_tables(b.build(), tmp_path, "sigs")
+    assert tables
+    assert run_exe_export(exe, "own") == ("value", "i32", 42)
+    assert run_exe_export(exe, "other") == ("trap", 5)
+    assert run_exe_export(exe, "other1") == ("value", "i32", 80)
 
 
 def test_table_ends_at_its_last_function(tmp_path):

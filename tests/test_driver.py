@@ -2,7 +2,6 @@
 
 import json
 import os
-import shutil
 import signal
 import struct
 import subprocess
@@ -23,7 +22,7 @@ from seam.driver import (
     cmd_run,
     link_executable,
 )
-from seam.errors import AbiViolation, LinkError, SeamError
+from seam.errors import AbiViolation, SeamError
 from seam.profiler import profile_run
 from seam.runtime import (
     C_DIR,
@@ -457,35 +456,6 @@ def test_guest_placement_does_not_depend_on_the_runtime(tmp_path):
         assert {name: funcs[name] % 4096 for name in offsets} == {n: v % 4096 for n, v in offsets.items()}
 
 
-def test_missing_static_libc_is_a_named_error(tmp_path, monkeypatch, capsys):
-    real = runtime._ask_cc
-    monkeypatch.setattr(runtime, "_ask_cc",
-                        lambda arg: "libc.a" if arg == "-print-file-name=libc.a" else real(arg))
-    wasm = hello_guest(tmp_path)
-    with pytest.raises(LinkError, match="libc.a not found: install the C library's static archive"):
-        cmd_build(BuildPlan(wasm=wasm, output=tmp_path / "h"))
-    assert run_cli(["build", wasm, "-o", tmp_path / "h"]) == 1
-    assert "libc.a not found" in capsys.readouterr().err
-    assert not (tmp_path / "h").exists()
-
-
-def test_libc_identity_keys_the_runtime_cache(tmp_path, monkeypatch):
-    """image.o is published with the objects of its entry, and a libc.a of
-    another path, size or mtime gets a new entry."""
-    objects = runtime_objects()
-    assert runtime_image(objects).is_file()
-    real = runtime._ask_cc
-    libc = tmp_path / "libc.a"
-    shutil.copyfile(real("-print-file-name=libc.a"), libc)
-    monkeypatch.setattr(runtime, "_ask_cc",
-                        lambda arg: str(libc) if arg == "-print-file-name=libc.a" else real(arg))
-    moved = runtime.runtime_entry()
-    st = libc.stat()
-    os.utime(libc, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
-    touched = runtime.runtime_entry()
-    assert len({objects[0].parent, moved, touched}) == 3
-
-
 def test_unimplemented_but_preview1_name_builds_and_nosys(tmp_path, capfd):
     # fd_pread resolves against the NOSYS stub and reports 52 at runtime
     b = ModuleBuilder()
@@ -640,6 +610,69 @@ def test_fault_outside_guard_regions_still_kills(tmp_path):
         proc.stdout.close()
 
 
+# wraps fd_write (linked with --wrap=fd_write): the guest's first call
+# stores to TARGET instead, an address outside both guarded regions
+FAULT_PROBE = """
+#include <stdint.h>
+extern const char wasm_exports[];
+uintptr_t probe_null;
+uint32_t __wrap_fd_write(uint32_t fd, uint32_t iovs, uint32_t n, uint32_t out)
+{
+    *(volatile uintptr_t *)(TARGET) = 1;
+    return 0;
+}
+"""
+
+
+def fault_probe(tmp_path, target: str) -> Path:
+    """hello_guest linked like seam build does, plus FAULT_PROBE storing to target."""
+    exe = tmp_path / "probed"
+    cmd_build(BuildPlan(wasm=hello_guest(tmp_path), output=exe, keep_intermediates=True))
+    (tmp_path / "probe.c").write_text(FAULT_PROBE)
+    subprocess.run(["cc", "-c", "-O2", "-fPIE", f"-DTARGET={target}", "-o", str(tmp_path / "probe.o"),
+                    str(tmp_path / "probe.c")], check=True)
+    subprocess.run(["cc", "-static-pie", "-nostdlib", "-o", str(exe),
+                    str(tmp_path / "probed.build" / "guest.o"), str(tmp_path / "probe.o"),
+                    str(runtime_image(runtime_objects())), "-Wl,--wrap=fd_write"], check=True)
+    return exe
+
+
+@pytest.mark.parametrize("target", ["probe_null", "(uintptr_t)wasm_exports"],
+                         ids=["null-pointer", "relro"])
+def test_fault_outside_the_seam_dies_by_its_signal(tmp_path, target):
+    """A store through a null pointer, or to the guest's export table in
+    RELRO, made read-only again after start-up relocation, is a bug in
+    seam, not a Wasm trap: the process dies by SIGSEGV, prints no trap line
+    and takes no exit path, so not even the profile is written."""
+    exe = fault_probe(tmp_path, target)
+    for env in ({}, {"SEAM_PROFILE": "1"}):
+        proc = subprocess.run([str(exe)], env=env, capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (-signal.SIGSEGV, "", ""), env
+
+
+def waiting_guest(tmp_path) -> Path:
+    """A guest that prints "ready" on a line of its own, then waits in
+    poll_oneoff on a 5 s clock: test_executable_runs_on_one_thread's."""
+    b = ModuleBuilder()
+    fd_write = b.add_import("wasi_snapshot_preview1", "fd_write",
+                            ["i32", "i32", "i32", "i32"], ["i32"])
+    poll_oneoff = b.add_import("wasi_snapshot_preview1", "poll_oneoff",
+                               ["i32", "i32", "i32", "i32"], ["i32"])
+    b.set_memory(1, 1)
+    b.add_data(0, struct.pack("<II", 16, 6) + b"\0" * 8 + b"ready\n")
+    # 64: one subscription {userdata 0, tag clock, id monotonic, 5 s, relative}
+    b.add_data(64, struct.pack("<QB7xIxxxxQQH", 0, 0, 1, 5 * 10**9, 0, 0))
+    b.add_func([], [], [], [
+        ("i32.const", 1), ("i32.const", 0), ("i32.const", 1), ("i32.const", 8),
+        ("call", fd_write), ("drop",),
+        ("i32.const", 64), ("i32.const", 128), ("i32.const", 1), ("i32.const", 160),
+        ("call", poll_oneoff), ("drop",),
+    ], export="_start")
+    wasm = tmp_path / "wait.wasm"
+    wasm.write_bytes(b.build())
+    return wasm
+
+
 def test_executable_runs_on_one_thread(tmp_path):
     # the guest announces itself, then waits in poll_oneoff on a 5 s clock;
     # it runs on the process's only thread, and SIGTERM's exit ends it
@@ -674,6 +707,50 @@ def test_executable_runs_on_one_thread(tmp_path):
         proc.kill()
         proc.wait()
         proc.stdout.close()
+
+
+def nm(*args) -> str:
+    return subprocess.run(["nm", *map(str, args)], capture_output=True, text=True, check=True).stdout
+
+
+def test_no_c_library_beside_the_guest(tmp_path):
+    """image.o is the runtime and its start file: it leaves undefined only
+    the guest's symbols and three the static-PIE link defines, the
+    executable carries none of glibc's start-up, allocator or stdio, and
+    an idle guest's peak resident set stays under 300 kB (824 kB with a
+    static glibc)."""
+    image = runtime_image(runtime_objects())
+    undefined = {line.split()[-1] for line in nm("-u", image).splitlines()}
+    assert {name for name in undefined if not name.startswith(("wasm_", "fs_image_"))} == {
+        "_DYNAMIC", "_GLOBAL_OFFSET_TABLE_", "__ehdr_start"}
+    exe = tmp_path / "wait"
+    cmd_build(BuildPlan(wasm=waiting_guest(tmp_path), output=exe))
+    names = {line.split()[-1] for line in nm(exe).splitlines()}
+    assert not names & {"__libc_start_main", "malloc", "_IO_2_1_stdout_"}
+    proc = subprocess.Popen([str(exe)], stdout=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"ready\n"
+        status = Path(f"/proc/{proc.pid}/status").read_text()
+        hwm_kb = int(status.split("VmHWM:")[1].split()[0])
+        assert hwm_kb < 300, status
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=4) == 143
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+
+def test_the_test_library_exports_no_c_library_name(tmp_path):
+    """libseamrt.so defines its own memcpy, getenv and the rest hidden, so
+    that in the process loading it they cannot interpose on that process's
+    C library; the environment reaches it through one exported setter."""
+    lib = tmp_path / "libseamrt.so"
+    subprocess.run(["strip", "-o", str(lib), str(runtime.test_shared_lib())], check=True)
+    exported = {name for name, _ in elf.definitions(lib)}
+    assert not exported & {"memcpy", "memset", "memcmp", "strlen", "strnlen", "strcmp", "strchr",
+                           "strrchr", "strcpy", "getenv"}
+    assert "rt_set_environ" in exported
 
 
 def test_fd_read_on_closed_stdin_reports_eof(tmp_path):

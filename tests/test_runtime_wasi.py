@@ -8,6 +8,7 @@ import fcntl
 import io
 import json
 import os
+import socket
 import struct
 import subprocess
 import sys
@@ -16,6 +17,8 @@ import tarfile
 import pytest
 
 from seam.codegen import ABI, NOSYS
+
+from conftest import FdEntry
 
 W_SUCCESS, W_BADF, W_INVAL, W_ISDIR, W_NOENT, W_ROFS, W_SPIPE, W_NOSYS, W_NOTDIR = \
     0, 8, 28, 31, 44, 69, 70, 52, 54
@@ -298,6 +301,50 @@ def test_filestat_tar_file(rtfs):
     stat = rtfs.read(0, 64)
     assert stat[16] == 4  # regular file
     assert struct.unpack("<Q", stat[32:40])[0] == 700
+
+
+RIGHTS = {name: 1 << bit for name, bit in [
+    ("fd_read", 1), ("fd_seek", 2), ("fd_tell", 5), ("fd_write", 6), ("path_open", 13),
+    ("fd_readdir", 14), ("path_filestat_get", 18), ("fd_filestat_get", 21),
+    ("poll_fd_readwrite", 27), ("sock_shutdown", 28), ("sock_accept", 29)]}
+
+
+def rights(*names: str) -> int:
+    return sum(RIGHTS[name] for name in names)
+
+
+DIR_RIGHTS = rights("path_open", "fd_readdir", "path_filestat_get", "fd_filestat_get")
+
+
+def test_fdstat_and_filestat_on_every_fd_kind(rtfs):
+    """fd_fdstat_get's file type, fdflags and rights (base and inheriting
+    alike), and fd_filestat_get's file type and size, on each kind of fd."""
+    _, tar_dir = open_path(rtfs, "www", oflags=2)
+    _, tar_file = open_path(rtfs, "www/b.txt", fdflags=1)
+    host, peer = socket.socketpair()
+    with host, peer:
+        sock = tar_file + 1
+        rtfs.fdt[sock] = FdEntry(kind=4, sstate=3, host_fd=host.fileno())  # connected
+        kinds = [  # fd, filetype, fdflags, rights, filestat size
+            (0, 2, 0, rights("fd_read", "poll_fd_readwrite"), 0),
+            (1, 2, 0, rights("fd_write", "poll_fd_readwrite"), 0),
+            (2, 2, 0, rights("fd_write", "poll_fd_readwrite"), 0),
+            (3, 3, 0, DIR_RIGHTS, 0),
+            (tar_dir, 3, 0, DIR_RIGHTS, 0),
+            (tar_file, 4, 1, rights("fd_read", "fd_seek", "fd_tell", "fd_filestat_get",
+                                    "poll_fd_readwrite"), 700),
+            (sock, 6, 0, rights("fd_read", "fd_write", "poll_fd_readwrite", "sock_shutdown",
+                                "sock_accept"), 0),
+        ]
+        for fd, filetype, fdflags, base, size in kinds:
+            rtfs.write(0, b"\xaa" * 24)
+            assert rtfs.lib.fd_fdstat_get(fd, 0) == W_SUCCESS, fd
+            assert struct.unpack("<BxHxxxxQQ", rtfs.read(0, 24)) == (filetype, fdflags, base, base), fd
+            rtfs.write(64, b"\xaa" * 64)
+            assert rtfs.lib.fd_filestat_get(fd, 64) == W_SUCCESS, fd
+            stat = rtfs.read(64, 64)
+            assert (stat[16], struct.unpack_from("<Q", stat, 32)[0]) == (filetype, size), fd
+        rtfs.fdt[sock] = FdEntry()  # the socket object closes its fd
 
 
 def test_path_filestat(rtfs):
