@@ -4,7 +4,8 @@ processing, host-I/O driver.
 
 The instrumentation lives in the runtime (activated by SEAM_PROFILE=1);
 this module runs an executable under it, optionally drives HTTP load at
-the same time, and renders the collected buckets.
+the same time, and renders the collected buckets and the process's peak
+resident set.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ class ProfileReport:
     total_ns: int
     buckets: dict  # bucket -> ns
     unattributed_ns: int
+    max_rss_kb: int  # the process's peak resident set
     load: LoadReport | None = None
 
     def percentages(self) -> dict:
@@ -52,6 +54,7 @@ class ProfileReport:
             "total_ns": self.total_ns,
             "buckets_ns": {k: self.buckets.get(k, 0) for k in BUCKETS},
             "unattributed_ns": self.unattributed_ns,
+            "max_rss_kb": self.max_rss_kb,
             "percent": {k: round(v, 2) for k, v in self.percentages().items()},
         }
         if self.load is not None:
@@ -72,6 +75,7 @@ class ProfileReport:
         lines.append(
             f"{'(unattributed)':<{width + 2}}{self.unattributed_ns:>16,}  {pct['unattributed']:>6.2f}%"
         )
+        lines.append(f"{'peak resident set':<{width + 2}}{self.max_rss_kb:>13,} kB")
         return "\n".join(lines)
 
 
@@ -86,6 +90,7 @@ def _parse_report(path: Path) -> ProfileReport:
         total_ns=int(raw["total_ns"]),
         buckets={k: int(v) for k, v in raw["buckets"].items()},
         unattributed_ns=int(raw["unattributed_ns"]),
+        max_rss_kb=int(raw["max_rss_kb"]),
     )
 
 

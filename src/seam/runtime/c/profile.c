@@ -25,7 +25,8 @@
  * driver.
  *
  * Activated by SEAM_PROFILE=1; the exit path (rt_exit) writes the report
- * as JSON to SEAM_PROFILE_OUT (or stderr). */
+ * as JSON to SEAM_PROFILE_OUT (or stderr), with the process's peak resident
+ * set. */
 #include "rt.h"
 
 int prof_on;
@@ -44,6 +45,30 @@ int prof_switch(int b)
     return was;
 }
 
+/* VmHWM from /proc/self/status in KiB, or 0 when it cannot be read.
+ * getrusage's ru_maxrss will not do: exec keeps the peak of the image it
+ * replaced, so a process started by a large one reports that one's peak. */
+static uint64_t peak_rss_kb(void)
+{
+    char buf[4096];
+    long fd = sys_openat(AT_FDCWD, "/proc/self/status", O_RDONLY | O_CLOEXEC, 0);
+    if (fd < 0)
+        return 0;
+    long n = sys_read((int)fd, buf, sizeof buf - 1);
+    sys_close((int)fd);
+    buf[n > 0 ? n : 0] = 0;
+    for (char *line = buf, *end; (end = strchr(line, '\n')); line = end + 1) {
+        if (end - line > 6 && memcmp(line, "VmHWM:", 6) == 0) { /* "VmHWM:\t 1244 kB" */
+            uint64_t kb = 0;
+            for (const char *c = line + 6; c < end; c++)
+                if (*c >= '0' && *c <= '9')
+                    kb = kb * 10 + (uint64_t)(*c - '0');
+            return kb;
+        }
+    }
+    return 0;
+}
+
 void prof_report(void)
 {
     if (!prof_on)
@@ -59,11 +84,12 @@ void prof_report(void)
     /* the buckets in the order of seam.codegen.symbols.BUCKETS */
     rt_print((int)fd, "{\"total_ns\": %llu, \"buckets\": {\"guest\": %llu, \"wasi\": %llu, "
              "\"memory\": %llu, \"timer\": %llu, \"socket\": %llu, \"hostio\": %llu}, "
-             "\"unattributed_ns\": %llu}\n",
+             "\"unattributed_ns\": %llu, \"max_rss_kb\": %llu}\n",
              (unsigned long long)(mark - t_start), (unsigned long long)acc[P_GUEST],
              (unsigned long long)acc[P_WASI], (unsigned long long)acc[P_MEMORY],
              (unsigned long long)acc[P_TIMER], (unsigned long long)acc[P_SOCKET],
-             (unsigned long long)acc[P_HOSTIO], (unsigned long long)acc[P_NONE]);
+             (unsigned long long)acc[P_HOSTIO], (unsigned long long)acc[P_NONE],
+             (unsigned long long)peak_rss_kb());
     if (fd != 2)
         sys_close((int)fd);
 }

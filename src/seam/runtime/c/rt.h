@@ -117,6 +117,7 @@ void lm_set_u64(uint32_t addr, uint64_t v);
 typedef struct tar_node {
     const char *path;    /* normalized, absolute, no trailing slash; "/" is root */
     uint8_t is_dir;
+    uint32_t hash;       /* FNV-1a of path, compared first by tarfs.c's probes */
     const uint8_t *content;
     uint64_t size;
     uint64_t mtime;

@@ -99,6 +99,8 @@ typedef struct {
 /* ---- system calls ---- */
 static inline long sys_write(int fd, const void *buf, size_t n)
 { return SYS(__NR_write, fd, buf, n, 0, 0, 0); }
+static inline long sys_read(int fd, void *buf, size_t n)
+{ return SYS(__NR_read, fd, buf, n, 0, 0, 0); }
 static inline long sys_readv(int fd, const struct iovec *iov, int n)
 { return SYS(__NR_readv, fd, iov, n, 0, 0, 0); }
 static inline long sys_writev(int fd, const struct iovec *iov, int n)

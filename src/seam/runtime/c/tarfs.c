@@ -5,13 +5,19 @@
  * refuses any tree over MAX_PATH - 1 bytes of relative path or MAX_NODES - 1
  * entries (the root is a node), so whatever it packs mounts here.
  *
- * Nodes are found by path through a hash built as they are added: FNV-1a
- * over the normalized path into 2 * MAX_NODES open-addressed uint16_t slots
- * (32 KiB, at most half full), probed linearly, each hit confirmed with
- * strcmp. So a lookup costs one hash and about one strcmp, and a mount is
- * linear in its entries. The table is cleared at the start of every mount,
- * because a process may mount more than once (the tests, through the shared
- * library). */
+ * The tables are sized by the limits but touched only as far as the image
+ * fills them, so a server's resident set grows with what it mounts. Each
+ * node's normalized path is stored back to back in one arena, which holds
+ * MAX_NODES paths of the longest length. Nodes are found by path through an
+ * open-addressed hash built as they are added: FNV-1a over the path, probed
+ * linearly in a power-of-two prefix of `slots`. The prefix starts at
+ * MIN_SLOTS and doubles before the load passes 1/2, placing every node again
+ * from the hash it keeps; a probe compares that hash before it calls strcmp.
+ * So a lookup costs one hash and about one strcmp, and a mount is linear in
+ * its entries. Growing clears the whole prefix it takes, so slots past the
+ * prefix may hold a previous mount's entries: a process may mount more than
+ * once (the tests, through the shared library), and each mount clears only
+ * the first MIN_SLOTS. */
 #include "rt.h"
 
 #define MAX_NODES 8192
@@ -19,11 +25,15 @@
 
 tar_node rt_fs_nodes[MAX_NODES];
 int rt_fs_count;
-static char paths[MAX_NODES][MAX_PATH + 1];
+static char arena[MAX_NODES * (MAX_PATH + 1)];
+static size_t arena_used;
 
 #define HASH_SLOTS (2 * MAX_NODES)
+#define MIN_SLOTS 64
 static uint16_t slots[HASH_SLOTS]; /* node index + 1, or 0 when empty */
-_Static_assert((HASH_SLOTS & (HASH_SLOTS - 1)) == 0 && MAX_NODES < UINT16_MAX,
+static uint32_t mask = MIN_SLOTS - 1; /* slots[0..mask] are in use */
+_Static_assert((MIN_SLOTS & (MIN_SLOTS - 1)) == 0 && MIN_SLOTS <= HASH_SLOTS
+               && (HASH_SLOTS & (HASH_SLOTS - 1)) == 0 && MAX_NODES < UINT16_MAX,
                "slots are masked and hold node index + 1");
 
 const char *rt_fs_basename(const tar_node *n)
@@ -32,21 +42,40 @@ const char *rt_fs_basename(const tar_node *n)
     return slash ? slash + 1 : n->path;
 }
 
-/* the slot holding path's node, or the empty slot where it goes */
-static uint16_t *slot_of(const char *path)
+static uint32_t fnv1a(const char *path)
 {
     uint32_t h = 2166136261u;
     for (const char *c = path; *c; c++)
         h = (h ^ (uint8_t)*c) * 16777619u;
-    uint32_t i = h & (HASH_SLOTS - 1);
-    while (slots[i] && strcmp(rt_fs_nodes[slots[i] - 1].path, path) != 0)
-        i = (i + 1) & (HASH_SLOTS - 1);
+    return h;
+}
+
+/* the slot holding the node of path, whose hash is h, or the empty slot
+ * where it goes */
+static uint16_t *slot_of(const char *path, uint32_t h)
+{
+    uint32_t i = h & mask;
+    while (slots[i]) {
+        const tar_node *n = &rt_fs_nodes[slots[i] - 1];
+        if (n->hash == h && strcmp(n->path, path) == 0)
+            break;
+        i = (i + 1) & mask;
+    }
     return &slots[i];
 }
 
 static int find_node(const char *path)
 {
-    return *slot_of(path) - 1;
+    return *slot_of(path, fnv1a(path)) - 1;
+}
+
+/* double the prefix of slots in use and place every node in it again */
+static void grow(void)
+{
+    mask = 2 * mask + 1;
+    memset(slots, 0, (mask + 1) * sizeof *slots);
+    for (int i = 0; i < rt_fs_count; i++)
+        *slot_of(rt_fs_nodes[i].path, rt_fs_nodes[i].hash) = (uint16_t)(i + 1);
 }
 
 /* Walk len bytes of path from the absolute, normalized directory path in
@@ -86,16 +115,22 @@ static int walk(char cur[MAX_PATH + 1], const char *path, size_t len)
 static int add_node(const char *path, int is_dir, const uint8_t *content,
                     uint64_t size, uint64_t mtime)
 {
-    uint16_t *slot = slot_of(path);
+    uint32_t h = fnv1a(path);
+    uint16_t *slot = slot_of(path, h);
     int idx = *slot - 1;
     if (idx < 0) {
         if (rt_fs_count >= MAX_NODES)
             return -1;
         idx = rt_fs_count++;
-        strcpy(paths[idx], path);
-        rt_fs_nodes[idx].path = paths[idx];
+        size_t len = strlen(path) + 1;
+        rt_fs_nodes[idx].path = memcpy(arena + arena_used, path, len);
+        arena_used += len;
+        rt_fs_nodes[idx].hash = h;
         rt_fs_nodes[idx].parent = -1;
-        *slot = (uint16_t)(idx + 1);
+        if (2u * rt_fs_count > mask + 1)
+            grow(); /* which places the new node too */
+        else
+            *slot = (uint16_t)(idx + 1);
         if (strcmp(path, "/") != 0) {
             char parent[MAX_PATH + 1];
             strcpy(parent, path);
@@ -148,8 +183,10 @@ static int corrupt(const char *what, uint64_t off)
 
 int rt_fs_mount(const uint8_t *image, uint64_t size)
 {
+    mask = MIN_SLOTS - 1; /* what lies past it, grow clears before use */
+    memset(slots, 0, MIN_SLOTS * sizeof *slots);
     rt_fs_count = 0;
-    memset(slots, 0, sizeof slots);
+    arena_used = 0;
     add_node("/", 1, NULL, 0, 0);
     if (!image || size == 0)
         return 0;

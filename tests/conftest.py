@@ -89,6 +89,7 @@ class TarNode(ctypes.Structure):
     _fields_ = [
         ("path", ctypes.c_char_p),
         ("is_dir", ctypes.c_uint8),
+        ("hash", ctypes.c_uint32),
         ("content", ctypes.POINTER(ctypes.c_uint8)),
         ("size", ctypes.c_uint64),
         ("mtime", ctypes.c_uint64),

@@ -98,7 +98,8 @@ def test_every_scope_kind_keeps_the_discipline(tmp_path):
     bucket (wasi, timer, socket), hostio in random_get and in rt_iov_xfer's
     stdio fd_write, timer in poll_oneoff's clock sleep, and memory. Every
     nanosecond of the run is charged to exactly one bucket or to
-    unattributed, so they sum to the total exactly."""
+    unattributed, so they sum to the total exactly. The report also carries
+    the process's peak resident set."""
     b = ModuleBuilder()
     wasi = {name: b.add_import("wasi_snapshot_preview1", name, params, ["i32"])
             for name, params in [("random_get", ["i32"] * 2), ("fd_write", ["i32"] * 4),
@@ -125,3 +126,8 @@ def test_every_scope_kind_keeps_the_discipline(tmp_path):
     assert report.buckets["timer"] >= 2_000_000
     assert all(report.buckets[k] > 0 for k in BUCKETS), report.buckets
     assert sum(report.buckets.values()) + report.unattributed_ns == report.total_ns
+    # the guest's own peak, not that of the Python process that started it
+    assert 0 < report.max_rss_kb < 1024, report.max_rss_kb
+    assert report.to_dict()["max_rss_kb"] == report.max_rss_kb
+    assert report.render_table().splitlines()[-1].split() == [
+        "peak", "resident", "set", f"{report.max_rss_kb:,}", "kB"]

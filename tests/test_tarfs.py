@@ -279,6 +279,43 @@ def test_remount_replaces_the_index(rt):
         assert rt.content(rt.lookup(path)[0]) == data
 
 
+def test_index_grows_through_every_doubling_and_remount_clears_it(rt):
+    # the index doubles its slots as nodes are added: counts on both sides
+    # of every power of two up to the full table cross each doubling step,
+    # whatever size it starts from
+    def site(n):
+        """n nodes: the root, directory d and n - 2 files in it, with d and
+        its first file each archived twice"""
+        files = [f"d/{i:04x}" for i in range(n - 2)]
+        members = [("d", None), *((f, f.encode()) for f in files), ("d", None)]
+        return members + [(f, b"later") for f in files[:1]], files
+
+    for n in sorted({2**k + d for k in range(1, 13) for d in (0, 1)} | {8192}):
+        members, files = site(n)
+        assert rt.mount(tarfile_image(members)) == 0, n
+        assert rt.fs_count.value == n
+        for i in range(n):
+            node, err = rt.lookup(rt.fs_nodes[i].path.decode())
+            assert err == 0 and ctypes.addressof(node) == ctypes.addressof(rt.fs_nodes[i]), (n, i)
+        absent = ["/e", "/d/zzzz", f"/d/{n - 2:04x}"]
+        absent += [f"/{f[:-1]}{'z' if f[-1] != 'z' else 'y'}" for f in files[:300]]
+        for path in absent:
+            assert rt.lookup(path) == (None, W_NOENT), (n, path)
+        if files:  # shadowed: one node, at its first position, with the later content
+            node, _ = rt.lookup(f"/{files[0]}")
+            assert ctypes.addressof(node) == ctypes.addressof(rt.fs_nodes[2])
+            assert rt.content(node) == b"later"
+
+    # a small mount after the full table finds nothing the full one held
+    members, files = site(8192)
+    assert rt.mount(tarfile_image(members)) == 0
+    assert rt.mount(tarfile_image({"x": b"1", "y": b"2", "z": b"3"})) == 0
+    assert rt.fs_count.value == 4
+    for path in ["/d", *(f"/{f}" for f in files[::97])]:
+        assert rt.lookup(path) == (None, W_NOENT), path
+    assert rt.files() == {"/x": b"1", "/y": b"2", "/z": b"3"}
+
+
 def test_mount_is_linear_in_entries(rt):
     # best of three mounts each; a linear mount reads ~10x for 10x the
     # entries, one that scans the node table per entry ~100x
